@@ -366,20 +366,23 @@ def _eval_monomials_pairs(T: FieldTable, monomials, Y, Z) -> np.ndarray:
     is ignored (chart x = 1).  Accumulates in digit space, chunked."""
     n = len(Y)
     out = np.empty(n, dtype=np.int64)
+    pw = {e: T.powers(e) for _, b, c, _ in monomials for e in (b, c) if e}
+    acc_type = np.min_scalar_type(len(monomials) * (T.p - 1) ** 2)  # bounds every sum
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        acc = np.zeros((hi - lo, T.K), dtype=np.int64)
+        acc = np.zeros((hi - lo, T.K), dtype=acc_type)
         for _, b, c, co in monomials:
             if b and c:
-                term = T.mul(T.powers(b)[Y[lo:hi]], T.powers(c)[Z[lo:hi]])
+                term = T.mul(pw[b][Y[lo:hi]], pw[c][Z[lo:hi]])
             elif b:
-                term = T.powers(b)[Y[lo:hi]]
+                term = pw[b][Y[lo:hi]]
             elif c:
-                term = T.powers(c)[Z[lo:hi]]
+                term = pw[c][Z[lo:hi]]
             else:
                 term = np.full(hi - lo, 1, dtype=np.int64)
-            acc += co * T.digits[term]
-        out[lo:hi] = (acc % T.p) @ T._pvec
+            acc += co * T.digits.take(term, axis=0).astype(acc_type)
+        acc -= acc // T.p * T.p  # acc % p, but numpy divides small ints faster
+        out[lo:hi] = acc @ T._pvec
     return out
 
 

@@ -6,7 +6,22 @@ anything else surfaces as a plain ValueError/TypeError.
 
 
 class WeilgramError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Subclasses may format their message from constructor arguments, so
+    unpickling (for example when a process pool sends an error back) restores
+    args and attributes directly instead of calling __init__ again.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
 
 
 # --- finite fields ---------------------------------------------------------

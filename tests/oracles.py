@@ -86,6 +86,38 @@ def count_plane_slow(curve, j: int) -> int:
     return total
 
 
+def legendre(v: int, p: int) -> int:
+    """Legendre symbol (v/p) for an odd prime p, by Euler's criterion."""
+    v %= p
+    if v == 0:
+        return 0
+    return 1 if pow(v, (p - 1) // 2, p) == 1 else -1
+
+
+def count_hyperelliptic_prime_field(f, p: int) -> int:
+    """N_1 of y^2 = f(x) over F_p, p odd, from Legendre symbols in plain
+    integer arithmetic: 1 + (f(x)/p) affine points over each x."""
+    affine = 0
+    for x in range(p):
+        fx = 0
+        for c in reversed(f):
+            fx = (fx * x + c) % p
+        affine += 1 + legendre(fx, p)
+    if (len(f) - 1) % 2 == 1:
+        return affine + 1
+    return affine + 1 + legendre(f[-1], p)
+
+
+def count_plane_prime_field(monomials, p: int) -> int:
+    """N_1 of a plane curve over F_p, scanning (1:y:z), (0:1:z), (0:0:1)
+    in plain integer arithmetic."""
+    def value(x, y, z):
+        return sum(co * x**a * y**b * z**c for a, b, c, co in monomials) % p
+    total = sum(1 for y in range(p) for z in range(p) if value(1, y, z) == 0)
+    total += sum(1 for z in range(p) if value(0, 1, z) == 0)
+    return total + (value(0, 0, 1) == 0)
+
+
 def count_line_slow(curve, j: int) -> int:
     ext = extension_of(curve.base, j)
     return ext.q + 1

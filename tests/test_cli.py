@@ -270,3 +270,13 @@ def test_corpus_error_codes(manifest, tmp_path, capsys):
     spec_path = manifest({"fields": [[3, 1]], "mix": [1, 0, 0]}, "noseed.json")
     assert main(["corpus", "run", spec_path, "--out", str(tmp_path / "y")]) == 2
     capsys.readouterr()
+
+
+def test_corpus_over_budget_exit_code_same_in_parallel(manifest, tmp_path, capsys):
+    spec_path = manifest({"seed": 42, "fields": [[29, 1]], "mix": [0, 0, 1]}, "over.json")
+    codes = []
+    for jobs in ("1", "2"):
+        codes.append(main(["--budget", "1000", "corpus", "run", spec_path,
+                           "--out", str(tmp_path / jobs), "--jobs", jobs]))
+        assert "exceeds budget 1000" in capsys.readouterr().err
+    assert codes == [3, 3]

@@ -236,6 +236,15 @@ def test_run_corpus_parallel_matches_serial():
     assert report_json(serial) == report_json(parallel)
 
 
+def test_run_corpus_parallel_reports_budget_exceeded():
+    over = CorpusSpec(seed=42, fields=((29, 1),), mix=(0, 0, 1))  # F_{29^3} has 24389
+    with pytest.raises(BudgetExceeded):
+        run_corpus(over, jobs=1, budget=1000)
+    with pytest.raises(BudgetExceeded) as info:
+        run_corpus(over, jobs=2, budget=1000)
+    assert (info.value.needed, info.value.budget) == (24389, 1000)
+
+
 def test_empty_mix_gives_empty_report():
     report = run_corpus(CorpusSpec(seed=42, fields=((3, 1),), mix=(0, 0, 0)))
     assert report["instances"] == 0

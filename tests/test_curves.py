@@ -3,7 +3,9 @@
 import pytest
 
 from weilgram.curves import (
+    SMOOTH_PLANE,
     CoverData,
+    CurveModel,
     PointCountSeries,
     composite_cover,
     count_points,
@@ -34,7 +36,7 @@ from weilgram.errors import (
 from weilgram.finite_field import construct_field
 from weilgram.zeta import infer_genus
 
-from oracles import count_slow
+from oracles import count_hyperelliptic_prime_field, count_plane_prime_field, count_slow
 
 F3 = construct_field(3, 1)
 F4 = construct_field(2, 2)
@@ -185,6 +187,22 @@ def test_plane_counts_match_slow_scan():
         assert count_points(X, j) == count_slow(X, j)
     conic = make_smooth_plane(F3, [(2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1)], 2)
     assert count_points(conic, 1) == count_slow(conic, 1) == 4
+
+
+def test_counts_exact_for_large_primes():
+    """p > 32767 overflowed 16-bit digits: y^2 = x^3+x+1 over F_40009 gave 40229."""
+    E = make_hyperelliptic(construct_field(40009, 1), (1, 1, 0, 1))
+    assert count_points(E, 1) == count_hyperelliptic_prime_field((1, 1, 0, 1), 40009) == 40020
+    Q = make_hyperelliptic(construct_field(32771, 1), (3, 0, 5, 0, 2))
+    assert count_points(Q, 1) == count_hyperelliptic_prime_field((3, 0, 5, 0, 2), 32771)
+
+
+def test_plane_counts_exact_when_digit_products_exceed_16_bits():
+    """Over F_191 a coefficient times a digit exceeds 2^15 (the count was 212)."""
+    monomials = ((0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 1, 190), (3, 0, 0, 1))
+    X = CurveModel(kind=SMOOTH_PLANE, base=construct_field(191, 1),
+                   monomials=monomials, degree=3, genus=1, label="hesse/F_191")
+    assert count_points(X, 1) == count_plane_prime_field(monomials, 191) == 210
 
 
 def test_line_counts_match_slow_scan():
