@@ -32,6 +32,10 @@ class NotPrime(WeilgramError):
         self.p = p
 
 
+class NotPrimePower(WeilgramError, ValueError):
+    """Field size is not a prime power, so no field of that size exists."""
+
+
 class InvalidDegree(WeilgramError):
     def __init__(self, k):
         super().__init__(f"extension degree must be >= 1, got {k}")
@@ -152,3 +156,7 @@ class InvalidDiagram(WeilgramError):
 
 class ZeroGenus(WeilgramError):
     """Closed-form bound is only defined for genus >= 1."""
+
+
+class NegativeGenus(WeilgramError, ValueError):
+    """Genus is negative."""

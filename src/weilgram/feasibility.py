@@ -11,10 +11,13 @@ together with each N_j inside its Weil interval (the intervals are implied by
 the 2x2 principal minors indexed {0, j}, so they are redundant as constraints
 but pin down the finite scan ranges).
 
-The search is a deterministic exhaustive integer scan: exactness over speed.
-Ranges at the supported sizes (q <= 64, m <= 3) are small enough that no
-semidefinite programming is needed and no floating-point feasibility
-ambiguity can arise.
+The search is an exact integer interval scan.  In the Gram matrix of a prefix
+(N_1, .., N_j), the count N_j enters only through t_j = q^j + 1 - N_j at the
+corner (0, j), so given a PSD prefix of length j - 1 the values of N_j that
+keep it PSD form an interval, computed exactly by `psd_corner_interval`.  Each
+N_j is taken only from that interval, intersected with its Weil interval and,
+when toggled, with the place-count constraints.  Every candidate still passes
+through `feasible_counts`, and no floating-point value enters the search.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import weil_interval
-from .errors import BudgetExceeded, TooLarge, ZeroGenus
-from .gram import gram_absolute, psd_check
+from .errors import BudgetExceeded, NegativeGenus, NotPrimePower, TooLarge, ZeroGenus
+from .finite_field import prime_power_decomposition
+from .gram import gram_absolute, psd_check, psd_corner_interval
 
 MAX_ORDER = 3
 MAX_Q = 64
@@ -41,8 +45,20 @@ class FeasibilityProblem:
     def __post_init__(self):
         if not 1 <= self.m <= MAX_ORDER:
             raise TooLarge(f"order m={self.m} outside 1..{MAX_ORDER}")
-        if self.g < 0:
-            raise ValueError(f"genus must be nonnegative, got {self.g}")
+        _check_genus(self.g)
+        if self.q > MAX_Q:
+            raise BudgetExceeded(self.q, MAX_Q)
+        _check_field_size(self.q)
+
+
+def _check_genus(g: int) -> None:
+    if g < 0:
+        raise NegativeGenus(f"genus must be nonnegative, got {g}")
+
+
+def _check_field_size(q: int) -> None:
+    if prime_power_decomposition(q) is None:
+        raise NotPrimePower(f"field size {q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -79,28 +95,36 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     Scans N_1 descending from the Weil upper end; completions ascend
     lexicographically, pruned on infeasible prefixes (sound because the
     order-(m-1) Gram is a leading principal submatrix of the order-m one).
-    The first feasible vector found is the witness.  Always terminates with
-    a result: (q+1, q^2+1, q^3+1) is feasible for every genus.
+    Each N_j ranges over the exact interval that keeps the Gram matrix PSD
+    (see the module docstring), so skipped values are exactly those that
+    `feasible_counts` would reject.  The first feasible vector found is the
+    witness; `scanned` counts the vectors passed to `feasible_counts`.
+    Always terminates with a result: (q+1, q^2+1, q^3+1) is feasible for
+    every genus.
     """
     q, g, m, toggles = problem.q, problem.g, problem.m, problem.toggles
-    if q > MAX_Q:
-        raise BudgetExceeded(q, MAX_Q)
     intervals = [weil_interval(q, g, j) for j in range(1, m + 1)]
     scanned = 0
 
     def completions(prefix):
         nonlocal scanned
-        j = len(prefix)
-        if j == m:
-            scanned += 1
-            if feasible_counts(q, g, prefix, toggles):
-                return prefix
-            return None
         scanned += 1
         if not feasible_counts(q, g, prefix, toggles):
             return None
-        lo, hi = intervals[j]
-        for nj in range(lo, hi + 1):
+        j = len(prefix) + 1
+        if j > m:
+            return prefix
+        # the trailing 0 is a placeholder for t_j, which the interval replaces
+        t = psd_corner_interval(gram_absolute(q, g, prefix + (0,), j))
+        # N_j = q^j + 1 - t_j; an empty t leaves lo > hi
+        lo, hi = intervals[j - 1]
+        lo, hi = max(lo, q**j + 2 - t.stop), min(hi, q**j + 1 - t.start)
+        step = 1
+        if toggles:
+            # N_j >= N_1 and N_j == N_1 (mod j) for j = 2, 3 (j <= MAX_ORDER)
+            lo, step = max(lo, prefix[0]), j
+            lo += (prefix[0] - lo) % j
+        for nj in range(lo, hi + 1, step):
             found = completions(prefix + (nj,))
             if found is not None:
                 return found
@@ -131,8 +155,8 @@ def ihara_closed_form(q: int, g: int) -> IharaClosedForm:
     combined vector q*frob^0 + frob^2 against frob^1, with N_2 >= N_1)."""
     if g == 0:
         raise ZeroGenus("closed form needs g >= 1")
-    if g < 0:
-        raise ValueError(f"genus must be nonnegative, got {g}")
+    _check_genus(g)
+    _check_field_size(q)
     radicand = g * g * (8 * q + 1) + 4 * g * q * (q - 1)
     linear = Fraction(2 * q + 2 - g, 2)
     floor = (2 * q + 2 - g + math.isqrt(radicand)) // 2

@@ -11,11 +11,14 @@ Three constructions share one shape.  With t_j = (q^j + 1) - N_j:
 Only inner products are ever represented; the vectors themselves have no
 finite description.  Positive semidefiniteness is decided exactly by integer
 determinants of all principal minors (fraction-free Bareiss elimination), so
-boundary cases with determinant exactly zero are classified correctly.
+boundary cases with determinant exactly zero are classified correctly.  The
+same elimination, pivoted symmetrically, gives the exact integer range of one
+corner entry that keeps a matrix PSD (`psd_corner_interval`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -180,6 +183,65 @@ def psd_check(M) -> PSDVerdict:
         if int_det(sub) < 0:
             return PSDVerdict(psd=False, witness=subset)
     return PSDVerdict(psd=True, witness=None)
+
+
+def psd_corner_interval(M) -> range:
+    """Integers x such that M is PSD with x at (0, n) and (n, 0), n = order - 1.
+
+    The given (0, n) entry is ignored.  The leading n x n block is eliminated
+    symmetrically and fraction-free, always on a positive diagonal pivot,
+    carrying column n as affine functions u*x + v and the corner as a
+    quadratic a*x^2 + b*x + c.  Each step scales the Schur complement by a
+    positive factor, so the PSD condition is kept.  Once no positive pivot is
+    left, the rest of the block must be zero (else the block is not PSD and
+    the range is empty), and so must each remaining column entry: u != 0 pins
+    x to -v/u, u == 0 needs v == 0.  Last, the corner must be >= 0, a concave
+    quadratic whose integer roots come exactly from isqrt.
+    """
+    entries = _entries_of(M)
+    n = len(entries) - 1
+    if n < 1:
+        raise DimensionMismatch(f"a corner entry needs order >= 2, got {n + 1}")
+    block = [list(row[:n]) for row in entries[:n]]
+    column = [(1 if i == 0 else 0, 0 if i == 0 else entries[i][n]) for i in range(n)]
+    a, b, c = 0, 0, entries[n][n]
+    rest = list(range(n))
+    prev = 1
+    while (k := next((i for i in rest if block[i][i] > 0), None)) is not None:
+        rest.remove(k)
+        p = block[k][k]
+        uk, vk = column[k]
+        for i in rest:
+            bik = block[i][k]
+            for j in rest:
+                block[i][j] = (p * block[i][j] - bik * block[k][j]) // prev
+            ui, vi = column[i]
+            column[i] = ((p * ui - bik * uk) // prev, (p * vi - bik * vk) // prev)
+        a = (p * a - uk * uk) // prev
+        b = (p * b - 2 * uk * vk) // prev
+        c = (p * c - vk * vk) // prev
+        prev = p
+    empty = range(0)
+    if any(block[i][j] for i in rest for j in rest):
+        return empty
+    pin = None
+    for u, v in (column[i] for i in rest):
+        if (u, v) == (0, 0):
+            continue
+        if u == 0 or v % u or pin not in (None, -v // u):
+            return empty
+        pin = -v // u
+    if pin is not None:
+        return range(pin, pin + 1) if (a * pin + b) * pin + c >= 0 else empty
+    # x is unpinned only if some pivot had u != 0, and then a < 0
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return empty
+    # the roots are (b -+ sqrt(disc)) / den; for integers b and den > 0,
+    # floor((b + sqrt(d)) / den) == floor((b + isqrt(d)) / den), and the
+    # same holds for the ceiling of (b - sqrt(d)) / den
+    root, den = math.isqrt(disc), -2 * a
+    return range(-((root - b) // den), (b + root) // den + 1)
 
 
 def schwarz_margin(M, i: int, j: int) -> int:

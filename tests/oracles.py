@@ -2,14 +2,18 @@
 
 Everything here deliberately avoids the library's fast paths: counting walks
 scalar field elements in pure Python loops instead of vectorized tables,
-determinants run rational Gaussian elimination instead of fraction-free
-integer elimination, and power sums come from numpy root finding instead of
-integer recurrences.  Agreement between the two routes is the point.
+determinants run rational Gaussian elimination or cofactor expansion instead
+of fraction-free integer elimination, the feasibility search tries every
+count of each Weil interval instead of the exact PSD intervals, and power
+sums come from numpy root finding instead of integer recurrences.  Agreement
+between the two routes is the point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -155,6 +159,60 @@ def gauss_det(rows) -> Fraction:
             if factor:
                 M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
     return det
+
+
+def laplace_det(rows) -> int:
+    """Integer determinant by cofactor expansion along the first row (cheaper
+    than `gauss_det` on the order <= 4 minors of the feasibility search)."""
+    if not rows:
+        return 1
+    return sum((-1) ** c * rows[0][c] * laplace_det([row[:c] + row[c + 1:] for row in rows[1:]])
+               for c in range(len(rows)) if rows[0][c])
+
+
+def psd_by_minors(rows) -> bool:
+    """Exact PSD test: every principal minor, by cofactor expansion, >= 0."""
+    n = len(rows)
+    return all(laplace_det([[rows[r][c] for c in subset] for r in subset]) >= 0
+               for size in range(1, n + 1) for subset in combinations(range(n), size))
+
+
+def max_n1_exhaustive(q: int, g: int, m: int, toggles: bool = True):
+    """(max N_1, witness) by the plain scan: N_1 descending, every N_j of its
+    Weil interval ascending, pruned on prefixes whose Gram is not PSD."""
+    def weil(j):
+        r = math.isqrt(4 * g * g * q**j)
+        return range(q**j + 1 - r, q**j + 2 + r)
+
+    def feasible(counts):
+        k = len(counts)
+        if toggles:
+            for j in range(2, k + 1):
+                if counts[j - 1] < counts[0] or (counts[j - 1] - counts[0]) % j:
+                    return False
+            if any(counts[j - 1] not in weil(j) for j in range(1, k + 1)):
+                return False
+        t = [q**j + 1 - counts[j - 1] for j in range(1, k + 1)]
+        gram = [[2 * g * q**i if i == j else q**min(i, j) * t[abs(i - j) - 1]
+                 for j in range(k + 1)] for i in range(k + 1)]
+        return psd_by_minors(gram)
+
+    def completions(prefix):
+        if not feasible(prefix):
+            return None
+        if len(prefix) == m:
+            return prefix
+        for nj in weil(len(prefix) + 1):
+            found = completions(prefix + (nj,))
+            if found is not None:
+                return found
+        return None
+
+    for n1 in reversed(weil(1)):
+        witness = completions((n1,))
+        if witness is not None:
+            return n1, witness
+    raise AssertionError("no feasible count vector")
 
 
 def psd_by_eigenvalues(entries, tol: float = 1e-9) -> bool:

@@ -221,6 +221,14 @@ def test_feasibility_error_codes(capsys):
     capsys.readouterr()
 
 
+def test_feasibility_rejects_invalid_field_and_genus(capsys):
+    for q in ("6", "0", "1", "-3"):
+        assert main(["feasibility", q, "1", "2"]) == 2
+        assert "NotPrimePower" in capsys.readouterr().err
+    assert main(["feasibility", "3", "-1", "2"]) == 2
+    assert "NegativeGenus" in capsys.readouterr().err
+
+
 # --- corpus ----------------------------------------------------------------
 
 CORPUS_SPEC = {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 1]}

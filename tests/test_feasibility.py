@@ -7,13 +7,22 @@ import pytest
 
 from weilgram.bounds import weil_interval
 from weilgram.curves import count_points
-from weilgram.errors import BudgetExceeded, TooLarge, ZeroGenus
+from weilgram.errors import (
+    BudgetExceeded,
+    NegativeGenus,
+    NotPrimePower,
+    TooLarge,
+    WeilgramError,
+    ZeroGenus,
+)
 from weilgram.feasibility import (
     FeasibilityProblem,
     feasible_counts,
     ihara_closed_form,
     max_n1,
 )
+
+from oracles import max_n1_exhaustive
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -49,6 +58,23 @@ def test_problem_validation():
         FeasibilityProblem(q=3, g=-1, m=2)
 
 
+@pytest.mark.parametrize("q", [0, 1, 6, -3])
+def test_field_size_must_be_a_prime_power(q):
+    with pytest.raises(NotPrimePower):
+        FeasibilityProblem(q=q, g=1, m=2)
+    with pytest.raises(NotPrimePower):
+        ihara_closed_form(q, 1)
+
+
+def test_negative_genus_is_a_typed_error():
+    with pytest.raises(NegativeGenus):
+        FeasibilityProblem(q=3, g=-1, m=2)
+    with pytest.raises(NegativeGenus):
+        ihara_closed_form(3, -1)
+    for cls in (NegativeGenus, NotPrimePower):
+        assert issubclass(cls, WeilgramError) and issubclass(cls, ValueError)
+
+
 def test_max_n1_examples():
     res = max_n1(FeasibilityProblem(q=3, g=0, m=2))
     assert res.max_n1 == 4
@@ -78,6 +104,16 @@ def test_max_n1_scan_budget():
         max_n1(FeasibilityProblem(q=67, g=1, m=2))
     with pytest.raises(BudgetExceeded):
         max_n1(FeasibilityProblem(q=65, g=1, m=1))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_16)
+def test_max_n1_matches_exhaustive_oracle(q):
+    for g in range(7):
+        for m in (1, 2, 3):
+            for toggles in (True, False):
+                res = max_n1(FeasibilityProblem(q=q, g=g, m=m, toggles=toggles))
+                expected = max_n1_exhaustive(q, g, m, toggles)
+                assert (res.max_n1, res.witness) == expected, (g, m, toggles)
 
 
 def test_max_n1_order_one_is_weil_upper_end():

@@ -13,6 +13,7 @@ from weilgram.errors import (
     NegativeRelativeGenus,
     TooLarge,
 )
+from weilgram.feasibility import FeasibilityProblem, max_n1
 from weilgram.finite_field import construct_field
 from weilgram.gram import (
     combined_vector_gram,
@@ -21,6 +22,7 @@ from weilgram.gram import (
     gram_relative,
     int_det,
     psd_check,
+    psd_corner_interval,
     schwarz_margin,
 )
 
@@ -144,6 +146,82 @@ def test_congruence_transform_preserves_psd(vectors, combos):
     assert psd_check(base).psd
     out = combined_vector_gram(base, combos)
     assert psd_check(out).psd
+
+
+# --- exact corner intervals ------------------------------------------------
+
+def _with_corner(rows, x):
+    out = [list(row) for row in rows]
+    out[0][-1] = out[-1][0] = x
+    return out
+
+
+def _assert_interval_matches_psd_check(rows, window):
+    interval = psd_corner_interval(rows)
+    for x in window:
+        assert (x in interval) == psd_check(_with_corner(rows, x)).psd, (rows, x)
+    return interval
+
+
+# V V^T for V of (order) rows and rank-bounding width 0..order, so leading
+# blocks of every rank appear, singular ones included
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda order: st.integers(0, order).flatmap(
+        lambda width: st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width),
+                               min_size=order, max_size=order))),
+       st.lists(st.integers(-2, 2), min_size=3, max_size=3))
+def test_corner_interval_matches_psd_check_on_gram_matrices(V, shift):
+    rows = [[sum(a * b for a, b in zip(u, v)) for v in V] for u in V]
+    window = range(rows[0][-1] - 40, rows[0][-1] + 41)
+    assert rows[0][-1] in _assert_interval_matches_psd_check(rows, window)
+    # shifting the rest of the last column keeps the leading block PSD, but
+    # against a singular block it can leave no corner value at all
+    for i, s in zip(range(1, len(rows) - 1), shift):
+        rows[i][-1] += s
+        rows[-1][i] += s
+    _assert_interval_matches_psd_check(rows, window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda order: st.lists(st.integers(-4, 4), min_size=order * order,
+                           max_size=order * order).map(
+        lambda flat: [[flat[order * min(i, j) + max(i, j)] for j in range(order)]
+                      for i in range(order)])))
+def test_corner_interval_matches_psd_check_on_symmetric_matrices(rows):
+    # the leading block need not be PSD; then no x works
+    _assert_interval_matches_psd_check(rows, range(-20, 21))
+
+
+def test_corner_interval_singular_leading_block():
+    # q = 4, g = 1, N_1 = 9 puts the rank-1 block [[2, -4], [-4, 8]] in front:
+    # t_2 is pinned to 8, that is N_2 = 17 - 8 = 9
+    rows = gram_absolute(4, 1, (9, 0), 2)
+    assert [row[:2] for row in rows.entries[:2]] == [(2, -4), (-4, 8)]
+    assert _assert_interval_matches_psd_check(rows, range(-40, 41)) == range(8, 9)
+    res = max_n1(FeasibilityProblem(4, 1, 3))
+    assert res.witness == (9, 9, 81)
+
+
+def test_corner_interval_pins_and_empty_cases():
+    # the column must be a multiple of (1, 2): x = 3 / 2 is no integer
+    rows = [[1, 2, 0], [2, 4, 3], [0, 3, 5]]
+    assert _assert_interval_matches_psd_check(rows, range(-20, 21)) == range(0)
+    # a zero leading block pins x to 0, then the corner decides
+    assert psd_corner_interval([[0, 0], [0, 1]]) == range(0, 1)
+    assert psd_corner_interval([[0, 0], [0, -1]]) == range(0)
+    # after pivoting on row 0, rows 1 and 2 pin x to -1 and to 0
+    rows = [[1, 1, -1, 0], [1, 1, -1, -1], [-1, -1, 1, 0], [0, -1, 0, 1]]
+    assert _assert_interval_matches_psd_check(rows, range(-20, 21)) == range(0)
+    # a zero diagonal needs a zero column entry, whatever x is
+    assert psd_corner_interval([[1, 0, 0], [0, 0, 3], [0, 3, 5]]) == range(0)
+    # a leading block that is not PSD leaves nothing
+    assert psd_corner_interval([[-1, 0], [0, 5]]) == range(0)
+    assert psd_corner_interval([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == range(0)
+    # order 1 has no off-diagonal corner
+    with pytest.raises(DimensionMismatch):
+        psd_corner_interval([[1]])
 
 
 # --- Schwarz margins and combinations --------------------------------------
