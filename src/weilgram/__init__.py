@@ -37,7 +37,6 @@ from .curves import (
     composite_cover,
     count_points,
     count_series,
-    covers_of,
     hyperelliptic_cover,
     hyperelliptic_genus,
     make_biquadratic,

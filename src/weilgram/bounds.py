@@ -23,18 +23,19 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Union
 
 from .curves import (
     DEFAULT_BUDGET,
+    DIAGRAM_EDGES,
+    DIAGRAM_ROLES,
     CoverData,
     CurveModel,
     DiagramData,
     count_series,
 )
-from .errors import EqualGenera, GenusOrder, InvalidDiagram
-from .gram import gram_absolute, gram_diagram, gram_relative, int_det
+from .errors import EqualGenera, GenusOrder, InvalidDegree, InvalidDiagram
+from .gram import gram_absolute, gram_diagram, gram_relative, principal_minors
 
 Margin = Union[int, Fraction]
 
@@ -53,6 +54,7 @@ class CheckRecord:
 class BoundReport:
     subject: str
     checks: tuple
+    series: tuple = ()  # the PointCountSeries the checks were made from
 
     @property
     def all_hold(self) -> bool:
@@ -142,19 +144,8 @@ def _certificate_flags(certificate):
     return tuple(bool(x) for x in certificate)
 
 
-def _min_principal_minor(entries) -> int:
-    n = len(entries)
-    best = None
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            d = int_det([[entries[r][c] for c in subset] for r in subset])
-            if best is None or d < best:
-                best = d
-    return best if best is not None else 0
-
-
 def _psd_record(name: str, M) -> CheckRecord:
-    m = _min_principal_minor(M.entries)
+    m = min(det for _, det in principal_minors(M))
     return CheckRecord(
         name=name, lhs=-m, rhs=0, holds=m >= 0, margin=m,
         scale="minimal principal minor of the Gram matrix",
@@ -163,7 +154,8 @@ def _psd_record(name: str, M) -> CheckRecord:
 
 def full_report(subject, m: int, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """Every applicable check for a curve, cover, or diagram, in a fixed
-    documented order.
+    documented order.  Each curve is counted once; the report keeps those
+    series, in subject order: (curve), (source, target) or (X, Y1, Y2, Z).
 
     * curve: Weil for j = 1..m.
     * cover: source Weil j = 1..m, target Weil j = 1..m, relative,
@@ -172,11 +164,14 @@ def full_report(subject, m: int, budget: int = DEFAULT_BUDGET) -> BoundReport:
       absolute Grams of the four curves, of the relative Grams of the four
       edges, and of the diagram Gram, all at order m.
     """
+    if m < 1:
+        raise InvalidDegree(m)
+
     if isinstance(subject, CurveModel):
         series = count_series(subject, m, budget)
         checks = [check_weil(subject.q, subject.genus, j, series[j - 1])
                   for j in range(1, m + 1)]
-        return BoundReport(subject=subject.label, checks=tuple(checks))
+        return BoundReport(subject.label, tuple(checks), (series,))
 
     if isinstance(subject, CoverData):
         X, Y = subject.source, subject.target
@@ -190,38 +185,30 @@ def full_report(subject, m: int, budget: int = DEFAULT_BUDGET) -> BoundReport:
         if X.genus != Y.genus:
             checks.append(check_relative_second(
                 X.q, X.genus, Y.genus, sX.counts[:2], sY.counts[:2]))
-        label = f"{X.label} -> {Y.label}"
-        return BoundReport(subject=label, checks=tuple(checks))
+        return BoundReport(f"{X.label} -> {Y.label}", tuple(checks), (sX, sY))
 
     if isinstance(subject, DiagramData):
-        corners = (("X", subject.X), ("Y1", subject.Y1),
-                   ("Y2", subject.Y2), ("Z", subject.Z))
-        series = {role: count_series(c, m, budget) for role, c in corners}
         q = subject.X.q
-        checks = []
-        for role, c in corners:
-            checks += [check_weil(q, c.genus, j, series[role][j - 1],
-                                  name=f"weil_{role}_j{j}")
-                       for j in range(1, m + 1)]
-        genera = tuple(c.genus for _, c in corners)
+        corners = {role: getattr(subject, role) for role in DIAGRAM_ROLES}
+        series = {role: count_series(c, m, budget) for role, c in corners.items()}
+        checks = [check_weil(q, c.genus, j, series[role][j - 1], name=f"weil_{role}_j{j}")
+                  for role, c in corners.items() for j in range(1, m + 1)]
+        genera = tuple(c.genus for c in corners.values())
         checks.append(check_diagram(
-            q, genera, tuple(series[role][0] for role, _ in corners), subject))
-        for role, c in corners:
+            q, genera, tuple(s[0] for s in series.values()), subject))
+        for role, c in corners.items():
             checks.append(_psd_record(
                 f"psd_absolute_{role}",
                 gram_absolute(q, c.genus, series[role].counts, m)))
-        edge_names = (("X", "Y1"), ("X", "Y2"), ("Y1", "Z"), ("Y2", "Z"))
-        by_role = dict(corners)
-        for src, dst in edge_names:
+        for src, dst in DIAGRAM_EDGES:
             checks.append(_psd_record(
                 f"psd_relative_{src}_{dst}",
-                gram_relative(q, by_role[src].genus, by_role[dst].genus,
+                gram_relative(q, corners[src].genus, corners[dst].genus,
                               series[src].counts, series[dst].counts, m)))
         checks.append(_psd_record(
             "psd_diagram",
-            gram_diagram(q, genera,
-                         tuple(series[role].counts for role, _ in corners), m)))
-        return BoundReport(subject=subject.label, checks=tuple(checks))
+            gram_diagram(q, genera, tuple(s.counts for s in series.values()), m)))
+        return BoundReport(subject.label, tuple(checks), tuple(series.values()))
 
     raise TypeError(f"cannot report on {type(subject).__name__}")
 

@@ -18,12 +18,15 @@ Two sources of test material:
   instance.  Identical specs therefore yield identical corpora on every
   platform.
 
-Evaluation produces one JSON-ready record per instance: exact counts, the
-L-polynomial with its Riemann hypothesis report, the applicable bound
-checks, PSD checks, trace-identity checks, and the exact agreement between
-bound margins and Schwarz/combined-vector Gram quantities.  The same worker
-function runs in-process or under a process pool; reports are assembled in
-corpus order either way, so serial and parallel runs are byte-identical.
+Evaluation produces one JSON-ready record per instance.  One `full_report`
+call counts each curve once and makes the bound checks (with the PSD checks
+for diagrams); the rest of the record is read from the count series that
+report carries: the L-polynomial with its Riemann hypothesis report, the
+trace-identity checks (whose third quotient y3 is the only extra count), and
+the exact agreement between bound margins and Schwarz/combined-vector Gram
+quantities.  The same worker function runs in-process or under a process
+pool; reports are assembled in corpus order either way, so serial and
+parallel runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -37,16 +40,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import (
-    check_diagram,
     check_relative,
     check_relative_second,
-    check_weil,
     report_to_dict,
     full_report,
     BoundReport,
 )
 from .curves import (
     DEFAULT_BUDGET,
+    DIAGRAM_EDGES,
+    DIAGRAM_ROLES,
     CurveModel,
     DiagramData,
     count_series,
@@ -327,13 +330,10 @@ def _second_margin_combined_det_ok(q, gX, gY, sX, sY) -> bool:
 def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET,
                           tol: float = DEFAULT_RH_TOL) -> dict:
     m = _counts_order(curve)
-    series = count_series(curve, m, budget)
-    counts = list(series.counts)
+    report = full_report(curve, m, budget)
+    counts = list(report.series[0].counts)
     L = l_from_counts(curve.q, curve.genus, counts[: curve.genus])
     rh = check_riemann_hypothesis(L, tol)
-    checks = [check_weil(curve.q, curve.genus, j, counts[j - 1])
-              for j in range(1, m + 1)]
-    report = BoundReport(subject=curve.label, checks=tuple(checks))
     record = {
         "label": curve.label,
         "kind": serialize_manifest(curve)["kind"],
@@ -366,7 +366,7 @@ def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET,
         flags += [rel.holds, rel2.holds,
                   record["cover"]["relative_margin_equals_schwarz"],
                   record["cover"]["second_margin_combined_det"]]
-    holds = [c.holds for c in checks] + flags
+    holds = [c.holds for c in report.checks] + flags
     record["checks_passed"] = sum(bool(h) for h in holds)
     record["checks_total"] = len(holds)
     return record
@@ -376,15 +376,13 @@ def evaluate_diagram_record(diagram: DiagramData, budget: int = DEFAULT_BUDGET,
                             tol: float = DEFAULT_RH_TOL) -> dict:
     q = diagram.X.q
     m = 3
-    corners = (("X", diagram.X), ("Y1", diagram.Y1),
-               ("Y2", diagram.Y2), ("Z", diagram.Z))
-    series = {role: count_series(c, m, budget) for role, c in corners}
+    report = full_report(diagram, m, budget)
+    series = dict(zip(DIAGRAM_ROLES, report.series))
     y3 = count_series(diagram.y3, 2, budget)
     trace = [series["X"][j - 1] ==
              series["Y1"][j - 1] + series["Y2"][j - 1] + y3[j - 1] - 2 * (q**j + 1)
              for j in (1, 2)]
-    report = full_report(diagram, m, budget)
-    genera = {role: c.genus for role, c in corners}
+    genera = {role: getattr(diagram, role).genus for role in DIAGRAM_ROLES}
     genera["Y3"] = diagram.y3.genus
     record = {
         "label": diagram.label,
@@ -392,7 +390,7 @@ def evaluate_diagram_record(diagram: DiagramData, budget: int = DEFAULT_BUDGET,
         "q": q,
         "manifest": serialize_manifest(diagram),
         "genera": genera,
-        "counts": {role: list(series[role].counts) for role, _ in corners},
+        "counts": {role: list(s.counts) for role, s in series.items()},
         "counts_Y3": list(y3.counts),
         "trace_identity": [bool(t) for t in trace],
         "bounds": report_to_dict(report),
@@ -405,11 +403,9 @@ def evaluate_diagram_record(diagram: DiagramData, budget: int = DEFAULT_BUDGET,
     else:
         record["X_zeta"] = None
         zeta_flags = []
-    by_role = dict(corners)
-    gen4 = tuple(c.genus for _, c in corners)
     eq = {"relative_margins_equal_schwarz": [], "combined_det": []}
-    for src, dst in (("X", "Y1"), ("X", "Y2"), ("Y1", "Z"), ("Y2", "Z")):
-        gX, gY = by_role[src].genus, by_role[dst].genus
+    for src, dst in DIAGRAM_EDGES:
+        gX, gY = genera[src], genera[dst]
         sX, sY = series[src].counts, series[dst].counts
         rel = check_relative(q, gX, gY, sX[0], sY[0])
         M = gram_relative(q, gX, gY, sX, sY, 2)
@@ -420,8 +416,9 @@ def evaluate_diagram_record(diagram: DiagramData, budget: int = DEFAULT_BUDGET,
                 bool(_second_margin_combined_det_ok(q, gX, gY, sX, sY)))
         else:
             eq["combined_det"].append(None)
-    dia = check_diagram(q, gen4, tuple(series[r][0] for r, _ in corners), diagram)
-    MD = gram_diagram(q, gen4, tuple(series[r].counts for r, _ in corners), 2)
+    dia = next(c for c in report.checks if c.name == "diagram")
+    MD = gram_diagram(q, tuple(genera[r] for r in DIAGRAM_ROLES),
+                      tuple(s.counts for s in series.values()), 2)
     eq["diagram_margin_equals_schwarz"] = bool(schwarz_margin(MD, 0, 1) == dia.margin)
     record["equivalence"] = eq
     holds = ([c.holds for c in report.checks] + trace + zeta_flags

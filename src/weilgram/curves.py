@@ -94,6 +94,10 @@ class CoverData:
             )
 
 
+DIAGRAM_ROLES = ("X", "Y1", "Y2", "Z")
+DIAGRAM_EDGES = (("X", "Y1"), ("X", "Y2"), ("Y1", "Z"), ("Y2", "Z"))
+
+
 @dataclass(frozen=True)
 class DiagramData:
     """Commutative square of double covers X -> Y1, Y2 -> Z with Z = P^1.
@@ -107,7 +111,7 @@ class DiagramData:
     Y1: CurveModel
     Y2: CurveModel
     Z: CurveModel
-    edges: tuple  # (X->Y1, X->Y2, Y1->Z, Y2->Z)
+    edges: tuple  # CoverData for each of DIAGRAM_EDGES, in that order
     absolutely_irreducible: bool
     smooth: bool
     y3: Optional[CurveModel] = None
@@ -573,11 +577,6 @@ def count_series(curve: CurveModel, m: int, budget: int = DEFAULT_BUDGET) -> Poi
     )
     series.validate(curve.genus)
     return series
-
-
-def covers_of(diagram: DiagramData) -> tuple:
-    """The four degree-2 edges (X->Y1, X->Y2, Y1->Z, Y2->Z)."""
-    return diagram.edges
 
 
 def composite_cover(diagram: DiagramData) -> CoverData:

@@ -58,28 +58,32 @@ class PSDVerdict:
     witness: Optional[tuple]  # index subset with negative principal minor
 
 
-def _counts_at(counts, j: int) -> int:
-    return counts[j - 1]
-
-
 def _require_counts(counts, m: int, what: str):
     if len(counts) < m:
         raise InsufficientCounts(f"{what}: need {m} counts, have {len(counts)}")
 
 
-def gram_absolute(q: int, g: int, counts, m: int) -> GramMatrix:
-    """Gram matrix of the 0th..mth Frobenius iterate classes of one curve."""
-    _require_counts(counts, m, "absolute")
+def _toeplitz(q: int, c: int, t, m: int) -> tuple:
+    """Order m + 1 entries with 2 c q^i at (i, i) and q^i t[j - 1] at
+    (i, i + j) and (i + j, i): the shape all three constructions share."""
+    if m < 0:
+        raise DimensionMismatch(f"Gram order m must be >= 0, got {m}")
     size = m + 1
     entries = [[0] * size for _ in range(size)]
     for i in range(size):
-        entries[i][i] = 2 * g * q**i
+        entries[i][i] = 2 * c * q**i
         for j in range(1, size - i):
-            val = q**i * ((q**j + 1) - _counts_at(counts, j))
-            entries[i][i + j] = entries[i + j][i] = val
+            entries[i][i + j] = entries[i + j][i] = q**i * t[j - 1]
+    return tuple(tuple(row) for row in entries)
+
+
+def gram_absolute(q: int, g: int, counts, m: int) -> GramMatrix:
+    """Gram matrix of the 0th..mth Frobenius iterate classes of one curve."""
+    _require_counts(counts, m, "absolute")
+    t = [(q**j + 1) - counts[j - 1] for j in range(1, m + 1)]
     return GramMatrix(
-        entries=tuple(tuple(row) for row in entries),
-        labels=tuple(f"frob^{i}|absolute" for i in range(size)),
+        entries=_toeplitz(q, g, t, m),
+        labels=tuple(f"frob^{i}|absolute" for i in range(m + 1)),
         q=q,
         provenance={"genus": g, "counts": tuple(counts[:m])},
     )
@@ -91,16 +95,10 @@ def gram_relative(q: int, gX: int, gY: int, countsX, countsY, m: int) -> GramMat
         raise GenusOrder(f"cover needs gX >= gY, got {gX} < {gY}")
     _require_counts(countsX, m, "relative X")
     _require_counts(countsY, m, "relative Y")
-    size = m + 1
-    entries = [[0] * size for _ in range(size)]
-    for i in range(size):
-        entries[i][i] = 2 * (gX - gY) * q**i
-        for j in range(1, size - i):
-            val = q**i * (_counts_at(countsY, j) - _counts_at(countsX, j))
-            entries[i][i + j] = entries[i + j][i] = val
+    t = [countsY[j - 1] - countsX[j - 1] for j in range(1, m + 1)]
     return GramMatrix(
-        entries=tuple(tuple(row) for row in entries),
-        labels=tuple(f"frob^{i}|relative" for i in range(size)),
+        entries=_toeplitz(q, gX - gY, t, m),
+        labels=tuple(f"frob^{i}|relative" for i in range(m + 1)),
         q=q,
         provenance={"genera": (gX, gY),
                     "counts": (tuple(countsX[:m]), tuple(countsY[:m]))},
@@ -118,19 +116,11 @@ def gram_diagram(q: int, genera, counts, m: int) -> GramMatrix:
     countsX, countsY1, countsY2, countsZ = counts
     for label, series in zip("X Y1 Y2 Z".split(), counts):
         _require_counts(series, m, f"diagram {label}")
-    size = m + 1
-    entries = [[0] * size for _ in range(size)]
-    for i in range(size):
-        entries[i][i] = 2 * G * q**i
-        for j in range(1, size - i):
-            val = q**i * (
-                _counts_at(countsY1, j) + _counts_at(countsY2, j)
-                - _counts_at(countsX, j) - _counts_at(countsZ, j)
-            )
-            entries[i][i + j] = entries[i + j][i] = val
+    t = [countsY1[j - 1] + countsY2[j - 1] - countsX[j - 1] - countsZ[j - 1]
+         for j in range(1, m + 1)]
     return GramMatrix(
-        entries=tuple(tuple(row) for row in entries),
-        labels=tuple(f"frob^{i}|diagram" for i in range(size)),
+        entries=_toeplitz(q, G, t, m),
+        labels=tuple(f"frob^{i}|diagram" for i in range(m + 1)),
         q=q,
         provenance={"genera": tuple(genera),
                     "counts": tuple(tuple(c[:m]) for c in counts)},
@@ -166,6 +156,16 @@ def int_det(rows) -> int:
     return sign * M[n - 1][n - 1]
 
 
+def principal_minors(M):
+    """Yield (subset, det) for every principal minor of M, the index subsets
+    as sorted tuples in lexicographic order."""
+    entries = _entries_of(M)
+    n = len(entries)
+    subsets = sorted(s for size in range(1, n + 1) for s in combinations(range(n), size))
+    for subset in subsets:
+        yield subset, int_det([[entries[r][c] for c in subset] for r in subset])
+
+
 def psd_check(M) -> PSDVerdict:
     """Exact PSD test: every principal minor must be nonnegative.
 
@@ -175,14 +175,8 @@ def psd_check(M) -> PSDVerdict:
     n = len(entries)
     if n > PSD_MAX_ORDER:
         raise TooLarge(f"order {n} exceeds the exact-minor limit {PSD_MAX_ORDER}")
-    subsets = []
-    for size in range(1, n + 1):
-        subsets.extend(combinations(range(n), size))
-    for subset in sorted(subsets):
-        sub = [[entries[r][c] for c in subset] for r in subset]
-        if int_det(sub) < 0:
-            return PSDVerdict(psd=False, witness=subset)
-    return PSDVerdict(psd=True, witness=None)
+    witness = next((subset for subset, det in principal_minors(M) if det < 0), None)
+    return PSDVerdict(psd=witness is None, witness=witness)
 
 
 def psd_corner_interval(M) -> range:

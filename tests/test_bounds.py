@@ -2,8 +2,11 @@
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+
+import oracles
 
 from weilgram.bounds import (
     check_diagram,
@@ -16,15 +19,24 @@ from weilgram.bounds import (
     report_to_json,
     weil_interval,
 )
+from weilgram.corpus import seeded_diagrams
 from weilgram.curves import (
+    count_series,
     hyperelliptic_cover,
     make_biquadratic,
     make_hyperelliptic,
     make_projective_line,
 )
-from weilgram.errors import EqualGenera, GenusOrder, InvalidDiagram
+from weilgram.errors import EqualGenera, GenusOrder, InvalidDegree, InvalidDiagram
 from weilgram.finite_field import construct_field
-from weilgram.gram import combined_vector_gram, gram_relative, int_det, schwarz_margin
+from weilgram.gram import (
+    combined_vector_gram,
+    gram_absolute,
+    gram_diagram,
+    gram_relative,
+    int_det,
+    schwarz_margin,
+)
 
 F3 = construct_field(3, 1)
 
@@ -192,6 +204,29 @@ def test_full_report_diagram_ordering():
     assert (diag.lhs, diag.rhs) == (4, 48)
 
 
+def test_full_report_carries_the_series_it_checked():
+    E = make_hyperelliptic(F3, (0, 1, 0, 1))
+    report = full_report(E, 3)
+    assert [s.counts for s in report.series] == [(4, 16, 28)]
+    cover = full_report(hyperelliptic_cover(E), 1)
+    assert [s.counts for s in cover.series] == [(4, 16), (4, 10)]
+    D = make_biquadratic(F3, (0, 1, 0, 1), (2, 1, 1))
+    report = full_report(D, 2)
+    assert [s.counts for s in report.series] == [
+        count_series(c, 2).counts for c in (D.X, D.Y1, D.Y2, D.Z)]
+    assert "series" not in report_to_dict(report)
+    assert report_to_csv(report).splitlines()[0] == "name,lhs,rhs,holds,margin,scale"
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_full_report_rejects_order_below_one(m):
+    E = make_hyperelliptic(F3, (0, 1, 0, 1))
+    D = make_biquadratic(F3, (0, 1, 0, 1), (2, 1, 1))
+    for subject in (E, hyperelliptic_cover(E), D):
+        with pytest.raises(InvalidDegree):
+            full_report(subject, m)
+
+
 def test_full_report_rejects_unknown_subject():
     with pytest.raises(TypeError):
         full_report("not a curve", 2)
@@ -204,6 +239,62 @@ def test_holds_flags_are_consistent_with_stored_values():
                    full_report(D, 2)):
         for c in report.checks:
             assert c.holds == (c.lhs <= c.rhs)
+
+
+# --- PSD margins against cofactor expansion --------------------------------
+
+def _oracle_min_minor(entries):
+    n = len(entries)
+    return min(oracles.laplace_det([[entries[r][c] for c in subset] for r in subset])
+               for size in range(1, n + 1) for subset in combinations(range(n), size))
+
+
+def _diagram_grams(D, series, m):
+    q = D.X.q
+    corners = dict(zip(("X", "Y1", "Y2", "Z"), (D.X, D.Y1, D.Y2, D.Z)))
+    counts = dict(zip(corners, (s.counts for s in series)))
+    grams = {f"psd_absolute_{r}": gram_absolute(q, c.genus, counts[r], m)
+             for r, c in corners.items()}
+    for src, dst in (("X", "Y1"), ("X", "Y2"), ("Y1", "Z"), ("Y2", "Z")):
+        grams[f"psd_relative_{src}_{dst}"] = gram_relative(
+            q, corners[src].genus, corners[dst].genus, counts[src], counts[dst], m)
+    grams["psd_diagram"] = gram_diagram(
+        q, tuple(c.genus for c in corners.values()), tuple(counts.values()), m)
+    return grams
+
+
+@pytest.mark.parametrize("fields, orders, some_positive", [
+    (((3, 1), (5, 1), (7, 1)), (1, 2, 3), True),
+    # order 9 Grams, above PSD_MAX_ORDER; genera are at most 3 here, so each
+    # Gram has rank at most 2g < 9 and its minimum minor is exactly 0
+    (((3, 1),), (8,), False),
+])
+def test_psd_margins_equal_cofactor_minimum(monkeypatch, fields, orders, some_positive):
+    # cofactor expansion repeats the same submatrices across the 2^n minors,
+    # so memoize it by value; it stays a pure cofactor expansion
+    cache = {}
+    expand = oracles.laplace_det
+
+    def memoized(rows):
+        key = tuple(map(tuple, rows))
+        if key not in cache:
+            cache[key] = expand(rows)
+        return cache[key]
+
+    monkeypatch.setattr(oracles, "laplace_det", memoized)
+    margins = []
+    for D in seeded_diagrams(seed=42, per_field=2, fields=fields):
+        for m in orders:
+            report = full_report(D, m)
+            psd = {c.name: c for c in report.checks if c.name.startswith("psd_")}
+            grams = _diagram_grams(D, report.series, m)
+            assert list(psd) == list(grams)
+            for name, M in grams.items():
+                assert M.order == m + 1
+                assert psd[name].margin == _oracle_min_minor(M.entries), (D.label, m, name)
+                assert psd[name].holds == (psd[name].margin >= 0)
+                margins.append(psd[name].margin)
+    assert any(margins) == some_positive
 
 
 # --- equivalence with the Gram machinery -----------------------------------

@@ -146,6 +146,22 @@ def test_gram_relative_needs_hyperelliptic(manifest, capsys):
     capsys.readouterr()
 
 
+def test_gram_order_zero_is_one_by_one(manifest, capsys):
+    code, lines = run_lines(capsys, ["gram", manifest(ELLIPTIC), "--order", "0"])
+    assert code == 0
+    assert lines[1:] == ["labels=['frob^0|absolute']", "row0=[2]", "psd=true"]
+
+
+@pytest.mark.parametrize("doc, extra", [
+    (ELLIPTIC, []),
+    (ELLIPTIC, ["--matrix", "relative"]),
+    (DIAGRAM, []),
+])
+def test_gram_negative_order_is_invalid_input(manifest, capsys, doc, extra):
+    code, lines = run_lines(capsys, ["gram", manifest(doc), "--order", "-1"] + extra)
+    assert (code, lines) == (2, [])
+
+
 # --- bounds ----------------------------------------------------------------
 
 def test_bounds_elliptic_json(manifest, capsys):
@@ -173,6 +189,15 @@ def test_bounds_certificate_override(manifest, capsys):
     doc["smooth"] = False
     assert main(["bounds", manifest(doc), "--order", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [ELLIPTIC, LINE_F3, DIAGRAM])
+@pytest.mark.parametrize("order", ["0", "-1"])
+def test_bounds_order_below_one_is_invalid_input(manifest, capsys, doc, order):
+    code = main(["bounds", manifest(doc), "--order", order])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: InvalidDegree:")
 
 
 def test_bounds_csv_and_out(manifest, tmp_path, capsys):

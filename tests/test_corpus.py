@@ -1,8 +1,13 @@
 """Seeded corpus generation, curated corpus shape, and report determinism."""
 
+import csv
+import hashlib
+import io
 import json
 
 import pytest
+
+import weilgram.curves
 
 from weilgram.corpus import (
     DEFAULT_DEGREES,
@@ -215,6 +220,38 @@ def test_evaluate_diagram_record_documented_example():
     assert (diagram_check["lhs"], diagram_check["rhs"]) == (4, 48)
 
 
+@pytest.fixture
+def counted_points(monkeypatch):
+    """Every (curve label, j) that count_points is asked for, in call order."""
+    calls = []
+    count = weilgram.curves.count_points
+
+    def counting(curve, j, budget=weilgram.curves.DEFAULT_BUDGET):
+        calls.append((curve.label, j))
+        return count(curve, j, budget)
+
+    monkeypatch.setattr(weilgram.curves, "count_points", counting)
+    return calls
+
+
+def test_evaluate_diagram_record_counts_each_curve_once(counted_points):
+    D = make_biquadratic(F3, (0, 1, 0, 1), (2, 1, 1))
+    evaluate_diagram_record(D)
+    assert len(counted_points) == 14  # 4 corners x 3, plus y3 x 2
+    expected = [(c.label, j) for c in (D.X, D.Y1, D.Y2, D.Z) for j in (1, 2, 3)]
+    expected += [(D.y3.label, j) for j in (1, 2)]
+    assert sorted(counted_points) == sorted(expected)
+
+
+def test_evaluate_curve_record_counts_each_extension_once(counted_points):
+    for f, m in (((0, 1, 0, 1), 4), ((1, 2, 0, 0, 0, 1), 6)):
+        E = make_hyperelliptic(F3, f)
+        counted_points.clear()
+        rec = evaluate_curve_record(E)
+        assert counted_points == [(E.label, j) for j in range(1, m + 1)]
+        assert len(rec["counts"]) == m
+
+
 # --- full runs -------------------------------------------------------------
 
 SMALL_SPEC = CorpusSpec(seed=42, fields=((3, 1),), mix=(1, 0, 1))
@@ -249,6 +286,29 @@ def test_empty_mix_gives_empty_report():
     report = run_corpus(CorpusSpec(seed=42, fields=((3, 1),), mix=(0, 0, 0)))
     assert report["instances"] == 0
     assert report["summary"]["all_passed"] is True
+
+
+def _without_max_deviation(node):
+    if isinstance(node, dict):
+        return {k: _without_max_deviation(v) for k, v in node.items()
+                if k != "max_deviation"}
+    if isinstance(node, list):
+        return [_without_max_deviation(v) for v in node]
+    return node
+
+
+def test_small_corpus_bytes_are_frozen():
+    # max_deviation is a float diagnostic of the numeric root finder; every
+    # other byte of both reports is exact and must not change
+    report = run_corpus(SMALL_SPEC)
+    json_text = report_json(_without_max_deviation(report))
+    rows = list(csv.reader(io.StringIO(summary_csv(report))))
+    assert rows[0][-1] == "rh_max_deviation"
+    csv_text = "\n".join(",".join(row[:-1]) for row in rows)
+    assert hashlib.sha256(json_text.encode()).hexdigest() == (
+        "456aacb4aa7e027fe466b7f5bf8885876515008b32ff6313a15ed53826c4a3b0")
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "9a556ea6496e24e36581688fd609acdf54cb6eb2778d8feb827c7cde3e810161")
 
 
 def test_summary_csv_and_write_report(tmp_path):

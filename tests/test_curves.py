@@ -10,7 +10,6 @@ from weilgram.curves import (
     composite_cover,
     count_points,
     count_series,
-    covers_of,
     hyperelliptic_cover,
     hyperelliptic_genus,
     make_biquadratic,
@@ -113,7 +112,7 @@ def test_make_biquadratic_example_genera():
     assert D.Z.genus == 0
     assert D.y3.genus == 2
     assert D.absolutely_irreducible and D.smooth
-    assert [e.degree for e in covers_of(D)] == [2, 2, 2, 2]
+    assert [e.degree for e in D.edges] == [2, 2, 2, 2]
     assert composite_cover(D).degree == 4
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from weilgram.curves import count_series, make_biquadratic
 from weilgram.errors import (
     DimensionMismatch,
+    WeilgramError,
     GenusOrder,
     IndexOutOfRange,
     InsufficientCounts,
@@ -21,6 +22,7 @@ from weilgram.gram import (
     gram_diagram,
     gram_relative,
     int_det,
+    principal_minors,
     psd_check,
     psd_corner_interval,
     schwarz_margin,
@@ -78,6 +80,21 @@ def test_gram_diagram_anchors():
     assert lines.entries == ((0, 0), (0, 0))
 
 
+def test_gram_builders_order_zero_and_negative():
+    builders = (
+        lambda m: gram_absolute(3, 1, (4, 16), m),
+        lambda m: gram_relative(3, 1, 0, (4, 16), (4, 10), m),
+        lambda m: gram_diagram(3, (3, 1, 0, 0), ((2,), (4,), (4,), (4,)), m),
+    )
+    for build, diagonal in zip(builders, (2, 2, 4)):
+        M = build(0)
+        assert M.entries == ((diagonal,),) and M.order == 1
+        for m in (-1, -2):
+            with pytest.raises(DimensionMismatch) as info:
+                build(m)
+            assert isinstance(info.value, WeilgramError)
+
+
 # --- determinants and PSD --------------------------------------------------
 
 def test_psd_anchors():
@@ -100,6 +117,18 @@ def test_psd_witness_is_lexicographically_first():
     assert psd_check(M).witness == (0, 1)
     M = [[-1, 0], [0, -2]]
     assert psd_check(M).witness == (0,)
+
+
+def test_principal_minors_order_and_values():
+    M = [[2, 1, 0], [1, -3, 4], [0, 4, 5]]
+    minors = list(principal_minors(M))
+    assert [subset for subset, _ in minors] == [
+        (0,), (0, 1), (0, 1, 2), (0, 2), (1,), (1, 2), (2,)]
+    for subset, det in minors:
+        assert det == gauss_det([[M[r][c] for c in subset] for r in subset])
+    assert list(principal_minors([])) == []
+    # no order cap here: an order-9 matrix has 2^9 - 1 minors
+    assert sum(1 for _ in principal_minors([[0] * 9 for _ in range(9)])) == 511
 
 
 def test_psd_order_limit():
