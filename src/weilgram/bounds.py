@@ -32,6 +32,7 @@ from .curves import (
     CoverData,
     CurveModel,
     DiagramData,
+    PointCountSeries,
     count_series,
 )
 from .errors import EqualGenera, GenusOrder, InvalidDegree, InvalidDiagram
@@ -117,6 +118,18 @@ def check_relative_second(q: int, gX: int, gY: int, NX, NY) -> CheckRecord:
     )
 
 
+def cover_checks(cover: CoverData, source: PointCountSeries,
+                 target: PointCountSeries) -> list:
+    """The relative check of a cover and, when the genera differ, the
+    second-order relative check, from the count series of its two curves."""
+    X, Y = cover.source, cover.target
+    checks = [check_relative(X.q, X.genus, Y.genus, source[0], target[0])]
+    if X.genus != Y.genus:
+        checks.append(check_relative_second(
+            X.q, X.genus, Y.genus, source.counts[:2], target.counts[:2]))
+    return checks
+
+
 def check_diagram(q: int, genera, Ns, certificate) -> CheckRecord:
     """|NX - NY1 - NY2 + NZ| <= 2 G sqrt(q), squared; requires the validity
     certificate (fiber product absolutely irreducible and smooth)."""
@@ -181,10 +194,7 @@ def full_report(subject, m: int, budget: int = DEFAULT_BUDGET) -> BoundReport:
                   for j in range(1, m + 1)]
         checks += [check_weil(Y.q, Y.genus, j, sY[j - 1], name=f"weil_target_j{j}")
                    for j in range(1, m + 1)]
-        checks.append(check_relative(X.q, X.genus, Y.genus, sX[0], sY[0]))
-        if X.genus != Y.genus:
-            checks.append(check_relative_second(
-                X.q, X.genus, Y.genus, sX.counts[:2], sY.counts[:2]))
+        checks += cover_checks(subject, sX, sY)
         return BoundReport(f"{X.label} -> {Y.label}", tuple(checks), (sX, sY))
 
     if isinstance(subject, DiagramData):

@@ -39,13 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import (
-    check_relative,
-    check_relative_second,
-    report_to_dict,
-    full_report,
-    BoundReport,
-)
+from .bounds import BoundReport, cover_checks, full_report, report_to_dict
 from .curves import (
     DEFAULT_BUDGET,
     DIAGRAM_EDGES,
@@ -318,13 +312,11 @@ def _counts_order(curve: CurveModel) -> int:
     return max(2 * curve.genus + 2, 3)
 
 
-def _second_margin_combined_det_ok(q, gX, gY, sX, sY) -> bool:
-    """det of the Gram of (q*rel^0 + rel^2, rel^1) must equal 4 q^2 times
-    the cleared second-order margin, exactly."""
-    M = gram_relative(q, gX, gY, sX, sY, 2)
+def _second_margin_combined_det_ok(q, M, rel2) -> bool:
+    """det of the Gram of (q*rel^0 + rel^2, rel^1), from the order-2 relative
+    Gram M, must equal 4 q^2 times the cleared second-order margin, exactly."""
     combined = combined_vector_gram(M, [(q, 0, 1), (0, 1, 0)])
-    rec = check_relative_second(q, gX, gY, sX[:2], sY[:2])
-    return int_det(combined.entries) == 4 * q * q * (rec.rhs - rec.lhs)
+    return int_det(combined.entries) == 4 * q * q * (rel2.rhs - rel2.lhs)
 
 
 def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET,
@@ -352,16 +344,14 @@ def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET,
              record["extrapolation_exact"]]
     if curve.kind == "hyperelliptic" and curve.genus >= 1:
         cover = hyperelliptic_cover(curve)
-        sX, sY = counts, [curve.q**j + 1 for j in range(1, m + 1)]
-        rel = check_relative(curve.q, curve.genus, 0, sX[0], sY[0])
-        rel2 = check_relative_second(curve.q, curve.genus, 0, sX[:2], sY[:2])
-        M = gram_relative(curve.q, curve.genus, 0, sX[:2], sY[:2], 2)
+        sX, sY = report.series[0], count_series(cover.target, m, budget)
+        rel, rel2 = cover_checks(cover, sX, sY)
+        M = gram_relative(curve.q, curve.genus, 0, sX.counts, sY.counts, 2)
         record["cover"] = {
             "target": cover.target.label,
             "relative": report_to_dict(BoundReport(cover.source.label, (rel, rel2)))["checks"],
             "relative_margin_equals_schwarz": schwarz_margin(M, 0, 1) == rel.margin,
-            "second_margin_combined_det": _second_margin_combined_det_ok(
-                curve.q, curve.genus, 0, sX, sY),
+            "second_margin_combined_det": _second_margin_combined_det_ok(curve.q, M, rel2),
         }
         flags += [rel.holds, rel2.holds,
                   record["cover"]["relative_margin_equals_schwarz"],
@@ -404,18 +394,14 @@ def evaluate_diagram_record(diagram: DiagramData, budget: int = DEFAULT_BUDGET,
         record["X_zeta"] = None
         zeta_flags = []
     eq = {"relative_margins_equal_schwarz": [], "combined_det": []}
-    for src, dst in DIAGRAM_EDGES:
-        gX, gY = genera[src], genera[dst]
-        sX, sY = series[src].counts, series[dst].counts
-        rel = check_relative(q, gX, gY, sX[0], sY[0])
-        M = gram_relative(q, gX, gY, sX, sY, 2)
+    for edge, (src, dst) in zip(diagram.edges, DIAGRAM_EDGES):
+        rel, *rel2 = cover_checks(edge, series[src], series[dst])
+        M = gram_relative(q, genera[src], genera[dst],
+                          series[src].counts, series[dst].counts, 2)
         eq["relative_margins_equal_schwarz"].append(
             bool(schwarz_margin(M, 0, 1) == rel.margin))
-        if gX != gY:
-            eq["combined_det"].append(
-                bool(_second_margin_combined_det_ok(q, gX, gY, sX, sY)))
-        else:
-            eq["combined_det"].append(None)
+        eq["combined_det"].append(
+            bool(_second_margin_combined_det_ok(q, M, rel2[0])) if rel2 else None)
     dia = next(c for c in report.checks if c.name == "diagram")
     MD = gram_diagram(q, tuple(genera[r] for r in DIAGRAM_ROLES),
                       tuple(s.counts for s in series.values()), 2)

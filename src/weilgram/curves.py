@@ -19,12 +19,14 @@ Curve coefficients live in the prime field, so extending scalars is the
 constant embedding.  All counts are exact; the heavy lifting is done by the
 vectorized tables module.
 
-The singularity search has two regimes per extension.  Small extensions scan
-all affine chart pairs directly.  Large ones eliminate z first: a singular
-chart point (1:y0:z0) forces y0 to be a root of Res_z(F1, dF1) * lc * lc,
-computed exactly in F_p[y] by fraction-free elimination, so only a bounded
-set of y-lines ever needs a z-scan.  Both regimes use the same (y, z)
-ordering, so the reported witness is identical whichever runs.
+The singularity search eliminates z once per curve: a singular chart point
+(1:y0:z0) forces y0 to be a root of Res_z(F1, dF1) * lc * lc, computed
+exactly in F_p[y] by fraction-free elimination, so in each extension only
+the y-lines through those roots are z-scanned, in ascending y.  When
+elimination says nothing (both partials of F1 vanish, or the resultant does
+identically, which only very non-generic curves allow) every y-line is
+scanned.  Either way the scan holds O(q^j) values at a time, and counting
+walks the q^{2j} chart pairs by flat index in chunks.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_sq
 from .tables import CHUNK, FieldTable, get_table
 
 DEFAULT_BUDGET = 10**6
-_PAIR_SCAN_CAP = 1 << 20
 
 PROJECTIVE_LINE = "projective_line"
 HYPERELLIPTIC = "hyperelliptic"
@@ -296,98 +297,71 @@ def _resultant_z(A: list, B: list, p: int) -> tuple:
     return _poly_det(rows, p)
 
 
-def _eval_zpoly_at(T: FieldTable, zpolys: list, y0: int, z0: int) -> int:
-    coeffs = [int(T.eval_poly(P, np.array([y0], dtype=np.int64))[0]) for P in zpolys]
-    return int(T.eval_zpoly(coeffs, np.array([z0], dtype=np.int64))[0])
+def _chart_a_elimination(monomials: tuple, p: int) -> tuple:
+    """(zpolys, dy, dz, cand) for F1 = F(1, y, z), computed once per curve.
 
-
-def _chart_a_pair_scan(T: FieldTable, monomials: tuple, p: int):
-    """Direct scan of all affine pairs; first singular (y, z) in y-major order."""
-    q = T.q
-    Y = np.repeat(np.arange(q, dtype=np.int64), q)
-    Z = np.tile(np.arange(q, dtype=np.int64), q)
-    on_curve = np.nonzero(_eval_monomials_pairs(T, monomials, Y, Z) == 0)[0]
-    if not len(on_curve):
-        return None
-    Yc, Zc = Y[on_curve], Z[on_curve]
-    sing = np.ones(len(on_curve), dtype=bool)
-    for axis in (1, 2):  # d/dy and d/dz; d/dx is then zero by the Euler relation
-        sing &= _eval_monomials_pairs(T, _partial(monomials, axis, p), Yc, Zc) == 0
-        if not sing.any():
-            return None
-    hits = np.nonzero(sing)[0]
-    if not len(hits):
-        return None
-    k = hits[0]
-    return (1, int(Yc[k]), int(Zc[k]))
-
-
-def _chart_a_candidate_scan(T: FieldTable, monomials: tuple, p: int):
-    """Elimination-based scan for large fields.
-
-    Singular chart points satisfy F1 = dF1/dy = dF1/dz = 0, so their
-    y-coordinate is a root of Res_z(F1, D) (D a nonzero derivative) or of a
-    leading z-coefficient; those roots are found vectorized and only the
-    matching lines are z-scanned.  Falls back to the direct pair scan in the
-    degenerate situations where elimination says nothing (identically
-    vanishing resultant or both derivatives zero), which already implies a
-    very non-generic curve."""
-    q = T.q
+    zpolys is F1 by powers of z, dy and dz its partials.  Every singular
+    chart point has its y-coordinate among the roots of cand: F1 itself when
+    it has no z, else Res_z(F1, D) * lc(F1) * lc(D) for a nonzero partial D.
+    cand is None when elimination says nothing (both partials zero, or the
+    resultant identically zero); then every y is a candidate."""
     zpolys = _chart_a_zpolys(monomials, p)
     dy = _zpoly_derivative_y(zpolys, p)
     dz = _zpoly_derivative_z(zpolys, p)
     if len(zpolys) == 1:
-        cand_poly = zpolys[0]
+        return zpolys, dy, dz, zpolys[0]
+    D = dz or dy
+    res = _resultant_z(zpolys, D, p) if D else ()
+    cand = fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p) if res else None
+    return zpolys, dy, dz, cand
+
+
+def _chart_a_witness(T: FieldTable, zpolys: list, dy: list, dz: list, cand):
+    """First singular (1:y:z) over T's field in (y, z) order: z-scans the
+    candidate y-lines of `_chart_a_elimination`, in ascending y."""
+    if cand is None:
+        ys = np.arange(T.q, dtype=np.int64)
     else:
-        D = dz if dz else dy
-        if not D:
-            return _chart_a_pair_scan(T, monomials, p)
-        res = _resultant_z(zpolys, D, p)
-        if not res:
-            return _chart_a_pair_scan(T, monomials, p)
-        cand_poly = fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p)
-    if fppoly.degree(cand_poly) < 1:
-        return None
-    y_candidates = np.nonzero(T.eval_poly(cand_poly) == 0)[0]
-    z_all = np.arange(q, dtype=np.int64)
-    for y0 in y_candidates:
-        coeffs = [int(T.eval_poly(P, np.array([y0], dtype=np.int64))[0]) for P in zpolys]
-        z_roots = z_all[T.eval_zpoly(coeffs, z_all) == 0]
+        ys = np.nonzero(T.eval_poly(cand) == 0)[0]
+    z_all = np.arange(T.q, dtype=np.int64)  # after eval_poly, which peaks at several q-arrays
+    lines = [[T.eval_poly(P, ys) for P in polys] for polys in (zpolys, dy, dz)]
+    for i, y0 in enumerate(ys):
+        f, fy, fz = ([int(v[i]) for v in vals] for vals in lines)
+        z_roots = z_all[T.eval_zpoly(f, z_all) == 0]
         if not len(z_roots):
             continue
-        ok = np.ones(len(z_roots), dtype=bool)
-        for deriv in (dy, dz):
-            dcoeffs = [int(T.eval_poly(P, np.array([y0], dtype=np.int64))[0]) for P in deriv]
-            ok &= T.eval_zpoly(dcoeffs, z_roots) == 0
+        ok = (T.eval_zpoly(fy, z_roots) == 0) & (T.eval_zpoly(fz, z_roots) == 0)
         hits = np.nonzero(ok)[0]
         if len(hits):
             return (1, int(y0), int(z_roots[hits[0]]))
     return None
 
 
-def _eval_monomials_pairs(T: FieldTable, monomials, Y, Z) -> np.ndarray:
-    """Values of sum co * y^b z^c at pair index arrays (Y, Z); the x-exponent
-    is ignored (chart x = 1).  Accumulates in digit space, chunked."""
-    n = len(Y)
-    out = np.empty(n, dtype=np.int64)
+def _count_chart_a(T: FieldTable, monomials) -> int:
+    """Number of pairs (y, z) with sum co * y^b z^c = 0 (the chart x = 1).
+    Walks the flat index y*q + z in chunks, accumulating in digit space."""
+    q = T.q
     pw = {e: T.powers(e) for _, b, c, _ in monomials for e in (b, c) if e}
     acc_type = np.min_scalar_type(len(monomials) * (T.p - 1) ** 2)  # bounds every sum
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        acc = np.zeros((hi - lo, T.K), dtype=acc_type)
+    zeros = 0
+    for lo in range(0, q * q, CHUNK):
+        flat = np.arange(lo, min(lo + CHUNK, q * q), dtype=np.int64)
+        Y = flat // q
+        Z = flat - Y * q
+        acc = np.zeros((len(Y), T.K), dtype=acc_type)
         for _, b, c, co in monomials:
             if b and c:
-                term = T.mul(pw[b][Y[lo:hi]], pw[c][Z[lo:hi]])
+                term = T.mul(pw[b][Y], pw[c][Z])
             elif b:
-                term = pw[b][Y[lo:hi]]
+                term = pw[b][Y]
             elif c:
-                term = pw[c][Z[lo:hi]]
+                term = pw[c][Z]
             else:
-                term = np.full(hi - lo, 1, dtype=np.int64)
+                term = np.full(len(Y), 1, dtype=np.int64)
             acc += co * T.digits.take(term, axis=0).astype(acc_type)
         acc -= acc // T.p * T.p  # acc % p, but numpy divides small ints faster
-        out[lo:hi] = acc @ T._pvec
-    return out
+        zeros += int(np.count_nonzero(acc @ T._pvec == 0))
+    return zeros
 
 
 def _eval_monomials_scalar(monomials, x: int, y: int, z: int, p: int) -> int:
@@ -411,18 +385,16 @@ def _substitute_chart_b(monomials, p: int) -> tuple:
     return fppoly.trim(coeffs, p)
 
 
-def _plane_singular_witness(field: FieldSpec, monomials: tuple, j: int):
+def _plane_singular_witness(field: FieldSpec, monomials: tuple, j: int, elim: tuple):
     """First common zero of F and its gradient in P^2(F_{q^j}), scanning the
-    chart (1:y:z) in (y, z) order, then (0:1:z), then (0:0:1); None if none."""
+    chart (1:y:z) in (y, z) order, then (0:1:z), then (0:0:1); None if none.
+    `elim` is the curve's `_chart_a_elimination`."""
     p = field.p
     ext = extension_of(field, j)
     T = get_table(ext)
     q = ext.q
 
-    if q * q <= _PAIR_SCAN_CAP:
-        witness = _chart_a_pair_scan(T, monomials, p)
-    else:
-        witness = _chart_a_candidate_scan(T, monomials, p)
+    witness = _chart_a_witness(T, *elim)
     if witness is not None:
         return witness
 
@@ -449,15 +421,17 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
     """Plane curve F = 0 with F homogeneous of degree d, validated smooth.
 
     `monomials` is a sequence of (a, b, c, coeff) with x^a y^b z^c; duplicate
-    exponent triples are merged mod p.  Construction searches all extensions
-    j <= (d-1)^2 for singular points, so it does real enumeration work; keep
-    q modest for d >= 3.
+    exponent triples are merged mod p.  Construction eliminates z once, then
+    searches every extension j <= (d-1)^2 for singular points: it builds the
+    table of F_{q^j} (TooLarge above 2^26 elements) and z-scans only the
+    candidate y-lines there, so time and memory grow with q^j, not q^{2j}.
     """
     if d < 1:
         raise InvalidDegree(d)
     monos = _canonical_monomials(monomials, field.p, d)
+    elim = _chart_a_elimination(monos, field.p)
     for j in range(1, (d - 1) ** 2 + 1):
-        witness = _plane_singular_witness(field, monos, j)
+        witness = _plane_singular_witness(field, monos, j, elim)
         if witness is not None:
             raise SingularCurve(witness, j)
     terms = " + ".join(
@@ -559,9 +533,7 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
         return affine + (2 if scalar_is_square_in(curve.g[-1], ext) else 0)
     if curve.kind == SMOOTH_PLANE:
         p = curve.base.p
-        Y = np.repeat(np.arange(ext.q, dtype=np.int64), ext.q)
-        Z = np.tile(np.arange(ext.q, dtype=np.int64), ext.q)
-        total = int((_eval_monomials_pairs(T, curve.monomials, Y, Z) == 0).sum())
+        total = _count_chart_a(T, curve.monomials)
         chart_b = _substitute_chart_b(curve.monomials, p)
         total += int((T.eval_poly(chart_b, np.arange(ext.q, dtype=np.int64)) == 0).sum())
         if _eval_monomials_scalar(curve.monomials, 0, 0, 1, p) == 0:

@@ -131,7 +131,8 @@ class NegativeRelativeGenus(WeilgramError):
 
 
 class TooLarge(WeilgramError):
-    """Matrix or scan order above the supported exact-enumeration size."""
+    """Input above the size that is decided exactly: a matrix or scan order,
+    a field table, or a primality test."""
 
 
 class IndexOutOfRange(WeilgramError):

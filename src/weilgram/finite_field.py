@@ -14,7 +14,6 @@ to the prime field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -26,37 +25,62 @@ from .errors import (
     FieldMismatch,
     InvalidDegree,
     NotPrime,
+    TooLarge,
     ZeroInput,
 )
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981  # least strong pseudoprime to every base above
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (fields here are small)."""
+    """Deterministic Miller-Rabin with the prime bases 2..41, exact for
+    n < MR_LIMIT (about 3.3e24); larger n without a factor among those bases
+    raise TooLarge."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= MR_LIMIT:
+        raise TooLarge(f"primality is decided exactly only below {MR_LIMIT}, got {n}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power_decomposition(q: int):
-    """Return (p, k) with q = p^k, or None if q is not a prime power."""
+    """Return (p, k) with q = p^k, or None if q is not a prime power.  Tries
+    the exact integer k-th root for each k, from the largest possible down."""
     if q < 2:
         return None
-    for p in range(2, math.isqrt(q) + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 and is_prime(p) else None
-    return (q, 1)  # q itself prime
+    for k in range(q.bit_length(), 0, -1):
+        p = _iroot(q, k)
+        if p >= 2 and p**k == q and is_prime(p):
+            return (p, k)
+    return None
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ Everything here deliberately avoids the library's fast paths: counting walks
 scalar field elements in pure Python loops instead of vectorized tables,
 determinants run rational Gaussian elimination or cofactor expansion instead
 of fraction-free integer elimination, the feasibility search tries every
-count of each Weil interval instead of the exact PSD intervals, and power
-sums come from numpy root finding instead of integer recurrences.  Agreement
-between the two routes is the point.
+count of each Weil interval instead of the exact PSD intervals, power sums
+come from numpy root finding instead of integer recurrences, primality comes
+from trial division instead of Miller-Rabin, and singular points come from a
+scan of every point instead of elimination.  Agreement between the two
+routes is the point.
 """
 
 from __future__ import annotations
@@ -120,6 +122,45 @@ def count_plane_prime_field(monomials, p: int) -> int:
     total = sum(1 for y in range(p) for z in range(p) if value(1, y, z) == 0)
     total += sum(1 for z in range(p) if value(0, 1, z) == 0)
     return total + (value(0, 0, 1) == 0)
+
+
+def first_singular_point_prime_field(monomials, p: int):
+    """First common zero of F and its three partials in P^2(F_p), scanning
+    (1:y:z) in y-major order, then (0:1:z), then (0:0:1); None if there is
+    none.  Plain integer arithmetic."""
+    def partial(i):
+        out = []
+        for mono in monomials:
+            if mono[i]:
+                exps = list(mono[:3])
+                exps[i] -= 1
+                out.append((*exps, mono[3] * mono[i]))
+        return out
+
+    polys = [list(monomials)] + [partial(i) for i in range(3)]
+    points = ([(1, y, z) for y in range(p) for z in range(p)]
+              + [(0, 1, z) for z in range(p)] + [(0, 0, 1)])
+    return next((pt for pt in points
+                 if all(sum(co * pt[0]**a * pt[1]**b * pt[2]**c for a, b, c, co in f) % p == 0
+                        for f in polys)), None)
+
+
+def is_prime_trial(n: int) -> bool:
+    """Primality by trial division up to isqrt(n)."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def prime_power_trial(q: int):
+    """(p, k) with q = p^k, dividing out the least factor of q; None if q is
+    not a prime power."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 def count_line_slow(curve, j: int) -> int:

@@ -28,7 +28,13 @@ from weilgram.corpus import (
     summary_csv,
     write_report,
 )
-from weilgram.curves import DiagramData, make_biquadratic, make_hyperelliptic, parse_manifest
+from weilgram.curves import (
+    DiagramData,
+    make_biquadratic,
+    make_hyperelliptic,
+    make_projective_line,
+    parse_manifest,
+)
 from weilgram.errors import BudgetExceeded, EvenCharacteristic
 from weilgram.finite_field import construct_field
 
@@ -244,11 +250,14 @@ def test_evaluate_diagram_record_counts_each_curve_once(counted_points):
 
 
 def test_evaluate_curve_record_counts_each_extension_once(counted_points):
+    """The curve once per j, then the P^1 target of its cover (a closed form)."""
+    line = make_projective_line(F3).label
     for f, m in (((0, 1, 0, 1), 4), ((1, 2, 0, 0, 0, 1), 6)):
         E = make_hyperelliptic(F3, f)
         counted_points.clear()
         rec = evaluate_curve_record(E)
-        assert counted_points == [(E.label, j) for j in range(1, m + 1)]
+        assert counted_points == ([(E.label, j) for j in range(1, m + 1)]
+                                  + [(line, j) for j in range(1, m + 1)])
         assert len(rec["counts"]) == m
 
 

@@ -1,7 +1,11 @@
 """Curve constructors, validation, and brute-force point counting."""
 
+import random
+import tracemalloc
+
 import pytest
 
+from weilgram import curves
 from weilgram.curves import (
     SMOOTH_PLANE,
     CoverData,
@@ -35,7 +39,12 @@ from weilgram.errors import (
 from weilgram.finite_field import construct_field
 from weilgram.zeta import infer_genus
 
-from oracles import count_hyperelliptic_prime_field, count_plane_prime_field, count_slow
+from oracles import (
+    count_hyperelliptic_prime_field,
+    count_plane_prime_field,
+    count_slow,
+    first_singular_point_prime_field,
+)
 
 F3 = construct_field(3, 1)
 F4 = construct_field(2, 2)
@@ -91,6 +100,77 @@ def test_fermat_cubic_singular_in_characteristic_three():
 def test_fermat_quartic_over_f5_genus_three():
     X = make_smooth_plane(F5, FERMAT_QUARTIC, 4)
     assert X.genus == 3
+
+
+def _merged(terms, p):
+    """Monomials (a, b, c, coeff) with equal exponents summed mod p."""
+    out = {}
+    for a, b, c, co in terms:
+        out[(a, b, c)] = (out.get((a, b, c), 0) + co) % p
+    return tuple((*k, co) for k, co in sorted(out.items()) if co)
+
+
+def _product(F, G, p):
+    return _merged([(a + e, b + f, c + g, u * v) for a, b, c, u in F for e, f, g, v in G], p)
+
+
+def _random_form(rng, p, d, z_free=False):
+    while True:
+        F = _merged([(a, b, d - a - b, rng.randrange(1, p))
+                     for a in range(d + 1) for b in range(d + 1 - a)
+                     if (a + b == d or not z_free) and rng.random() < 0.6], p)
+        if F:
+            return F
+
+
+def _seeded_planes():
+    """Cubics and quartics over prime fields: random ones, z-free ones (F(1, y, z)
+    has no z), squares times a form (the resultant vanishes identically) and
+    Fermat curves with p | d (both partials of F(1, y, z) vanish)."""
+    rng = random.Random(5)
+    for p in (2, 3, 5, 7, 11, 13):
+        for d in (3, 4):
+            for _ in range(6):
+                yield p, d, _random_form(rng, p, d)
+            yield p, d, _random_form(rng, p, d, z_free=True)
+            L = _random_form(rng, p, 1)
+            yield p, d, _product(_product(L, L, p), _random_form(rng, p, d - 2), p)
+    for p, d in ((2, 4), (3, 3)):
+        yield p, d, ((0, 0, d, 1), (0, d, 0, 1), (d, 0, 0, 1))
+
+
+def test_singular_witness_matches_point_scan_oracle():
+    """The first singular point over F_p, found through elimination, is the
+    first one in the oracle's scan of every point of P^2(F_p)."""
+    outcomes = set()
+    for p, d, monos in _seeded_planes():
+        field = construct_field(p, 1)
+        elim = curves._chart_a_elimination(monos, p)
+        zpolys, cand = elim[0], elim[3]
+        outcomes.add("none" if cand is None else "no_z" if len(zpolys) == 1 else "resultant")
+        expected = first_singular_point_prime_field(monos, p)
+        assert curves._plane_singular_witness(field, monos, 1, elim) == expected, (p, monos)
+        if expected is not None:
+            with pytest.raises(SingularCurve) as info:
+                make_smooth_plane(field, monos, d)
+            assert (info.value.witness, info.value.extension_degree) == (expected, 1)
+    assert outcomes == {"none", "no_z", "resultant"}
+
+
+def test_squared_cubic_scans_every_line_in_bounded_memory():
+    """F = G^2 makes the resultant vanish identically, so every y-line is
+    z-scanned.  The q^{2j} pair grid used here before peaked at 115 MB."""
+    G = ((3, 0, 0, 1), (2, 1, 0, 9), (2, 0, 1, 6), (1, 1, 1, 8), (1, 0, 2, 1),
+         (0, 3, 0, 12), (0, 2, 1, 4), (0, 1, 2, 12), (0, 0, 3, 10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SingularCurve) as info:
+            make_smooth_plane(construct_field(13, 1), _product(G, G, 13), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.witness, info.value.extension_degree) == ((1, 0, 698), 3)
+    assert peak < 16 * 2**20
 
 
 def test_make_smooth_plane_errors():
@@ -197,11 +277,16 @@ def test_counts_exact_for_large_primes():
 
 
 def test_plane_counts_exact_when_digit_products_exceed_16_bits():
-    """Over F_191 a coefficient times a digit exceeds 2^15 (the count was 212)."""
-    monomials = ((0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 1, 190), (3, 0, 0, 1))
-    X = CurveModel(kind=SMOOTH_PLANE, base=construct_field(191, 1),
-                   monomials=monomials, degree=3, genus=1, label="hesse/F_191")
-    assert count_points(X, 1) == count_plane_prime_field(monomials, 191) == 210
+    """Over F_191 a coefficient times a digit exceeds 2^15 (the count was 212).
+    Over F_263, q^2 = 69169 > CHUNK, so the last chunk of the chart scan is
+    partial."""
+    for p in (191, 263):
+        monomials = ((0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 1, p - 1), (3, 0, 0, 1))
+        X = CurveModel(kind=SMOOTH_PLANE, base=construct_field(p, 1),
+                       monomials=monomials, degree=3, genus=1, label=f"hesse/F_{p}")
+        assert count_points(X, 1) == count_plane_prime_field(monomials, p)
+    assert count_plane_prime_field(((0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 1, 190), (3, 0, 0, 1)),
+                                   191) == 210
 
 
 def test_line_counts_match_slow_scan():

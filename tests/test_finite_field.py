@@ -9,9 +9,12 @@ from weilgram.errors import (
     EvenCharacteristic,
     FieldMismatch,
     NotPrime,
+    TooLarge,
     ZeroInput,
 )
+from weilgram.curves import count_points, parse_manifest
 from weilgram.finite_field import (
+    MR_LIMIT,
     construct_field,
     element_from_index,
     enumerate_elements,
@@ -21,6 +24,8 @@ from weilgram.finite_field import (
     prime_power_decomposition,
     scalar_is_square_in,
 )
+
+from oracles import is_prime_trial, prime_power_trial
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3)]
 
@@ -37,6 +42,31 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(7) == (7, 1)
     for bad in (1, 6, 12, 100):
         assert prime_power_decomposition(bad) is None
+
+
+def test_primality_matches_trial_division():
+    for n in range(-3, 20000):
+        assert is_prime(n) == is_prime_trial(n), n
+        assert prime_power_decomposition(n) == prime_power_trial(n), n
+
+
+def test_primality_beyond_trial_division():
+    """Trial division took minutes at 2^61 - 1.  3215031751 = 151 * 751 * 28351
+    is a strong pseudoprime to the bases 2, 3, 5 and 7."""
+    assert is_prime(2**61 - 1)
+    assert 193707721 * 761838257287 == 2**67 - 1
+    assert not is_prime(2**67 - 1)
+    assert not is_prime(3215031751) and not is_prime_trial(3215031751)
+    assert prime_power_decomposition((2**61 - 1) ** 3) == (2**61 - 1, 3)
+    assert prime_power_decomposition(2**100) == (2, 100)
+    assert prime_power_decomposition(2**67 - 1) is None
+    line = parse_manifest({"kind": "line", "p": 2**61 - 1, "k": 1})
+    assert count_points(line, 1, budget=2**62) == 2**61
+    assert not is_prime(2**89)  # a small factor decides it above the limit
+    with pytest.raises(TooLarge):
+        is_prime(2**89 - 1)
+    with pytest.raises(TooLarge):
+        is_prime(MR_LIMIT)
 
 
 def test_construct_field_rejects_bad_input():
