@@ -76,7 +76,6 @@ from .gram import (
 )
 from .zeta import (
     LPolynomial,
-    RHReport,
     check_functional_equation,
     check_riemann_hypothesis,
     extrapolate,

@@ -26,7 +26,7 @@ from .curves import (
 from .errors import BudgetExceeded, WeilgramError
 from .feasibility import FeasibilityProblem, ihara_closed_form, max_n1
 from .gram import gram_absolute, gram_diagram, gram_relative, psd_check
-from .zeta import DEFAULT_RH_TOL, check_riemann_hypothesis, infer_genus, l_from_counts
+from .zeta import check_riemann_hypothesis, infer_genus, l_from_counts
 
 
 def _load_manifest(path: str):
@@ -67,16 +67,14 @@ def cmd_zeta(args) -> int:
         q = model.q
         m = args.max_ext if args.max_ext else max(2 * model.genus + 2, 3)
         counts = list(count_series(model, m, args.budget).counts)
-    g = infer_genus(q, counts, args.tol)
+    g = infer_genus(q, counts)
     if g is None:
         print("genus=none")
         return 1
     L = l_from_counts(q, g, counts[:g])
-    rh = check_riemann_hypothesis(L, args.tol)
     print("L=[" + ",".join(str(c) for c in L.coefficients) + "]")
     print(f"genus={g}")
-    print(f"rh_max_deviation={rh.max_deviation:.3e}")
-    print(f"rh_passed={'true' if rh.passed else 'false'}")
+    print(f"rh_passed={'true' if check_riemann_hypothesis(L) else 'false'}")
     return 0
 
 
@@ -145,7 +143,7 @@ def cmd_corpus(args) -> int:
     with open(args.spec) as fh:
         doc = json.load(fh)
     spec = parse_corpus_spec(doc)
-    report = run_corpus(spec, jobs=args.jobs, budget=args.budget, tol=args.tol)
+    report = run_corpus(spec, jobs=args.jobs, budget=args.budget)
     json_path, csv_path = write_report(report, args.out)
     print(f"report={json_path}")
     print(f"summary={csv_path}")
@@ -162,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "reports for curves over finite fields.")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max enumerated points per count (default 10^6)")
-    parser.add_argument("--tol", type=float, default=DEFAULT_RH_TOL,
-                        help="Riemann hypothesis deviation tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="print one exact point count")

@@ -500,8 +500,6 @@ def _charge(curve: CurveModel, j: int) -> int:
     q = curve.q
     if curve.kind == SMOOTH_PLANE:
         return q ** (2 * j) + q**j + 1
-    if curve.kind == PROJECTIVE_LINE:
-        return q**j + 1
     return q**j
 
 
@@ -510,15 +508,15 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
 
     The budget bounds the number of enumerated items (field elements for
     hyperelliptic and biquadratic models, projective chart representatives
-    for plane curves); exceeding it raises instead of grinding."""
+    for plane curves); exceeding it raises instead of grinding.  The
+    projective line is a closed form, enumerates nothing and is not charged."""
     if j < 1:
         raise InvalidDegree(j)
+    if curve.kind == PROJECTIVE_LINE:
+        return curve.q**j + 1
     needed = _charge(curve, j)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    q = curve.q
-    if curve.kind == PROJECTIVE_LINE:
-        return q**j + 1
     ext = extension_of(curve.base, j)
     T = get_table(ext)
     if curve.kind == HYPERELLIPTIC:

@@ -112,10 +112,6 @@ class CountLengthMismatch(WeilgramError):
     """Wrong number of point counts supplied for the requested genus."""
 
 
-class RootFindingFailure(WeilgramError):
-    """Numeric root finder failed to reach the required residual."""
-
-
 # --- gram matrices ---------------------------------------------------------
 
 class InsufficientCounts(WeilgramError):

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import weil_interval
-from .errors import BudgetExceeded, NegativeGenus, NotPrimePower, TooLarge, ZeroGenus
-from .finite_field import prime_power_decomposition
+from .errors import BudgetExceeded, NegativeGenus, TooLarge, ZeroGenus
+from .finite_field import check_prime_power
 from .gram import gram_absolute, psd_check, psd_corner_interval
 
 MAX_ORDER = 3
@@ -48,17 +48,12 @@ class FeasibilityProblem:
         _check_genus(self.g)
         if self.q > MAX_Q:
             raise BudgetExceeded(self.q, MAX_Q)
-        _check_field_size(self.q)
+        check_prime_power(self.q)
 
 
 def _check_genus(g: int) -> None:
     if g < 0:
         raise NegativeGenus(f"genus must be nonnegative, got {g}")
-
-
-def _check_field_size(q: int) -> None:
-    if prime_power_decomposition(q) is None:
-        raise NotPrimePower(f"field size {q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,7 @@ def ihara_closed_form(q: int, g: int) -> IharaClosedForm:
     if g == 0:
         raise ZeroGenus("closed form needs g >= 1")
     _check_genus(g)
-    _check_field_size(q)
+    check_prime_power(q)
     radicand = g * g * (8 * q + 1) + 4 * g * q * (q - 1)
     linear = Fraction(2 * q + 2 - g, 2)
     floor = (2 * q + 2 - g + math.isqrt(radicand)) // 2

@@ -25,6 +25,7 @@ from .errors import (
     FieldMismatch,
     InvalidDegree,
     NotPrime,
+    NotPrimePower,
     TooLarge,
     ZeroInput,
 )
@@ -81,6 +82,12 @@ def prime_power_decomposition(q: int):
         if p >= 2 and p**k == q and is_prime(p):
             return (p, k)
     return None
+
+
+def check_prime_power(q: int) -> None:
+    """Raise NotPrimePower unless a field with q elements exists."""
+    if prime_power_decomposition(q) is None:
+        raise NotPrimePower(f"field size {q} is not a prime power")
 
 
 @dataclass(frozen=True)

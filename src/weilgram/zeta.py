@@ -1,34 +1,28 @@
-"""Exact L-polynomial reconstruction, extrapolation, and numeric root checks.
+"""Exact L-polynomial reconstruction, extrapolation, and the Riemann
+hypothesis check.
 
 The L-polynomial of a genus-g curve over F_q is L(T) = prod (1 - a_i T) with
 2g inverse roots a_i.  Its first g coefficients are determined by N_1..N_g
 through the power sums t_j = q^j + 1 - N_j and the Newton identities; the
 rest follow from the functional equation c_{2g-i} = q^{g-i} c_i.  Everything
-except check_riemann_hypothesis is exact integer (or rational) arithmetic.
+here is exact integer (or rational) arithmetic.
 
-The root-modulus check works on the reciprocal polynomial P(U) =
-U^{2g} L(1/U), whose roots are the inverse roots themselves.  P is first
-reduced to its squarefree part by exact integer gcd deflation, so repeated
-roots (supersingular products) cannot degrade the attainable accuracy; the
-remaining simple roots come from the numpy companion-matrix solver and are
-polished by Newton iteration until the relative residual is tiny.
+The Riemann hypothesis |a_i| = sqrt(q) is decided on the real Weil
+polynomial h, defined by P(U) = U^{2g} L(1/U) = U^g h(U + q/U): the a_i have
+modulus sqrt(q) exactly when every root of h is real and lies in
+[-2 sqrt(q), 2 sqrt(q)].  A Sturm sequence counts those roots, with every
+sign at the endpoints read off exactly from a value A + B sqrt(q)
+(Kedlaya, "Search techniques for root-unitary polynomials", 2008).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
-import numpy as np
-
-from .errors import (
-    CountLengthMismatch,
-    NonIntegerCoefficient,
-    RootFindingFailure,
-)
-
-DEFAULT_RH_TOL = 1e-9
-RESIDUAL_TOL = 1e-12
+from .errors import CountLengthMismatch, NonIntegerCoefficient
+from .finite_field import check_prime_power
 
 
 @dataclass(frozen=True)
@@ -45,16 +39,10 @@ class LPolynomial:
                 f"genus {self.g} needs {2 * self.g + 1} coefficients, "
                 f"got {len(self.coefficients)}"
             )
+        check_prime_power(self.q)
 
     def __repr__(self):
         return f"LPolynomial(q={self.q}, g={self.g}, {list(self.coefficients)})"
-
-
-@dataclass(frozen=True)
-class RHReport:
-    max_deviation: float
-    passed: bool
-    tol: float
 
 
 def l_from_counts(q: int, g: int, counts) -> LPolynomial:
@@ -115,115 +103,97 @@ def check_functional_equation(L: LPolynomial) -> bool:
     return all(c[2 * g - i] == L.q ** (g - i) * c[i] for i in range(g + 1))
 
 
-def _int_poly_gcd(a: list, b: list) -> list:
-    """Monic gcd of two integer polynomials (coefficients ascending); the
-    result of deflating a monic polynomial is again integer monic."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-
-    def trim(f):
-        while f and f[-1] == 0:
-            f.pop()
-        return f
-
-    fa, fb = trim(fa), trim(fb)
-    while fb:
-        # fa mod fb
-        rem = fa[:]
-        lead = fb[-1]
-        for k in range(len(rem) - len(fb), -1, -1):
-            factor = rem[k + len(fb) - 1] / lead
-            for i, coef in enumerate(fb):
-                rem[k + i] -= factor * coef
-        fa, fb = fb, trim(rem[: len(fb) - 1])
-    if not fa:
-        return []
-    lead = fa[-1]
-    monic = [x / lead for x in fa]
-    assert all(x.denominator == 1 for x in monic)
-    return [int(x) for x in monic]
-
-
-def _exact_squarefree_part(coeffs: list) -> list:
-    """coeffs ascending, monic: divide out gcd with the derivative so every
-    root becomes simple, exactly."""
-    deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
-    g = _int_poly_gcd(coeffs, deriv)
-    if len(g) <= 1:
-        return coeffs
-    # exact polynomial division coeffs / g (both monic)
-    rem = [Fraction(x) for x in coeffs]
-    quot = [Fraction(0)] * (len(coeffs) - len(g) + 1)
+def _divmod(a: list, b: list) -> tuple:
+    """Quotient and trimmed remainder of rational polynomials (ascending
+    coefficients, b without leading zeros and not zero)."""
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
     for k in range(len(quot) - 1, -1, -1):
-        quot[k] = rem[k + len(g) - 1]
-        for i, coef in enumerate(g):
-            rem[k + i] -= quot[k] * coef
-    assert all(x == 0 for x in rem[: len(g) - 1])
-    assert all(x.denominator == 1 for x in quot)
-    return [int(x) for x in quot]
+        quot[k] = factor = Fraction(rem[k + len(b) - 1], b[-1])
+        for i, coef in enumerate(b):
+            rem[k + i] -= factor * coef
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
 
 
-def _polish_root(coeffs_desc: list, x: complex) -> complex:
-    """A few Newton steps on the exact integer polynomial."""
-    deriv_desc = [c * (len(coeffs_desc) - 1 - i) for i, c in enumerate(coeffs_desc[:-1])]
-    for _ in range(60):
-        val = complex(0)
-        for c in coeffs_desc:
-            val = val * x + c
-        dval = complex(0)
-        for c in deriv_desc:
-            dval = dval * x + c
-        if dval == 0:
-            break
-        step = val / dval
-        x -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(x)):
-            break
-    return x
+def _derivative(f: list) -> list:
+    return [i * f[i] for i in range(1, len(f))]
 
 
-def _relative_residual(coeffs_desc: list, x: complex) -> float:
-    val = complex(0)
-    scale = 0.0
-    powx = 1.0
-    for c in reversed(coeffs_desc):
-        scale += abs(c) * powx
-        powx *= abs(x)
-    for c in coeffs_desc:
-        val = val * x + c
-    return abs(val) / max(scale, 1.0)
+def _gcd(a: list, b: list) -> list:
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
 
 
-def check_riemann_hypothesis(L: LPolynomial, tol: float = DEFAULT_RH_TOL) -> RHReport:
-    """Locate the inverse roots numerically and test | |a| - sqrt(q) | <= tol.
+def _real_weil_polynomial(L: LPolynomial) -> list:
+    """h = c_g + sum_{k=1..g} c_{g-k} D_k, where D_k(U + q/U) = U^k + q^k/U^k:
+    D_0 = 2, D_1 = x, D_k = x D_{k-1} - q D_{k-2}."""
+    q, g, c = L.q, L.g, L.coefficients
+    h = [c[g]] + [0] * g
+    prev, cur = [2], [0, 1]
+    for k in range(1, g + 1):
+        for i, d in enumerate(cur):
+            h[i] += c[g - k] * d
+        nxt = [0] + cur
+        for i, d in enumerate(prev):
+            nxt[i] -= q * d
+        prev, cur = cur, nxt
+    return h
 
-    Roots are taken from the squarefree part of the reciprocal polynomial
-    (repeated roots would otherwise cap the achievable precision), polished
-    by Newton, and required to have relative residual <= 1e-12."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+
+def _sign_at_endpoint(f: list, q: int, side: int) -> int:
+    """Sign of f(side * 2 sqrt(q)), exactly: the value is A + B sqrt(q) with
+    rational A, B, and when their signs differ A^2 - q B^2 decides."""
+    A = B = 0
+    for k, coef in enumerate(f):
+        term = coef * (2**k * q ** (k // 2))
+        if k % 2:
+            B += side * term
+        else:
+            A += term
+    value = A + B if A * B >= 0 else A * (A * A - q * B * B)
+    return (value > 0) - (value < 0)
+
+
+def _sign_changes(chain: list, q: int, side: int) -> int:
+    signs = [s for s in (_sign_at_endpoint(f, q, side) for f in chain) if s]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def check_riemann_hypothesis(L: LPolynomial) -> bool:
+    """Exact test that every inverse root of L has modulus sqrt(q).
+
+    True for g = 0.  False when the functional equation fails, or when
+    c_0 = 0 (then P(U) has the root 0).  Otherwise the real Weil polynomial
+    h is reduced to its squarefree part, its roots at the endpoints +-2 sqrt(q)
+    are divided out (the factor x^2 - 4q, or x -+ 2 sqrt(q) when q is a
+    square), and the Sturm sequence of what is left must count all of its
+    roots inside the open interval (-2 sqrt(q), 2 sqrt(q))."""
     if L.g == 0:
-        return RHReport(max_deviation=0.0, passed=True, tol=tol)
-    # ascending coefficients of P(U) = U^{2g} L(1/U); monic since c_0 = 1
-    recip_asc = list(reversed(L.coefficients))
-    sf_asc = _exact_squarefree_part(recip_asc)
-    coeffs_desc = list(reversed(sf_asc))
-    roots = np.roots([float(c) for c in coeffs_desc])
-    sqrt_q = float(np.sqrt(L.q))
-    max_dev = 0.0
-    for r in roots:
-        x = _polish_root(coeffs_desc, complex(r))
-        if _relative_residual(coeffs_desc, x) > RESIDUAL_TOL:
-            raise RootFindingFailure(
-                f"root {x} of {coeffs_desc} has residual above {RESIDUAL_TOL}"
-            )
-        max_dev = max(max_dev, abs(abs(x) - sqrt_q))
-    return RHReport(max_deviation=max_dev, passed=max_dev <= tol, tol=tol)
+        return True
+    if L.coefficients[0] == 0 or not check_functional_equation(L):
+        return False
+    h = _real_weil_polynomial(L)
+    h = _divmod(h, _gcd(h, _derivative(h)))[0]
+    r = isqrt(L.q)
+    ends = [[-2 * r, 1], [2 * r, 1]] if r * r == L.q else [[-4 * L.q, 0, 1]]
+    for factor in ends:
+        quot, rem = _divmod(h, factor)
+        if not rem:
+            h = quot
+    chain = [h, _derivative(h)]
+    while chain[-1]:
+        chain.append([-x for x in _divmod(chain[-2], chain[-1])[1]])
+    inside = _sign_changes(chain, L.q, -1) - _sign_changes(chain, L.q, 1)
+    return inside == len(h) - 1
 
 
-def infer_genus(q: int, counts, tol: float = DEFAULT_RH_TOL):
+def infer_genus(q: int, counts):
     """Smallest genus g <= floor(m/2) whose L-polynomial built from N_1..N_g
-    passes the root-modulus check and extrapolates the remaining counts
+    satisfies the Riemann hypothesis and extrapolates the remaining counts
     exactly; None when no genus is consistent."""
     counts = tuple(counts)
     if not counts:
@@ -233,10 +203,7 @@ def infer_genus(q: int, counts, tol: float = DEFAULT_RH_TOL):
             L = l_from_counts(q, g, counts[:g])
         except NonIntegerCoefficient:
             continue
-        try:
-            if not check_riemann_hypothesis(L, tol).passed:
-                continue
-        except RootFindingFailure:
+        if not check_riemann_hypothesis(L):
             continue
         if all(extrapolate(L, j) == counts[j - 1] for j in range(g + 1, len(counts) + 1)):
             return g

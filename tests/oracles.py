@@ -6,9 +6,10 @@ determinants run rational Gaussian elimination or cofactor expansion instead
 of fraction-free integer elimination, the feasibility search tries every
 count of each Weil interval instead of the exact PSD intervals, power sums
 come from numpy root finding instead of integer recurrences, primality comes
-from trial division instead of Miller-Rabin, and singular points come from a
-scan of every point instead of elimination.  Agreement between the two
-routes is the point.
+from trial division instead of Miller-Rabin, singular points come from a
+scan of every point instead of elimination, and the Riemann hypothesis in
+genus <= 2 comes from a closed form in integers instead of a Sturm sequence.
+Agreement between the two routes is the point.
 """
 
 from __future__ import annotations
@@ -270,3 +271,25 @@ def power_sums_by_roots(L, m: int):
     roots = np.roots(coeffs_desc)
     inverse_roots = 1.0 / roots
     return [float(np.real(np.sum(inverse_roots**j))) for j in range(1, m + 1)]
+
+
+def rh_small_genus(q: int, coeffs) -> bool:
+    """The Riemann hypothesis for an L-polynomial (1, c_1, ..) of genus
+    g <= 2 that satisfies the functional equation, in integers only.  The
+    real Weil polynomial is x + c_1 (g = 1) or x^2 + c_1 x + (c_2 - 2q)
+    (g = 2), and RH says its roots are real and inside [-2 sqrt(q), 2 sqrt(q)].
+    For g = 2 that is: a real discriminant, the vertex -c_1/2 inside, and
+    h(+-2 sqrt(q)) = (2q + c_2) +- 2 c_1 sqrt(q) >= 0."""
+    g = len(coeffs) // 2
+    if g == 0:
+        return True
+    c1 = coeffs[1]
+    if g == 1:
+        return c1 * c1 <= 4 * q
+    if g != 2:
+        raise ValueError(f"closed form only for genus <= 2, got {g}")
+    c2 = coeffs[2]
+    return (c1 * c1 - 4 * (c2 - 2 * q) >= 0
+            and c1 * c1 <= 16 * q
+            and 2 * q + c2 >= 0
+            and (2 * q + c2) ** 2 >= 4 * q * c1 * c1)

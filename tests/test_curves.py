@@ -324,6 +324,9 @@ def test_count_points_budget():
     assert info.value.budget == 8
     with pytest.raises(InvalidDegree):
         count_points(E, 0)
+    # the projective line is a closed form: nothing enumerated, nothing charged
+    for j in (1, 2, 5):
+        assert count_points(make_projective_line(F3), j, budget=0) == 3**j + 1
     # plane charge counts both affine chart scans: q^{2j} + q^j + 1
     X = make_smooth_plane(F4, FERMAT_CUBIC, 3)
     with pytest.raises(BudgetExceeded) as info:

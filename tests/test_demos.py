@@ -21,3 +21,5 @@ def test_demo_exits_cleanly(demo):
     result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert "MISMATCH" not in result.stdout

@@ -1,11 +1,13 @@
 """L-polynomial reconstruction, extrapolation, and the RH check."""
 
+from math import isqrt
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilgram.curves import count_points, count_series, make_hyperelliptic
-from weilgram.errors import CountLengthMismatch, NonIntegerCoefficient
+from weilgram.errors import CountLengthMismatch, NonIntegerCoefficient, NotPrimePower
 from weilgram.finite_field import construct_field
 from weilgram.zeta import (
     LPolynomial,
@@ -17,7 +19,7 @@ from weilgram.zeta import (
     power_sums,
 )
 
-from oracles import power_sums_by_roots
+from oracles import power_sums_by_roots, rh_small_genus
 
 F3 = construct_field(3, 1)
 
@@ -43,6 +45,16 @@ def test_lpolynomial_length_validation():
         LPolynomial(q=3, g=1, coefficients=(1, 0))
 
 
+@pytest.mark.parametrize("q", [6, 1, 0, -3])
+def test_q_must_be_prime_power(q):
+    with pytest.raises(NotPrimePower):
+        LPolynomial(q=q, g=0, coefficients=(1,))
+    with pytest.raises(NotPrimePower):
+        l_from_counts(q, 1, (7,))
+    with pytest.raises(NotPrimePower):
+        infer_genus(q, (7, 37))
+
+
 def test_extrapolate_examples():
     L = LPolynomial(q=3, g=1, coefficients=(1, 0, 3))
     assert extrapolate(L, 1) == 4
@@ -60,14 +72,79 @@ def test_functional_equation_examples():
 
 
 def test_riemann_hypothesis_examples():
-    good = check_riemann_hypothesis(LPolynomial(3, 1, (1, 0, 3)))
-    assert good.passed
-    assert good.max_deviation <= 1e-12
-    bad = check_riemann_hypothesis(LPolynomial(3, 1, (1, 5, 3)))
-    assert not bad.passed
-    empty = check_riemann_hypothesis(LPolynomial(3, 0, (1,)))
-    assert empty.passed
-    assert empty.max_deviation == 0.0
+    assert check_riemann_hypothesis(LPolynomial(3, 1, (1, 0, 3))) is True
+    assert check_riemann_hypothesis(LPolynomial(3, 1, (1, 5, 3))) is False
+    assert check_riemann_hypothesis(LPolynomial(3, 0, (1,))) is True
+    # 1 - 3T^2 has inverse roots +-sqrt(3) but breaks the functional equation
+    assert check_riemann_hypothesis(LPolynomial(3, 1, (1, 0, -3))) is False
+    assert check_riemann_hypothesis(LPolynomial(3, 1, (0, 0, 0))) is False
+    # h = x^2 - 4q: both roots at the endpoints +-2 sqrt(q), q not a square
+    for q in (2, 3, 5, 7):
+        assert check_riemann_hypothesis(LPolynomial(q, 2, (1, 0, -2 * q, 0, q * q)))
+    # ... and h = (x - 2 sqrt(q))^2 over a square q, a repeated endpoint root
+    assert check_riemann_hypothesis(LPolynomial(9, 2, (1, -12, 54, -108, 81)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16])
+def test_riemann_hypothesis_matches_closed_form_in_a_box(q):
+    # every L with c_0 = 1 and the functional equation whose c_1, c_2 lie in a
+    # box: it holds each passing one (|c_1| <= 4 sqrt(q), -2q <= c_2 <= 6q)
+    # and a margin of failing ones around them
+    c1_range = range(-isqrt(16 * q) - 2, isqrt(16 * q) + 3)
+    vectors = [(1, c1, q) for c1 in c1_range]
+    vectors += [(1, c1, c2, q * c1, q * q) for c1 in c1_range
+                for c2 in range(-2 * q - 2, 6 * q + 3)]
+    for coeffs in vectors:
+        L = LPolynomial(q, len(coeffs) // 2, coeffs)
+        assert check_riemann_hypothesis(L) is rh_small_genus(q, coeffs), coeffs
+
+
+def _l_from_real_weil(q, h):
+    """Coefficients of L(T) = T^{2g} P(1/T), where P(U) = U^g h(U + q/U) =
+    sum_k h_k U^{g-k} (U^2 + q)^k and h has degree g, ascending."""
+    g = len(h) - 1
+    P = [0] * (2 * g + 1)
+    power = [1]   # (U^2 + q)^k, ascending in U
+    for k, hk in enumerate(h):
+        for i, coef in enumerate(power):
+            P[g - k + i] += hk * coef
+        power = [q * a + b for a, b in zip(power + [0, 0], [0, 0] + power)]
+    return LPolynomial(q, g, tuple(reversed(P)))
+
+
+def _times(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 9, 16, 25]), data=st.data())
+def test_riemann_hypothesis_on_constructed_real_weil_polynomials(q, data):
+    """h is a product of linear factors x - a, with a inside, on or outside
+    [-2 sqrt(q), 2 sqrt(q)], of x^2 - 4q, and of quadratics with no real root;
+    RH holds exactly when no root is outside or non-real."""
+    r = isqrt(q)
+    edge = isqrt(4 * q) + 1   # least integer a > 0 with a^2 > 4q
+    linear = data.draw(st.lists(st.integers(-edge - 2, edge + 2), max_size=4))
+    quadratics = data.draw(st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(1, 20)).filter(
+            lambda bc: bc[0] ** 2 < 4 * bc[1]), max_size=2))
+    endpoints = data.draw(st.integers(0, 1 if r * r != q else 0))
+    h = [1]
+    for a in linear:
+        h = _times(h, [-a, 1])
+    for b, c in quadratics:
+        h = _times(h, [c, b, 1])
+    for _ in range(endpoints):
+        h = _times(h, [-4 * q, 0, 1])
+    assume(len(h) > 1)
+    want = not quadratics and all(a * a <= 4 * q for a in linear)
+    L = _l_from_real_weil(q, h)
+    assert check_functional_equation(L)
+    assert check_riemann_hypothesis(L) is want
 
 
 def test_power_sums_match_root_oracle():
@@ -117,7 +194,7 @@ def test_round_trip_through_counts():
         series = count_series(X, 2 * X.genus + 2, budget=10**7)
         L = l_from_counts(X.q, X.genus, series.counts[: X.genus])
         assert check_functional_equation(L)
-        assert check_riemann_hypothesis(L).passed
+        assert check_riemann_hypothesis(L)
         for j in range(1, 2 * X.genus + 3):
             assert extrapolate(L, j) == count_points(X, j, budget=10**7)
 
