@@ -10,7 +10,8 @@ projective model:
 * smooth plane curve F(x,y,z) = 0 of degree d: projective solutions via the
   representatives (1:y:z), (0:1:z), (0:0:1); smoothness is validated at
   construction by searching for common zeros of F and its gradient over all
-  extensions j <= (d-1)^2 (the Bezout bound on singular-point degrees);
+  extensions j <= d(d-1)/2, the bound on the number of singular points of a
+  reduced plane curve (see make_smooth_plane);
 * biquadratic total space X: the fiber product of y1^2 = f and y2^2 = g over
   P^1 (deg f odd, deg g even, f, g squarefree and coprime), counted fiberwise
   with 2 or 0 points over x = infinity according to whether lc(g) is a square.
@@ -422,15 +423,25 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
 
     `monomials` is a sequence of (a, b, c, coeff) with x^a y^b z^c; duplicate
     exponent triples are merged mod p.  Construction eliminates z once, then
-    searches every extension j <= (d-1)^2 for singular points: it builds the
+    searches every extension j <= d(d-1)/2 for singular points: it builds the
     table of F_{q^j} (TooLarge above 2^26 elements) and z-scans only the
     candidate y-lines there, so time and memory grow with q^j, not q^{2j}.
+
+    The bound holds in every characteristic.  If F is squarefree, its
+    singular set is finite with at most sum (d_i-1)(d_i-2)/2 +
+    sum_{i<j} d_i d_j <= d(d-1)/2 points over the algebraic closure (d_i the
+    degrees of the components; Fulton, Algebraic Curves, 5.4).  Frobenius
+    permutes that set, and an orbit of size s lies in P^2(F_{q^s}).  If
+    G^2 | F with deg G = e >= 1, all of V(G) is singular; G is defined over
+    F_{q^s} with s the size of its Frobenius orbit and 2se <= d, and G(0, y, z)
+    is either zero, so (0:0:1) is singular, or has a root of degree <= e over
+    F_{q^s}, so a singular point appears by j = d/2.
     """
     if d < 1:
         raise InvalidDegree(d)
     monos = _canonical_monomials(monomials, field.p, d)
     elim = _chart_a_elimination(monos, field.p)
-    for j in range(1, (d - 1) ** 2 + 1):
+    for j in range(1, d * (d - 1) // 2 + 1):
         witness = _plane_singular_witness(field, monos, j, elim)
         if witness is not None:
             raise SingularCurve(witness, j)

@@ -2,9 +2,14 @@
 
 Fields are built as F_p[t]/(m(t)) where m is the lexicographically smallest
 monic irreducible polynomial of degree k (coefficients compared low degree
-first), so construction is reproducible across runs.  Elements carry their
-coefficient vector and a reference to the owning field; all operations are
-pure and exact.
+first), so construction is reproducible across runs.  Candidates are tested
+by Rabin's criterion (Rabin, "Probabilistic algorithms in finite fields",
+1980), which is exact: a monic f of degree k is irreducible iff
+x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1 for every prime r | k.
+The test takes k p-th powers mod f, about 2k log2(p) products of degree
+< k, and one gcd per prime r | k.  Elements carry their coefficient vector
+and a reference to the owning field; all operations are pure and exact, and
+powers and inverses (a^(q-2)) are one modular power of the representative.
 
 Extensions F_{q^j} of F_q = F_{p^k} are built as fresh fields of degree k*j
 over the prime field.  Constants from F_p embed by the constant embedding,
@@ -163,40 +168,21 @@ class FieldElement:
     def __mul__(self, other):
         self._check(other)
         spec = self.owner
-        prod = fppoly.mul(fppoly.trim(self.coefficients, spec.p),
-                          fppoly.trim(other.coefficients, spec.p), spec.p)
-        red = fppoly.mod(prod, spec.modulus, spec.p)
-        return FieldElement(red + (0,) * (spec.k - len(red)), spec)
+        return _from_poly(fppoly.mul(fppoly.trim(self.coefficients, spec.p),
+                                     fppoly.trim(other.coefficients, spec.p), spec.p), spec)
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse by extended Euclid on representatives."""
-        spec = self.owner
+        """Multiplicative inverse a^(q-2)."""
         if self.is_zero():
             raise DivisionByZero("cannot invert zero")
-        # extended gcd of the representative and the modulus
-        r0, r1 = fppoly.trim(self.coefficients, spec.p), spec.modulus
-        s0, s1 = (1,), ()
-        while r1:
-            quot, rem = fppoly.divmod_poly(r0, r1, spec.p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, fppoly.sub(s0, fppoly.mul(quot, s1, spec.p), spec.p)
-        # r0 is a nonzero constant gcd; scale s0 by its inverse
-        inv = fppoly.scale(s0, pow(r0[0], -1, spec.p), spec.p)
-        return FieldElement(inv + (0,) * (spec.k - len(inv)), spec)
+        return self ** (self.owner.q - 2)
 
     def __pow__(self, n: int) -> "FieldElement":
-        """Square-and-multiply; 0**0 is defined as 1."""
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = self.owner.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """One modular power of the representative; 0**0 is defined as 1."""
+        spec = self.owner
+        base = self.inverse() if n < 0 else self
+        return _from_poly(fppoly.powmod(fppoly.trim(base.coefficients, spec.p), abs(n),
+                                        spec.modulus, spec.p), spec)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
@@ -222,33 +208,38 @@ class FieldElement:
         return f"{fppoly.to_string(fppoly.trim(self.coefficients, self.owner.p), 't')} in {self.owner!r}"
 
 
-def _monic_divisor_candidates(p: int, max_deg: int):
-    """All monic polynomials of degree 1..max_deg with nonzero constant term."""
-    out = []
-    for d in range(1, max_deg + 1):
-        for tail in product(range(p), repeat=d):
-            if tail[0] == 0:
-                continue
-            out.append(tail + (1,))
+def _from_poly(f: tuple, spec: FieldSpec) -> FieldElement:
+    """The element of `spec` represented by the polynomial f, reduced."""
+    red = fppoly.mod(f, spec.modulus, spec.p)
+    return FieldElement(red + (0,) * (spec.k - len(red)), spec)
+
+
+def _prime_factors(n: int) -> list:
+    """Distinct prime factors of n >= 1 by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
 def _is_irreducible(f: tuple, p: int) -> bool:
-    """Trial division: no monic factor of degree <= deg(f)/2.
-
-    Assumes f is monic with nonzero constant term (so t is excluded already).
-    """
+    """Rabin's test for a monic f of degree k >= 1: x^(p^k) = x mod f, and
+    x^(p^(k/r)) - x is coprime to f for every prime r | k.  The powers
+    x^(p^i) come one p-th power at a time, so the cheap gcds run first."""
     k = fppoly.degree(f)
-    if k == 1:
-        return True
-    # degree-1 factors: roots in F_p
-    for a in range(p):
-        if fppoly.eval_at(f, a, p) == 0:
+    x = h = fppoly.mod((0, 1), f, p)
+    checks = {k // r for r in _prime_factors(k)}
+    for i in range(1, k + 1):
+        h = fppoly.powmod(h, p, f, p)
+        if i in checks and fppoly.degree(fppoly.gcd(fppoly.sub(h, x, p), f, p)) > 0:
             return False
-    for g in _monic_divisor_candidates(p, k // 2):
-        if fppoly.degree(g) >= 2 and not fppoly.mod(f, g, p):
-            return False
-    return True
+    return h == x
 
 
 @lru_cache(maxsize=None)

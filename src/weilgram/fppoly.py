@@ -70,6 +70,17 @@ def mod(f, g, p):
     return divmod_poly(f, g, p)[1]
 
 
+def powmod(f, e, m, p):
+    """f^e mod m for e >= 0 by square-and-multiply; f^0 = 1 mod m."""
+    result, f = mod((1,), m, p), mod(f, m, p)
+    while e:
+        if e & 1:
+            result = mod(mul(result, f, p), m, p)
+        f = mod(mul(f, f, p), m, p)
+        e >>= 1
+    return result
+
+
 def gcd(f, g, p):
     """Monic gcd."""
     f, g = trim(f, p), trim(g, p)

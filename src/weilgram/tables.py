@@ -14,8 +14,8 @@ wrap.  Zero needs no mask: log[0] is a sentinel whose sums land past the end
 of exp and are clipped onto its last slot, which holds 0.  A power e^n is
 one gather exp[(n log e) mod (q-1)], and the number of square roots of v is
 1 + chi(v), with the quadratic character chi read from the parity of log v
-(every element has one square root when p = 2).  Addition and prime-field
-scaling work digitwise on the digit matrix.
+(every element has one square root when p = 2).  Addition and adding a
+prime-field constant work digitwise on the digit matrix.
 
 Tables are built once per field, in O(q K^2) work.  g is the first
 element, in enumeration order, with g^((q-1)/r) != 1 for every prime r
@@ -29,8 +29,8 @@ Memory per element: K digits of the smallest unsigned type that holds the
 digit sums 2(p-1) (one byte up to p = 128); 4 bytes each for exp (int32) and
 log (uint32, so the wrap is one unsigned minimum); 1 byte of square-root
 counts once sqrt_count is used.  No per-exponent power array is kept, and
-operation temporaries are proportional to the operands (add and scale work
-in chunks of CHUNK rows).  Tables stop at q = 2^26 (TooLarge above): there
+operation temporaries are proportional to the operands (add works in chunks
+of CHUNK rows).  Tables stop at q = 2^26 (TooLarge above): there
 the log sums still fit 32 bits and every float64 entry of the build, at most
 K(p-1)^2, stays an exact integer.
 """
@@ -43,25 +43,11 @@ import numpy as np
 
 from . import fppoly
 from .errors import TooLarge
-from .finite_field import FieldSpec, element_from_index
+from .finite_field import FieldSpec, _prime_factors, element_from_index
 
 CHUNK = 1 << 16
 MAX_Q = 1 << 26
 _BABY_STEPS = 1 << 14
-
-
-def _prime_factors(n: int) -> list:
-    """Distinct prime factors of n >= 1 by trial division."""
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class FieldTable:
@@ -160,19 +146,6 @@ class FieldTable:
             dig = self.digits.take(a[lo:hi], axis=0) + self.digits.take(b[lo:hi], axis=0)
             np.minimum(dig, dig - self.p, out=dig)  # unsigned: subtracts p iff dig >= p
             out[lo:hi] = dig @ self._pvec
-        return out
-
-    def scale(self, a: np.ndarray, c: int) -> np.ndarray:
-        """Multiply by a prime-field constant."""
-        c %= self.p
-        if c == 1:
-            return np.asarray(a, dtype=np.int64)
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty(a.shape, dtype=np.int64)
-        for lo in range(0, a.size, CHUNK):
-            hi = min(lo + CHUNK, a.size)
-            dig = self.digits.take(a[lo:hi], axis=0).astype(np.int64)
-            out[lo:hi] = (dig * c % self.p) @ self._pvec
         return out
 
     def add_scalar(self, a: np.ndarray, c: int) -> np.ndarray:

@@ -6,9 +6,11 @@ determinants run rational Gaussian elimination or cofactor expansion instead
 of fraction-free integer elimination, the feasibility search tries every
 count of each Weil interval instead of the exact PSD intervals, power sums
 come from numpy root finding instead of integer recurrences, primality comes
-from trial division instead of Miller-Rabin, singular points come from a
-scan of every point instead of elimination, and the Riemann hypothesis in
-genus <= 2 comes from a closed form in integers instead of a Sturm sequence.
+from trial division instead of Miller-Rabin, irreducibility from trial
+division by every monic polynomial instead of Rabin's test, singular points
+come from a scan of every point instead of elimination, and the Riemann
+hypothesis in genus <= 2 comes from a closed form in integers instead of a
+Sturm sequence.
 Agreement between the two routes is the point.
 """
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -162,6 +164,23 @@ def prime_power_trial(q: int):
         q //= p
         k += 1
     return (p, k) if q == 1 else None
+
+
+def is_irreducible_trial(f, p: int) -> bool:
+    """A monic f (ascending coefficients, degree k >= 1) is irreducible over
+    F_p iff no monic polynomial of degree 1..k//2 divides it.  Long division
+    in plain integers."""
+    k = len(f) - 1
+    for d in range(1, k // 2 + 1):
+        for tail in product(range(p), repeat=d):
+            rem = list(f)
+            for s in range(k - d, -1, -1):  # subtract rem[s + d] * t^s * (tail + t^d)
+                c = rem[s + d] % p
+                for i, g in enumerate(tail + (1,)):
+                    rem[s + i] -= c * g
+            if all(v % p == 0 for v in rem[:d]):
+                return False
+    return True
 
 
 def count_line_slow(curve, j: int) -> int:

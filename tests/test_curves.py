@@ -36,7 +36,7 @@ from weilgram.errors import (
     WrongKind,
     ZeroPolynomial,
 )
-from weilgram.finite_field import construct_field
+from weilgram.finite_field import construct_field, element_from_index
 from weilgram.zeta import infer_genus
 
 from oracles import (
@@ -171,6 +171,77 @@ def test_squared_cubic_scans_every_line_in_bounded_memory():
         tracemalloc.stop()
     assert (info.value.witness, info.value.extension_degree) == ((1, 0, 698), 3)
     assert peak < 16 * 2**20
+
+
+def _norm_cubic(p):
+    """N(x + t y + t^2 z) for t generating F_{p^3}: the product of its three
+    conjugate lines, which do not meet in one point (the Vandermonde of the
+    conjugates of t is nonzero).  The coefficients are Frobenius-invariant,
+    so they lie in F_p."""
+    K = construct_field(p, 3)
+    form = {(0, 0, 0): K.one()}
+    for i in range(3):
+        t = K.generator() ** (p**i)
+        line = {(1, 0, 0): K.one(), (0, 1, 0): t, (0, 0, 1): t * t}
+        prod = {}
+        for (a, b, c), u in form.items():
+            for (e, f, g), v in line.items():
+                key = (a + e, b + f, c + g)
+                prod[key] = prod.get(key, K.zero()) + u * v
+        form = prod
+    assert all(u.coefficients[1:] == (0, 0) for u in form.values())
+    return tuple((*key, u.coefficients[0]) for key, u in sorted(form.items())
+                 if u.coefficients[0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_three_conjugate_lines_are_singular_first_at_j_3(p):
+    """The three singular points of N(x + t y + t^2 z) form one Frobenius
+    orbit of size 3 = d(d-1)/2, so the scan bound is tight at d = 3."""
+    monos = _norm_cubic(p)
+    with pytest.raises(SingularCurve) as info:
+        make_smooth_plane(construct_field(p, 1), monos, 3)
+    x, y, z = info.value.witness
+    assert (x, info.value.extension_degree) == (1, 3)
+    ext = construct_field(p, 3)
+    Y, Z = element_from_index(ext, y), element_from_index(ext, z)
+    partials = [[(*(e - (v == i) for v, e in enumerate(m[:3])), m[3] * m[i])
+                 for m in monos if m[i]] for i in range(3)]
+    for f in [monos] + partials:  # F and its gradient vanish at (1 : y : z)
+        value = sum((ext.scalar(co) * Y**b * Z**c for _, b, c, co in f), ext.zero())
+        assert value.is_zero(), (p, f)
+
+
+def _tables_up_to(monkeypatch, limit):
+    """Make curves.get_table refuse fields above `limit` elements; returns
+    the list of field sizes it was asked for."""
+    asked, inner = [], curves.get_table
+
+    def guarded(spec):
+        asked.append(spec.q)
+        assert spec.q <= limit, f"table of {spec.q} elements requested"
+        return inner(spec)
+
+    monkeypatch.setattr(curves, "get_table", guarded)
+    return asked
+
+
+def test_smooth_quintic_over_f3_scans_to_j_10(monkeypatch):
+    """The scan stops at j = d(d-1)/2 = 10, so no table above 3^10 is
+    built; j = (d-1)^2 = 16 would need 3^16, 43M elements."""
+    asked = _tables_up_to(monkeypatch, 3**10)
+    quintic = [(5, 0, 0, 1), (0, 5, 0, 1), (0, 0, 5, 1), (1, 4, 0, 1), (0, 1, 4, 1),
+               (4, 0, 1, 1)]
+    X = make_smooth_plane(F3, quintic, 5)
+    assert X.genus == 6 and max(asked) == 3**10
+
+
+def test_fermat_quartic_over_f7_constructs(monkeypatch):
+    """The scan stops at j = 6; j = (d-1)^2 = 9 would need 7^9, 40M
+    elements."""
+    asked = _tables_up_to(monkeypatch, 7**6)
+    X = make_smooth_plane(construct_field(7, 1), FERMAT_QUARTIC, 4)
+    assert X.genus == 3 and max(asked) == 7**6
 
 
 def test_make_smooth_plane_errors():

@@ -1,5 +1,8 @@
 """Field construction and scalar arithmetic, checked against first principles."""
 
+import time
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from weilgram.errors import (
 from weilgram.curves import count_points, parse_manifest
 from weilgram.finite_field import (
     MR_LIMIT,
+    _is_irreducible,
     construct_field,
     element_from_index,
     enumerate_elements,
@@ -25,7 +29,7 @@ from weilgram.finite_field import (
     scalar_is_square_in,
 )
 
-from oracles import is_prime_trial, prime_power_trial
+from oracles import is_irreducible_trial, is_prime_trial, prime_power_trial
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3)]
 
@@ -74,6 +78,63 @@ def test_construct_field_rejects_bad_input():
         construct_field(4, 1)
     with pytest.raises(NotPrime):
         construct_field(1, 1)
+
+
+# the largest degree checked exhaustively for each p: 15,331 polynomials in all
+IRREDUCIBILITY_DEGREES = {2: 12, 3: 7, 5: 5, 7: 4, 11: 3, 13: 3}
+
+
+def _monic_irreducible_count(p: int, k: int) -> int:
+    """Gauss: (1/k) sum over d | k of mu(d) p^(k/d)."""
+    def mu(n):
+        out, r = 1, 2
+        while r * r <= n:
+            if n % r == 0:
+                n //= r
+                if n % r == 0:
+                    return 0
+                out = -out
+            r += 1
+        return -out if n > 1 else out
+    return sum(mu(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+
+
+@pytest.mark.parametrize("p", sorted(IRREDUCIBILITY_DEGREES))
+def test_rabin_irreducibility_matches_trial_division(p):
+    """Every monic polynomial with a nonzero constant term (the candidates of
+    construct_field) gets the trial-division verdict, and the irreducibles
+    of each degree number as Gauss's formula says (less t itself at k = 1)."""
+    for k in range(1, IRREDUCIBILITY_DEGREES[p] + 1):
+        found = 0
+        for c0 in range(1, p):
+            for tail in product(range(p), repeat=k - 1):
+                f = (c0,) + tail + (1,)
+                verdict = _is_irreducible(f, p)
+                assert verdict == is_irreducible_trial(f, p), (p, f)
+                found += verdict
+        assert found == _monic_irreducible_count(p, k) - (k == 1), (p, k)
+
+
+def test_modulus_of_f_2_40_is_pinned():
+    """The lexicographically first irreducible of degree 40 over F_2 has
+    ones at degrees 0, 35, 36, 37 and 40.  A divisor search would try up to
+    2^20 polynomials on each candidate."""
+    field = construct_field(2, 40)
+    assert [i for i, c in enumerate(field.modulus) if c] == [0, 35, 36, 37, 40]
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (1009, 4, (1, 0, 0, 1, 1)),
+    (101, 6, (1, 0, 0, 0, 0, 6, 1)),
+    (10007, 5, (1, 0, 0, 0, 9, 1)),
+])
+def test_large_prime_moduli_are_pinned_and_fast(p, k, modulus):
+    """A divisor search would list p^(k/2), a million or more, polynomials
+    here; Rabin's test takes a few modular powers per candidate."""
+    start = time.perf_counter()
+    field = construct_field.__wrapped__(p, k)  # bypass the cache
+    assert time.perf_counter() - start < 10
+    assert field.modulus == modulus and field.q == p**k
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)

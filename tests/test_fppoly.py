@@ -114,3 +114,27 @@ def test_gcd_divides_both(f, g, p):
         assert r == ()
     # monic normalization
     assert d[-1] == 1
+
+
+def test_powmod_edge_cases():
+    m = (2, 0, 1, 1)  # x^3 + x^2 + 2 over F_3
+    assert fppoly.powmod((1, 2), 0, m, 3) == (1,)
+    assert fppoly.powmod((), 0, m, 3) == (1,)
+    assert fppoly.powmod((), 5, m, 3) == ()
+    # a degree-1 modulus x - a sends f to the constant f(a)^e
+    for a in range(7):
+        for e in range(9):
+            want = fppoly.trim((pow(fppoly.eval_at((3, 1, 4), a, 7), e, 7),), 7)
+            assert fppoly.powmod((3, 1, 4), e, (-a % 7, 1), 7) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=polys, m=polys, e=st.integers(min_value=0, max_value=40), p=primes)
+def test_powmod_matches_repeated_products(f, m, e, p):
+    m = fppoly.trim(m, p)
+    if fppoly.degree(m) < 1:
+        return
+    want = fppoly.mod((1,), m, p)
+    for _ in range(e):
+        want = fppoly.mod(fppoly.mul(want, fppoly.trim(f, p), p), m, p)
+    assert fppoly.powmod(fppoly.trim(f, p), e, m, p) == want

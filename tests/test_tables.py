@@ -52,10 +52,6 @@ def test_add_and_scale_match_scalar(p, k):
         want = [(ea + element_from_index(field, b)).index() for b in range(q)]
         assert got.tolist() == want
     for c in range(p):
-        got = T.scale(idx, c)
-        want = [(field.scalar(c) * element_from_index(field, b)).index()
-                for b in range(q)]
-        assert got.tolist() == want
         got = T.add_scalar(idx, c)
         want = [(field.scalar(c) + element_from_index(field, b)).index()
                 for b in range(q)]
