@@ -35,11 +35,12 @@ def _load_manifest(path: str):
     return doc, parse_manifest(doc)
 
 
-def _print_matrix(M) -> None:
+def _print_matrix(label: str, M) -> None:
+    verdict = psd_check(M)  # first: a matrix it refuses prints nothing
+    print(f"label={label}")
     print(f"labels={list(M.labels)}")
     for i, row in enumerate(M.entries):
         print(f"row{i}=[" + ", ".join(str(v) for v in row) + "]")
-    verdict = psd_check(M)
     print(f"psd={'true' if verdict.psd else 'false'}")
     if not verdict.psd:
         print(f"psd_witness={verdict.witness}")
@@ -95,8 +96,7 @@ def cmd_gram(args) -> int:
     else:
         counts = count_series(model, m, args.budget).counts
         M = gram_absolute(model.q, model.genus, counts, m)
-    print(f"label={model.label}")
-    _print_matrix(M)
+    _print_matrix(model.label, M)
     return 0
 
 

@@ -20,14 +20,19 @@ Curve coefficients live in the prime field, so extending scalars is the
 constant embedding.  All counts are exact; the heavy lifting is done by the
 vectorized tables module.
 
-The singularity search eliminates z once per curve: a singular chart point
-(1:y0:z0) forces y0 to be a root of Res_z(F1, dF1) * lc * lc, computed
-exactly in F_p[y] by fraction-free elimination, so in each extension only
-the y-lines through those roots are z-scanned, in ascending y.  When
-elimination says nothing (both partials of F1 vanish, or the resultant does
-identically, which only very non-generic curves allow) every y-line is
-scanned.  Either way the scan holds O(q^j) values at a time, and counting
-walks the q^{2j} chart pairs by flat index in chunks.
+Plane counts and the singularity search walk the same three affine charts,
+listed once by `_charts`: (1:y:z), (0:1:z), then (0:0:1).  One evaluator
+sums the terms co * y^b z^c digitwise over blocks of whole z-lines of about
+CHUNK pairs (pieces of a line when it is longer), so a walk holds O(CHUNK)
+values plus one power table per exponent in use.  Counting adds up where F
+vanishes.  The search keeps the pairs where F and its three partials vanish
+and stops at the first one; it eliminates z once per curve: a singular
+chart point (1:y0:z0) forces y0 to be a root of Res_z(F1, dF1) * lc * lc,
+computed exactly in F_p[y] by fraction-free elimination, so in each
+extension chart (1:y:z) is walked only on the y-lines through those roots.
+When elimination says nothing (both partials of F1 vanish, or the resultant
+does identically, which only very non-generic curves allow) every y-line is
+walked.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ from .errors import (
     ZeroPolynomial,
 )
 from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_square_in
-from .tables import CHUNK, FieldTable, get_table
+from .tables import FieldTable, get_table
 
+CHUNK = 1 << 16  # (y, z) pairs per block of a chart walk
 DEFAULT_BUDGET = 10**6
 
 PROJECTIVE_LINE = "projective_line"
@@ -224,20 +230,6 @@ def _chart_a_zpolys(monomials: tuple, p: int) -> list:
     return out
 
 
-def _zpoly_derivative_z(zpolys: list, p: int) -> list:
-    out = [fppoly.scale(zpolys[c], c, p) for c in range(1, len(zpolys))]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zpoly_derivative_y(zpolys: list, p: int) -> list:
-    out = [fppoly.derivative(P, p) for P in zpolys]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _poly_det(M: list, p: int) -> tuple:
     """Exact determinant of a matrix of F_p[y] polynomials by fraction-free
     (Bareiss) elimination; divisions are exact in the polynomial ring."""
@@ -269,20 +261,9 @@ def _poly_det(M: list, p: int) -> tuple:
 
 def _resultant_z(A: list, B: list, p: int) -> tuple:
     """Res_z of two polynomials in z with F_p[y] coefficients (Sylvester
-    determinant).  A and B must have nonzero leading entries."""
+    determinant).  A and B must have nonzero leading entries, and deg A >= 1;
+    deg B = 0 makes the matrix diagonal, with determinant B_0^deg A."""
     da, db = len(A) - 1, len(B) - 1
-    if da == 0 and db == 0:
-        return (1,)
-    if da == 0:
-        out = (1,)
-        for _ in range(db):
-            out = fppoly.mul(out, A[0], p)
-        return out
-    if db == 0:
-        out = (1,)
-        for _ in range(da):
-            out = fppoly.mul(out, B[0], p)
-        return out
     n = da + db
     rows = []
     for i in range(db):
@@ -298,123 +279,94 @@ def _resultant_z(A: list, B: list, p: int) -> tuple:
     return _poly_det(rows, p)
 
 
-def _chart_a_elimination(monomials: tuple, p: int) -> tuple:
-    """(zpolys, dy, dz, cand) for F1 = F(1, y, z), computed once per curve.
+def _chart_a_elimination(monomials: tuple, p: int):
+    """cand for F1 = F(1, y, z), computed once per curve.
 
-    zpolys is F1 by powers of z, dy and dz its partials.  Every singular
-    chart point has its y-coordinate among the roots of cand: F1 itself when
-    it has no z, else Res_z(F1, D) * lc(F1) * lc(D) for a nonzero partial D.
-    cand is None when elimination says nothing (both partials zero, or the
-    resultant identically zero); then every y is a candidate."""
+    Every singular chart point has its y-coordinate among the roots of cand:
+    F1 itself when it has no z, else Res_z(F1, D) * lc(F1) * lc(D) for D the
+    z-partial of F1, or its y-partial when that is zero.  cand is None when
+    elimination says nothing (both partials zero, or the resultant
+    identically zero); then every y is a candidate."""
     zpolys = _chart_a_zpolys(monomials, p)
-    dy = _zpoly_derivative_y(zpolys, p)
-    dz = _zpoly_derivative_z(zpolys, p)
     if len(zpolys) == 1:
-        return zpolys, dy, dz, zpolys[0]
-    D = dz or dy
+        return zpolys[0]
+    D = _chart_a_zpolys(_partial(monomials, 2, p), p) or \
+        _chart_a_zpolys(_partial(monomials, 1, p), p)
     res = _resultant_z(zpolys, D, p) if D else ()
-    cand = fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p) if res else None
-    return zpolys, dy, dz, cand
+    return fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p) if res else None
 
 
-def _chart_a_witness(T: FieldTable, zpolys: list, dy: list, dz: list, cand):
-    """First singular (1:y:z) over T's field in (y, z) order: z-scans the
-    candidate y-lines of `_chart_a_elimination`, in ascending y."""
+def _charts(ys, Q: int) -> tuple:
+    """The affine charts of P^2(F_Q) in witness order, as (x, ys, zs): F(1, y, z)
+    on ys x F_Q, F(0, 1, z) on {1} x F_Q and F(0, 0, 1) at (y, z) = (0, 1).
+    Field elements are table indices, so 0 and 1 index themselves."""
+    zs = np.arange(Q, dtype=np.int64)
+    return ((1, ys, zs), (0, np.array([1]), zs), (0, np.array([0]), np.array([1])))
+
+
+def _on_chart(monomials: tuple, x: int) -> tuple:
+    """The monomials that survive x = 0 or x = 1; the chart drops x^a."""
+    return monomials if x else tuple(m for m in monomials if m[0] == 0)
+
+
+def _blocks(ys, zs):
+    """(Y, Z) blocks of ys x zs in (y, z) order: whole z-lines of about CHUNK
+    pairs, or CHUNK-long pieces of one line when a line is longer."""
+    lines = max(1, CHUNK // len(zs))
+    for lo in range(0, len(ys), lines):
+        Y = ys[lo:lo + lines]
+        for zlo in range(0, len(zs), CHUNK):
+            Z = zs[zlo:zlo + CHUNK]
+            yield np.repeat(Y, len(Z)), np.tile(Z, len(Y))
+
+
+def _power_tables(T: FieldTable, *polys) -> dict:
+    """T.powers(e) for every exponent e >= 1 of y or z in `polys`."""
+    exponents = {e for f in polys for _, b, c, _ in f for e in (b, c) if e}
+    return {e: T.powers(e) for e in exponents}
+
+
+def _zero_mask(T: FieldTable, pw: dict, monomials, Y, Z) -> np.ndarray:
+    """Where sum co * y^b z^c vanishes on the pairs (Y, Z), with pw from
+    `_power_tables`; the terms are summed digitwise, reduced once."""
+    # bounds every sum, and holds p even when there is no term
+    acc_type = np.min_scalar_type(max(len(monomials), 1) * (T.p - 1) ** 2)
+    acc = np.zeros((len(Y), T.K), dtype=acc_type)
+    for _, b, c, co in monomials:
+        if b and c:
+            term = T.mul(pw[b][Y], pw[c][Z])
+        elif b:
+            term = pw[b][Y]
+        elif c:
+            term = pw[c][Z]
+        else:
+            term = np.ones(len(Y), dtype=np.int64)
+        acc += co * T.digits.take(term, axis=0).astype(acc_type)
+    acc -= acc // T.p * T.p  # acc % p, but numpy divides small ints faster
+    return acc @ T._pvec == 0
+
+
+def _plane_singular_witness(field: FieldSpec, monomials: tuple, j: int, cand):
+    """First common zero of F and its gradient in P^2(F_{q^j}), in the order
+    of `_charts`, with chart (1:y:z) walked on the roots of `cand`, the
+    curve's `_chart_a_elimination`; None if there is none.  On (1:y:z),
+    Euler's identity x F_x + y F_y + z F_z = d F makes the F_x filter a
+    no-op; it stays so that every chart is filtered alike."""
+    T = get_table(extension_of(field, j))
     if cand is None:
         ys = np.arange(T.q, dtype=np.int64)
-    else:
+    else:  # eval_poly peaks at several q-arrays; nothing else of size q is held yet
         ys = np.nonzero(T.eval_poly(cand) == 0)[0]
-    z_all = np.arange(T.q, dtype=np.int64)  # after eval_poly, which peaks at several q-arrays
-    lines = [[T.eval_poly(P, ys) for P in polys] for polys in (zpolys, dy, dz)]
-    for i, y0 in enumerate(ys):
-        f, fy, fz = ([int(v[i]) for v in vals] for vals in lines)
-        z_roots = z_all[T.eval_zpoly(f, z_all) == 0]
-        if not len(z_roots):
-            continue
-        ok = (T.eval_zpoly(fy, z_roots) == 0) & (T.eval_zpoly(fz, z_roots) == 0)
-        hits = np.nonzero(ok)[0]
-        if len(hits):
-            return (1, int(y0), int(z_roots[hits[0]]))
-    return None
-
-
-def _count_chart_a(T: FieldTable, monomials) -> int:
-    """Number of pairs (y, z) with sum co * y^b z^c = 0 (the chart x = 1).
-    Walks the flat index y*q + z in chunks, accumulating in digit space."""
-    q = T.q
-    pw = {e: T.powers(e) for _, b, c, _ in monomials for e in (b, c) if e}
-    acc_type = np.min_scalar_type(len(monomials) * (T.p - 1) ** 2)  # bounds every sum
-    zeros = 0
-    for lo in range(0, q * q, CHUNK):
-        flat = np.arange(lo, min(lo + CHUNK, q * q), dtype=np.int64)
-        Y = flat // q
-        Z = flat - Y * q
-        acc = np.zeros((len(Y), T.K), dtype=acc_type)
-        for _, b, c, co in monomials:
-            if b and c:
-                term = T.mul(pw[b][Y], pw[c][Z])
-            elif b:
-                term = pw[b][Y]
-            elif c:
-                term = pw[c][Z]
-            else:
-                term = np.full(len(Y), 1, dtype=np.int64)
-            acc += co * T.digits.take(term, axis=0).astype(acc_type)
-        acc -= acc // T.p * T.p  # acc % p, but numpy divides small ints faster
-        zeros += int(np.count_nonzero(acc @ T._pvec == 0))
-    return zeros
-
-
-def _eval_monomials_scalar(monomials, x: int, y: int, z: int, p: int) -> int:
-    total = 0
-    for a, b, c, co in monomials:
-        total += co * pow(x, a, p) * pow(y, b, p) * pow(z, c, p)
-    return total % p
-
-
-def _substitute_chart_b(monomials, p: int) -> tuple:
-    """F(0, 1, z) as a univariate coefficient tuple in z."""
-    out = {}
-    for a, _, c, co in monomials:
-        if a == 0:
-            out[c] = (out.get(c, 0) + co) % p
-    if not out:
-        return ()
-    coeffs = [0] * (max(out) + 1)
-    for c, co in out.items():
-        coeffs[c] = co
-    return fppoly.trim(coeffs, p)
-
-
-def _plane_singular_witness(field: FieldSpec, monomials: tuple, j: int, elim: tuple):
-    """First common zero of F and its gradient in P^2(F_{q^j}), scanning the
-    chart (1:y:z) in (y, z) order, then (0:1:z), then (0:0:1); None if none.
-    `elim` is the curve's `_chart_a_elimination`."""
-    p = field.p
-    ext = extension_of(field, j)
-    T = get_table(ext)
-    q = ext.q
-
-    witness = _chart_a_witness(T, *elim)
-    if witness is not None:
-        return witness
-
-    partials = [_partial(monomials, axis, p) for axis in range(3)]
-    z_all = np.arange(q, dtype=np.int64)
-    fvals = T.eval_poly(_substitute_chart_b(monomials, p), z_all)
-    hits = z_all[fvals == 0]
-    if len(hits):
-        ok = np.ones(len(hits), dtype=bool)
-        for pm in partials:
-            ok &= T.eval_poly(_substitute_chart_b(pm, p), hits) == 0
-        where = np.nonzero(ok)[0]
-        if len(where):
-            return (0, 1, int(hits[where[0]]))
-
-    if _eval_monomials_scalar(monomials, 0, 0, 1, p) == 0 and all(
-        _eval_monomials_scalar(pm, 0, 0, 1, p) == 0 for pm in partials
-    ):
-        return (0, 0, 1)
+    polys = (monomials,) + tuple(_partial(monomials, axis, field.p) for axis in range(3))
+    pw = _power_tables(T, *polys)
+    for x, chart_ys, zs in _charts(ys, T.q):
+        on_chart = [_on_chart(f, x) for f in polys]
+        for Y, Z in _blocks(chart_ys, zs):
+            for f in on_chart:
+                keep = _zero_mask(T, pw, f, Y, Z)
+                Y, Z = Y[keep], Z[keep]
+            if len(Y):
+                return (x, int(Y[0]), int(Z[0]))
     return None
 
 
@@ -424,8 +376,9 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
     `monomials` is a sequence of (a, b, c, coeff) with x^a y^b z^c; duplicate
     exponent triples are merged mod p.  Construction eliminates z once, then
     searches every extension j <= d(d-1)/2 for singular points: it builds the
-    table of F_{q^j} (TooLarge above 2^26 elements) and z-scans only the
-    candidate y-lines there, so time and memory grow with q^j, not q^{2j}.
+    table of F_{q^j} (TooLarge above 2^26 elements) and walks only the
+    candidate y-lines of chart (1:y:z) there, so time and memory grow with
+    q^j, not q^{2j}.
 
     The bound holds in every characteristic.  If F is squarefree, its
     singular set is finite with at most sum (d_i-1)(d_i-2)/2 +
@@ -440,9 +393,9 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
     if d < 1:
         raise InvalidDegree(d)
     monos = _canonical_monomials(monomials, field.p, d)
-    elim = _chart_a_elimination(monos, field.p)
+    cand = _chart_a_elimination(monos, field.p)
     for j in range(1, d * (d - 1) // 2 + 1):
-        witness = _plane_singular_witness(field, monos, j, elim)
+        witness = _plane_singular_witness(field, monos, j, cand)
         if witness is not None:
             raise SingularCurve(witness, j)
     terms = " + ".join(
@@ -541,13 +494,10 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
         affine = int((sqc[T.eval_poly(curve.f)] * sqc[T.eval_poly(curve.g)]).sum())
         return affine + (2 if scalar_is_square_in(curve.g[-1], ext) else 0)
     if curve.kind == SMOOTH_PLANE:
-        p = curve.base.p
-        total = _count_chart_a(T, curve.monomials)
-        chart_b = _substitute_chart_b(curve.monomials, p)
-        total += int((T.eval_poly(chart_b, np.arange(ext.q, dtype=np.int64)) == 0).sum())
-        if _eval_monomials_scalar(curve.monomials, 0, 0, 1, p) == 0:
-            total += 1
-        return total
+        F, pw = curve.monomials, _power_tables(T, curve.monomials)
+        return sum(int(np.count_nonzero(_zero_mask(T, pw, _on_chart(F, x), Y, Z)))
+                   for x, ys, zs in _charts(np.arange(T.q, dtype=np.int64), T.q)
+                   for Y, Z in _blocks(ys, zs))
     raise WrongKind(curve.kind)
 
 

@@ -1,9 +1,10 @@
 """Maximize N_1 over integer count vectors under exact PSD and place constraints.
 
 A count vector (N_1, .., N_m) is *feasible* when the absolute Gram matrix it
-induces is positive semidefinite and, optionally, when the degree-2 and
-degree-3 place counts it implies are nonnegative integers:
+induces is positive semidefinite and, optionally, when the place counts of
+degree 1, 2 and 3 it implies are nonnegative integers:
 
+    N_1 >= 0                            (degree-1 places)
     N_2 >= N_1 and N_2 == N_1 (mod 2)   (degree-2 places)
     N_3 >= N_1 and N_3 == N_1 (mod 3)   (degree-3 places)
 
@@ -71,11 +72,10 @@ def feasible_counts(q: int, g: int, counts, toggles: bool = True) -> bool:
     if m > MAX_ORDER:
         raise TooLarge(f"count vector length {m} exceeds {MAX_ORDER}")
     if toggles:
-        if m >= 2:
-            if counts[1] < counts[0] or (counts[1] - counts[0]) % 2 != 0:
-                return False
-        if m >= 3:
-            if counts[2] < counts[0] or (counts[2] - counts[0]) % 3 != 0:
+        if m >= 1 and counts[0] < 0:
+            return False
+        for j in range(2, m + 1):
+            if counts[j - 1] < counts[0] or (counts[j - 1] - counts[0]) % j != 0:
                 return False
         for j in range(1, m + 1):
             lo, hi = weil_interval(q, g, j)

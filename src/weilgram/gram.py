@@ -42,7 +42,6 @@ class GramMatrix:
     entries: tuple  # tuple of row tuples
     labels: tuple
     q: int
-    provenance: dict
 
     @property
     def order(self) -> int:
@@ -85,7 +84,6 @@ def gram_absolute(q: int, g: int, counts, m: int) -> GramMatrix:
         entries=_toeplitz(q, g, t, m),
         labels=tuple(f"frob^{i}|absolute" for i in range(m + 1)),
         q=q,
-        provenance={"genus": g, "counts": tuple(counts[:m])},
     )
 
 
@@ -100,8 +98,6 @@ def gram_relative(q: int, gX: int, gY: int, countsX, countsY, m: int) -> GramMat
         entries=_toeplitz(q, gX - gY, t, m),
         labels=tuple(f"frob^{i}|relative" for i in range(m + 1)),
         q=q,
-        provenance={"genera": (gX, gY),
-                    "counts": (tuple(countsX[:m]), tuple(countsY[:m]))},
     )
 
 
@@ -122,8 +118,6 @@ def gram_diagram(q: int, genera, counts, m: int) -> GramMatrix:
         entries=_toeplitz(q, G, t, m),
         labels=tuple(f"frob^{i}|diagram" for i in range(m + 1)),
         q=q,
-        provenance={"genera": tuple(genera),
-                    "counts": tuple(tuple(c[:m]) for c in counts)},
     )
 
 
@@ -277,6 +271,4 @@ def combined_vector_gram(M: GramMatrix, combos) -> GramMatrix:
         entries=tuple(tuple(row) for row in out),
         labels=labels,
         q=M.q if isinstance(M, GramMatrix) else 0,
-        provenance={"combined_from": getattr(M, "provenance", None),
-                    "combos": tuple(combos)},
     )

@@ -14,8 +14,9 @@ wrap.  Zero needs no mask: log[0] is a sentinel whose sums land past the end
 of exp and are clipped onto its last slot, which holds 0.  A power e^n is
 one gather exp[(n log e) mod (q-1)], and the number of square roots of v is
 1 + chi(v), with the quadratic character chi read from the parity of log v
-(every element has one square root when p = 2).  Addition and adding a
-prime-field constant work digitwise on the digit matrix.
+(every element has one square root when p = 2).  Adding a prime-field
+constant moves only the degree-0 digit; callers that sum many terms do so on
+the digit matrix (curves sums a plane form's terms there).
 
 Tables are built once per field, in O(q K^2) work.  g is the first
 element, in enumeration order, with g^((q-1)/r) != 1 for every prime r
@@ -25,14 +26,14 @@ steps g^0..g^(B-1) come from doubling, and each giant step (times g^B) is
 one (B x K) @ (K x K) float64 matmul mod p.  log is the inverse permutation
 of exp.
 
-Memory per element: K digits of the smallest unsigned type that holds the
-digit sums 2(p-1) (one byte up to p = 128); 4 bytes each for exp (int32) and
+Memory per element: K digits of the smallest unsigned type that holds p-1
+(one byte up to p = 256); 4 bytes each for exp (int32) and
 log (uint32, so the wrap is one unsigned minimum); 1 byte of square-root
-counts once sqrt_count is used.  No per-exponent power array is kept, and
-operation temporaries are proportional to the operands (add works in chunks
-of CHUNK rows).  Tables stop at q = 2^26 (TooLarge above): there
-the log sums still fit 32 bits and every float64 entry of the build, at most
-K(p-1)^2, stays an exact integer.
+counts once sqrt_count is used.  No per-exponent power array is kept (powers
+returns a new int32 array), and operation temporaries are proportional to
+the operands.  Tables stop at q = 2^26 (TooLarge above): there the log sums
+still fit 32 bits and every float64 entry of the build, at most K(p-1)^2,
+stays an exact integer.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from . import fppoly
 from .errors import TooLarge
 from .finite_field import FieldSpec, _prime_factors, element_from_index
 
-CHUNK = 1 << 16
 MAX_Q = 1 << 26
 _BABY_STEPS = 1 << 14
 
@@ -60,7 +60,7 @@ class FieldTable:
         self.p = spec.p
         self.K = spec.k
         self.q = spec.q
-        self.digits = np.empty((self.q, self.K), dtype=np.min_scalar_type(2 * (self.p - 1)))
+        self.digits = np.empty((self.q, self.K), dtype=np.min_scalar_type(self.p - 1))
         # as a (p,)*K grid the index runs over the digits from most significant
         grid = self.digits.reshape((self.p,) * self.K + (self.K,))
         for i in range(self.K):
@@ -134,19 +134,9 @@ class FieldTable:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two index arrays (broadcast to equal shape)."""
-        s = self.log[a] + self.log[b]
+        s = self.log.take(a) + self.log.take(b)  # take: no slow path for int32 indices
         np.minimum(s, s - (self.q - 1), out=s)  # unsigned: subtracts q-1 iff s >= q-1
         return self.exp.take(s, mode="clip")
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.empty(a.shape, dtype=np.int64)
-        for lo in range(0, a.size, CHUNK):
-            hi = min(lo + CHUNK, a.size)
-            dig = self.digits.take(a[lo:hi], axis=0) + self.digits.take(b[lo:hi], axis=0)
-            np.minimum(dig, dig - self.p, out=dig)  # unsigned: subtracts p iff dig >= p
-            out[lo:hi] = dig @ self._pvec
-        return out
 
     def add_scalar(self, a: np.ndarray, c: int) -> np.ndarray:
         """Add a prime-field constant: only the degree-0 digit moves."""
@@ -168,24 +158,14 @@ class FieldTable:
             val = self.add_scalar(self.mul(val, x), c)
         return val
 
-    def eval_zpoly(self, coeff_indices, at: np.ndarray) -> np.ndarray:
-        """Horner evaluation where coefficients are arbitrary field elements
-        given by index (ascending degree)."""
-        at = np.asarray(at, dtype=np.int64)
-        if not coeff_indices:
-            return np.zeros(at.shape, dtype=np.int64)
-        val = np.full(at.shape, coeff_indices[-1], dtype=np.int64)
-        for c in reversed(coeff_indices[:-1]):
-            val = self.add(self.mul(val, at), c)
-        return val
-
     def powers(self, n: int) -> np.ndarray:
-        """Index array of e^n over all elements e (n >= 0); e^0 = 1 for all e,
-        and 0^n = 0 for n >= 1."""
+        """Index array (int32) of e^n over all elements e (n >= 0); e^0 = 1
+        for all e, and 0^n = 0 for n >= 1."""
         if n == 0:
-            return np.full(self.q, 1, dtype=np.int64)
-        out = self.exp[self.log[1:].astype(np.int64) * (n % (self.q - 1)) % (self.q - 1)]
-        return np.concatenate(([0], out))
+            return np.ones(self.q, dtype=np.int32)
+        out = np.zeros(self.q, dtype=np.int32)
+        out[1:] = self.exp[self.log[1:].astype(np.int64) * (n % (self.q - 1)) % (self.q - 1)]
+        return out
 
     def sqrt_count(self) -> np.ndarray:
         """Table s with s[v] = #{y in the field : y^2 = v}, built once."""

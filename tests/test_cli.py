@@ -170,6 +170,15 @@ def test_gram_negative_order_is_invalid_input(manifest, capsys, doc, extra):
     assert (code, lines) == (2, [])
 
 
+def test_gram_order_past_the_psd_limit_prints_nothing(manifest, capsys):
+    """Order 8 is a 9 x 9 matrix, past the exact-minor limit: the refusal
+    comes before any row is printed."""
+    assert main(["gram", manifest(ELLIPTIC), "--order", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: TooLarge: ")
+
+
 # --- bounds ----------------------------------------------------------------
 
 def test_bounds_elliptic_json(manifest, capsys):

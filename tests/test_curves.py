@@ -1,5 +1,6 @@
 """Curve constructors, validation, and brute-force point counting."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 
 from weilgram import curves
 from weilgram.curves import (
+    CHUNK,
     SMOOTH_PLANE,
     CoverData,
     CurveModel,
@@ -114,11 +116,11 @@ def _product(F, G, p):
     return _merged([(a + e, b + f, c + g, u * v) for a, b, c, u in F for e, f, g, v in G], p)
 
 
-def _random_form(rng, p, d, z_free=False):
+def _random_form(rng, p, d, z_free=False, density=0.6):
     while True:
         F = _merged([(a, b, d - a - b, rng.randrange(1, p))
                      for a in range(d + 1) for b in range(d + 1 - a)
-                     if (a + b == d or not z_free) and rng.random() < 0.6], p)
+                     if (a + b == d or not z_free) and rng.random() < density], p)
         if F:
             return F
 
@@ -145,16 +147,80 @@ def test_singular_witness_matches_point_scan_oracle():
     outcomes = set()
     for p, d, monos in _seeded_planes():
         field = construct_field(p, 1)
-        elim = curves._chart_a_elimination(monos, p)
-        zpolys, cand = elim[0], elim[3]
-        outcomes.add("none" if cand is None else "no_z" if len(zpolys) == 1 else "resultant")
+        cand = curves._chart_a_elimination(monos, p)
+        no_z = len(curves._chart_a_zpolys(monos, p)) == 1
+        outcomes.add("none" if cand is None else "no_z" if no_z else "resultant")
         expected = first_singular_point_prime_field(monos, p)
-        assert curves._plane_singular_witness(field, monos, 1, elim) == expected, (p, monos)
+        assert curves._plane_singular_witness(field, monos, 1, cand) == expected, (p, monos)
         if expected is not None:
             with pytest.raises(SingularCurve) as info:
                 make_smooth_plane(field, monos, d)
             assert (info.value.witness, info.value.extension_degree) == (expected, 1)
     assert outcomes == {"none", "no_z", "resultant"}
+
+
+def test_every_chart_counts_like_the_point_scan_oracle():
+    """count_points walks (1:y:z), (0:1:z) and (0:0:1); on every seeded plane,
+    singular ones included, N_1 equals the oracle's scan of P^2(F_p)."""
+    for p, d, monos in _seeded_planes():
+        X = CurveModel(kind=SMOOTH_PLANE, base=construct_field(p, 1), monomials=monos,
+                       degree=d, genus=(d - 1) * (d - 2) // 2, label="raw")
+        assert count_points(X, 1) == count_plane_prime_field(monos, p), (p, monos)
+
+
+def test_witness_in_the_second_piece_of_a_line_longer_than_chunk():
+    """Over F_65537 a z-line has more than CHUNK points, so it is walked in
+    pieces.  y(x + z) is singular at (1 : 0 : -1), whose z lies in the second
+    piece; xy is singular only at (0 : 0 : 1), where its z-partial is empty."""
+    field = construct_field(65537, 1)
+    with pytest.raises(SingularCurve) as info:
+        make_smooth_plane(field, [(1, 1, 0, 1), (0, 1, 1, 1)], 2)
+    assert (info.value.witness, info.value.extension_degree) == ((1, 0, 65536), 1)
+    assert CHUNK <= info.value.witness[2] < 2 * CHUNK
+    with pytest.raises(SingularCurve) as info:
+        make_smooth_plane(field, [(1, 1, 0, 1)], 2)
+    assert (info.value.witness, info.value.extension_degree) == ((0, 0, 1), 1)
+
+
+def _sweep_planes():
+    """About 800 seeded planes of degree d = 1..4 over F_2, F_3, F_4, F_5, F_7,
+    F_9, F_11 and F_13 (quartics only for q <= 5): dense and sparse random
+    forms, L^2 G, L G, the Fermat curve and, for d = 4, x^3 y + y^3 z + z^3 x."""
+    rng = random.Random(8)
+    for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)):
+        for d in (1, 2, 3, 4) if p**k <= 5 else (1, 2, 3):
+            forms = [_random_form(rng, p, d, density=density)
+                     for density in (0.9, 0.3) for _ in range(9)]
+            if d >= 2:
+                for e in (2, 1):  # L^2 G, then L G
+                    for _ in range(6):
+                        L = _random_form(rng, p, 1)
+                        G = _random_form(rng, p, d - e) if d > e else ((0, 0, 0, 1),)
+                        forms.append(_product(L if e == 1 else _product(L, L, p), G, p))
+            forms.append(((0, 0, d, 1), (0, d, 0, 1), (d, 0, 0, 1)))
+            if d == 4:
+                forms.append(((0, 3, 1, 1), (1, 0, 3, 1), (3, 1, 0, 1)))
+            for F in forms:
+                yield construct_field(p, k), d, F
+
+
+def test_plane_sweep_outcomes_are_frozen():
+    """Label, genus and N_1..N_m of each smooth plane (m = 3 for q <= 5, else
+    2), or the SingularCurve witness and least j, hashed.  The digest was
+    recorded before the chart walks were merged into one evaluator; any
+    change to a verdict, a witness or a count moves it."""
+    lines = []
+    for field, d, F in _sweep_planes():
+        try:
+            X = make_smooth_plane(field, F, d)
+        except SingularCurve as exc:
+            lines.append(f"singular {exc.witness} {exc.extension_degree}")
+        else:
+            m = 3 if field.q <= 5 else 2
+            lines.append(f"{X.label} {X.genus} {count_series(X, m).counts}")
+    assert len(lines) == 776
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "51da0b3a169f47c4e1e085927e8972e92994a3c7fb15ad3cfbc39eff607ee883"
 
 
 def test_squared_cubic_scans_every_line_in_bounded_memory():

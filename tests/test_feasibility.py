@@ -44,6 +44,14 @@ def test_feasible_counts_toggles():
     assert not feasible_counts(3, 1, (9,), toggles=False)
 
 
+@pytest.mark.parametrize("q,g,counts", [(2, 8, (-1,)), (2, 8, (-5, -5)), (3, 4, (-3,))])
+def test_negative_point_counts_are_infeasible(q, g, counts):
+    """N_1 is the number of degree-1 places, so it is never negative; the
+    Gram and the Weil interval alone allow these vectors."""
+    assert feasible_counts(q, g, counts, toggles=False)
+    assert not feasible_counts(q, g, counts)
+
+
 def test_feasible_counts_length_limit():
     with pytest.raises(TooLarge):
         feasible_counts(3, 1, (4, 16, 28, 64))

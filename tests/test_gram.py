@@ -1,5 +1,7 @@
 """Exact Gram matrices, PSD verdicts, and congruence transforms."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,3 +305,10 @@ def test_diagram_additivity_identity():
         for j in range(m + 1):
             assert MD.entries[i][j] == (XZ.entries[i][j] - Y1Z.entries[i][j]
                                         - Y2Z.entries[i][j])
+
+
+def test_gram_matrix_is_a_hashable_value():
+    """A GramMatrix is its entries, labels and q, so equal ones hash equal."""
+    M = gram_absolute(3, 1, (4, 16), 2)
+    assert [f.name for f in dataclasses.fields(M)] == ["entries", "labels", "q"]
+    assert hash(M) == hash(gram_absolute(3, 1, (4, 16), 2))
