@@ -34,7 +34,6 @@ from .curves import (
     CurveModel,
     DiagramData,
     PointCountSeries,
-    composite_cover,
     count_points,
     count_series,
     hyperelliptic_cover,

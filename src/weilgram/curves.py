@@ -485,13 +485,13 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     T = get_table(ext)
     if curve.kind == HYPERELLIPTIC:
         sqc = T.sqrt_count()
-        affine = int(sqc[T.eval_poly(curve.f)].sum())
+        affine = int(sqc.take(T.eval_poly(curve.f)).sum())
         if fppoly.degree(curve.f) % 2 == 1:
             return affine + 1
         return affine + (2 if scalar_is_square_in(curve.f[-1], ext) else 0)
     if curve.kind == BIQUADRATIC:
         sqc = T.sqrt_count()
-        affine = int((sqc[T.eval_poly(curve.f)] * sqc[T.eval_poly(curve.g)]).sum())
+        affine = int((sqc.take(T.eval_poly(curve.f)) * sqc.take(T.eval_poly(curve.g))).sum())
         return affine + (2 if scalar_is_square_in(curve.g[-1], ext) else 0)
     if curve.kind == SMOOTH_PLANE:
         F, pw = curve.monomials, _power_tables(T, curve.monomials)
@@ -508,11 +508,6 @@ def count_series(curve: CurveModel, m: int, budget: int = DEFAULT_BUDGET) -> Poi
     )
     series.validate(curve.genus)
     return series
-
-
-def composite_cover(diagram: DiagramData) -> CoverData:
-    """The composed degree-4 cover X -> Z."""
-    return CoverData(diagram.X, diagram.Z, 4, "diagram_composite")
 
 
 def hyperelliptic_cover(curve: CurveModel) -> CoverData:

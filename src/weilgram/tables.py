@@ -145,12 +145,11 @@ class FieldTable:
         if c == 0:
             return a
         shift = np.where(np.arange(self.p) < self.p - c, c, c - self.p).astype(a.dtype)
-        return a + shift[a % self.p]
+        return a + shift.take(a % self.p)
 
-    def eval_poly(self, f, at: np.ndarray = None) -> np.ndarray:
-        """Horner evaluation of a prime-field polynomial at index array `at`
-        (default: every field element)."""
-        x = np.arange(self.q, dtype=np.int64) if at is None else np.asarray(at, dtype=np.int64)
+    def eval_poly(self, f) -> np.ndarray:
+        """Horner evaluation of a prime-field polynomial at every field element."""
+        x = np.arange(self.q, dtype=np.int64)
         if not f:
             return np.zeros(x.shape, dtype=np.int64)
         val = np.full(x.shape, f[-1] % self.p, dtype=np.int64)

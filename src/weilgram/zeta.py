@@ -7,22 +7,36 @@ through the power sums t_j = q^j + 1 - N_j and the Newton identities; the
 rest follow from the functional equation c_{2g-i} = q^{g-i} c_i.  Everything
 here is exact integer (or rational) arithmetic.
 
-The Riemann hypothesis |a_i| = sqrt(q) is decided on the real Weil
-polynomial h, defined by P(U) = U^{2g} L(1/U) = U^g h(U + q/U): the a_i have
-modulus sqrt(q) exactly when every root of h is real and lies in
-[-2 sqrt(q), 2 sqrt(q)].  A Sturm sequence counts those roots, with every
-sign at the endpoints read off exactly from a value A + B sqrt(q)
-(Kedlaya, "Search techniques for root-unitary polynomials", 2008).
+The Riemann hypothesis |a_i| = sqrt(q) is Weil's positivity at order 2g:
+with L satisfying the functional equation and c_0 != 0, it holds exactly
+when the absolute Gram matrix M of order 2g (entries 2g q^i on the diagonal,
+q^i t_j at (i, i + j), see `gram.gram_absolute`) is positive semidefinite.
+
+* If every |a_k| = sqrt(q), then M = sum_k w_k w_k^* with w_k = (a_k^i)_i,
+  since a conj(a) = q turns q^i t_j into sum_k a_k^i conj(a_k)^{i+j}.
+* Conversely, scaling row and column i by q^{-i/2} turns M into the Toeplitz
+  matrix (s_{k-i}) of s_n = sum_k b_k^n, with b = a / sqrt(q).  The
+  functional equation makes the b closed under b -> 1/b, so s_{-n} = s_n.
+  That matrix of size 2g + 1 has rank at most 2g (the number of b), so when
+  it is PSD the Caratheodory-Fejer theorem gives a unique measure on the unit
+  circle with at most 2g atoms whose moments are s_n for |n| <= 2g.  Two
+  exponential sums with at most 4g nonzero nodes in all that agree at
+  n = -2g..2g are equal (a Vandermonde system), so every b lies on the circle.
+
+Order g is not enough: L = 1 - 4T + 4T^2 - 8T^3 + 4T^4 over F_2 has a PSD
+Gram of order g = 2 and a real inverse root off the circle.  The verdict is
+all-integer: M is PSD exactly when its own corner entry lies in the corner's
+PSD range, `gram.psd_corner_interval`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 from .errors import CountLengthMismatch, NonIntegerCoefficient
 from .finite_field import check_prime_power
+from .gram import gram_absolute, psd_corner_interval
 
 
 @dataclass(frozen=True)
@@ -77,8 +91,13 @@ def l_from_counts(q: int, g: int, counts) -> LPolynomial:
 
 
 def power_sums(L: LPolynomial, m: int) -> list:
-    """t_1..t_m from the coefficients by the integer Newton recurrence."""
-    c = L.coefficients
+    """u_n = c_0^n t_n for n = 1..m, where t_n is the nth power sum of the
+    inverse roots, by the integer Newton recurrence.  The u_n are the power
+    sums of the c_0 a_i, the inverse roots of L(c_0 T) / c_0, whose
+    coefficients c_i c_0^{i-1} are integers.  For c_0 = 1, as for every L
+    built from counts, u_n = t_n."""
+    c0 = L.coefficients[0]
+    c = [1] + [x * c0 ** (i - 1) for i, x in enumerate(L.coefficients[1:], 1)]
     deg = 2 * L.g
     t = []
     for n in range(1, m + 1):
@@ -103,92 +122,24 @@ def check_functional_equation(L: LPolynomial) -> bool:
     return all(c[2 * g - i] == L.q ** (g - i) * c[i] for i in range(g + 1))
 
 
-def _divmod(a: list, b: list) -> tuple:
-    """Quotient and trimmed remainder of rational polynomials (ascending
-    coefficients, b without leading zeros and not zero)."""
-    rem = list(a)
-    quot = [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(quot) - 1, -1, -1):
-        quot[k] = factor = Fraction(rem[k + len(b) - 1], b[-1])
-        for i, coef in enumerate(b):
-            rem[k + i] -= factor * coef
-    rem = rem[: len(b) - 1]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _derivative(f: list) -> list:
-    return [i * f[i] for i in range(1, len(f))]
-
-
-def _gcd(a: list, b: list) -> list:
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return a
-
-
-def _real_weil_polynomial(L: LPolynomial) -> list:
-    """h = c_g + sum_{k=1..g} c_{g-k} D_k, where D_k(U + q/U) = U^k + q^k/U^k:
-    D_0 = 2, D_1 = x, D_k = x D_{k-1} - q D_{k-2}."""
-    q, g, c = L.q, L.g, L.coefficients
-    h = [c[g]] + [0] * g
-    prev, cur = [2], [0, 1]
-    for k in range(1, g + 1):
-        for i, d in enumerate(cur):
-            h[i] += c[g - k] * d
-        nxt = [0] + cur
-        for i, d in enumerate(prev):
-            nxt[i] -= q * d
-        prev, cur = cur, nxt
-    return h
-
-
-def _sign_at_endpoint(f: list, q: int, side: int) -> int:
-    """Sign of f(side * 2 sqrt(q)), exactly: the value is A + B sqrt(q) with
-    rational A, B, and when their signs differ A^2 - q B^2 decides."""
-    A = B = 0
-    for k, coef in enumerate(f):
-        term = coef * (2**k * q ** (k // 2))
-        if k % 2:
-            B += side * term
-        else:
-            A += term
-    value = A + B if A * B >= 0 else A * (A * A - q * B * B)
-    return (value > 0) - (value < 0)
-
-
-def _sign_changes(chain: list, q: int, side: int) -> int:
-    signs = [s for s in (_sign_at_endpoint(f, q, side) for f in chain) if s]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 def check_riemann_hypothesis(L: LPolynomial) -> bool:
     """Exact test that every inverse root of L has modulus sqrt(q).
 
     True for g = 0.  False when the functional equation fails, or when
-    c_0 = 0 (then P(U) has the root 0).  Otherwise the real Weil polynomial
-    h is reduced to its squarefree part, its roots at the endpoints +-2 sqrt(q)
-    are divided out (the factor x^2 - 4q, or x -+ 2 sqrt(q) when q is a
-    square), and the Sturm sequence of what is left must count all of its
-    roots inside the open interval (-2 sqrt(q), 2 sqrt(q))."""
+    c_0 = 0 (then P(U) has the root 0).  Otherwise RH holds exactly when the
+    order-2g absolute Gram matrix of the counts L implies is PSD (see the
+    module docstring), decided as its own corner entry lying in the corner's
+    PSD range.  For c_0 != 1 the power sums t_n are rational; the Gram is
+    built from c_0^{2g} t_n = c_0^{2g-n} u_n instead, a positive multiple."""
     if L.g == 0:
         return True
     if L.coefficients[0] == 0 or not check_functional_equation(L):
         return False
-    h = _real_weil_polynomial(L)
-    h = _divmod(h, _gcd(h, _derivative(h)))[0]
-    r = isqrt(L.q)
-    ends = [[-2 * r, 1], [2 * r, 1]] if r * r == L.q else [[-4 * L.q, 0, 1]]
-    for factor in ends:
-        quot, rem = _divmod(h, factor)
-        if not rem:
-            h = quot
-    chain = [h, _derivative(h)]
-    while chain[-1]:
-        chain.append([-x for x in _divmod(chain[-2], chain[-1])[1]])
-    inside = _sign_changes(chain, L.q, -1) - _sign_changes(chain, L.q, 1)
-    return inside == len(h) - 1
+    q, m, c0 = L.q, 2 * L.g, L.coefficients[0]
+    u = power_sums(L, m)
+    counts = [q**n + 1 - c0 ** (m - n) * u[n - 1] for n in range(1, m + 1)]
+    M = gram_absolute(q, c0**m * L.g, counts, m)
+    return M[0][m] in psd_corner_interval(M)
 
 
 def infer_genus(q: int, counts):

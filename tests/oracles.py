@@ -9,8 +9,8 @@ come from numpy root finding instead of integer recurrences, primality comes
 from trial division instead of Miller-Rabin, irreducibility from trial
 division by every monic polynomial instead of Rabin's test, singular points
 come from a scan of every point instead of elimination, and the Riemann
-hypothesis in genus <= 2 comes from a closed form in integers instead of a
-Sturm sequence.
+hypothesis in genus <= 2 comes from a closed form in integers instead of
+the positivity of a Gram matrix.
 Agreement between the two routes is the point.
 """
 

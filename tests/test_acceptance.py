@@ -44,7 +44,7 @@ def test_criterion_01_counts_match_zeta_extrapolation(corpus_evaluation):
 
 
 def test_criterion_02_riemann_hypothesis_numeric(corpus_evaluation):
-    # the verdict is exact (a Sturm count), so no deviation bound is needed
+    # the verdict is exact (a Gram positivity test), so no deviation bound is needed
     for rec in corpus_evaluation["records"]:
         assert rec["rh"]["passed"] is True, rec["label"]
     print(f"PASS: criterion 2 - all {len(corpus_evaluation['records'])} "

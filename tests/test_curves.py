@@ -13,7 +13,6 @@ from weilgram.curves import (
     CoverData,
     CurveModel,
     PointCountSeries,
-    composite_cover,
     count_points,
     count_series,
     hyperelliptic_cover,
@@ -330,7 +329,6 @@ def test_make_biquadratic_example_genera():
     assert D.y3.genus == 2
     assert D.absolutely_irreducible and D.smooth
     assert [e.degree for e in D.edges] == [2, 2, 2, 2]
-    assert composite_cover(D).degree == 4
 
 
 def test_make_biquadratic_validation_errors():

@@ -79,6 +79,9 @@ def test_negative_genus_is_a_typed_error():
         FeasibilityProblem(q=3, g=-1, m=2)
     with pytest.raises(NegativeGenus):
         ihara_closed_form(3, -1)
+    for toggles in (True, False):
+        with pytest.raises(NegativeGenus):
+            feasible_counts(3, -1, (4,), toggles)
     for cls in (NegativeGenus, NotPrimePower):
         assert issubclass(cls, WeilgramError) and issubclass(cls, ValueError)
 

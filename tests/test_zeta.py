@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from weilgram.curves import count_points, count_series, make_hyperelliptic
 from weilgram.errors import CountLengthMismatch, NonIntegerCoefficient, NotPrimePower
 from weilgram.finite_field import construct_field
+from weilgram.gram import gram_absolute, psd_check
 from weilgram.zeta import (
     LPolynomial,
     check_functional_equation,
@@ -85,6 +86,25 @@ def test_riemann_hypothesis_examples():
     assert check_riemann_hypothesis(LPolynomial(9, 2, (1, -12, 54, -108, 81)))
 
 
+def test_riemann_hypothesis_needs_the_gram_of_order_2g():
+    # inverse roots 2 +- sqrt(2) and +-i sqrt(2): two are off the circle, yet
+    # the Gram of order g = 2 is PSD; only order 2g = 4 sees it
+    L = LPolynomial(2, 2, (1, -4, 4, -8, 4))
+    counts = [extrapolate(L, j) for j in range(1, 5)]
+    assert psd_check(gram_absolute(2, 2, counts, 2)).psd
+    assert not psd_check(gram_absolute(2, 2, counts, 4)).psd
+    assert check_riemann_hypothesis(L) is False
+
+
+@pytest.mark.parametrize("coeffs,want", [
+    ((2, 1, 6), True),      # 2U^2 + U + 6: complex roots of modulus sqrt(3)
+    ((-1, 0, -3), True),    # -(U^2 + 3): roots +-i sqrt(3)
+    ((2, 7, 6), False),     # 2U^2 + 7U + 6: real roots -2 and -3/2
+])
+def test_riemann_hypothesis_with_leading_coefficient_not_one(coeffs, want):
+    assert check_riemann_hypothesis(LPolynomial(3, 1, coeffs)) is want
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16])
 def test_riemann_hypothesis_matches_closed_form_in_a_box(q):
     # every L with c_0 = 1 and the functional equation whose c_1, c_2 lie in a
@@ -125,7 +145,8 @@ def _times(f, g):
 def test_riemann_hypothesis_on_constructed_real_weil_polynomials(q, data):
     """h is a product of linear factors x - a, with a inside, on or outside
     [-2 sqrt(q), 2 sqrt(q)], of x^2 - 4q, and of quadratics with no real root;
-    RH holds exactly when no root is outside or non-real."""
+    RH holds exactly when no root is outside or non-real.  L is scaled by a
+    leading coefficient c_0, which moves no inverse root."""
     r = isqrt(q)
     edge = isqrt(4 * q) + 1   # least integer a > 0 with a^2 > 4q
     linear = data.draw(st.lists(st.integers(-edge - 2, edge + 2), max_size=4))
@@ -133,6 +154,7 @@ def test_riemann_hypothesis_on_constructed_real_weil_polynomials(q, data):
         st.tuples(st.integers(-6, 6), st.integers(1, 20)).filter(
             lambda bc: bc[0] ** 2 < 4 * bc[1]), max_size=2))
     endpoints = data.draw(st.integers(0, 1 if r * r != q else 0))
+    c0 = data.draw(st.sampled_from([1, -1, 2, 3]))
     h = [1]
     for a in linear:
         h = _times(h, [-a, 1])
@@ -143,6 +165,7 @@ def test_riemann_hypothesis_on_constructed_real_weil_polynomials(q, data):
     assume(len(h) > 1)
     want = not quadratics and all(a * a <= 4 * q for a in linear)
     L = _l_from_real_weil(q, h)
+    L = LPolynomial(q, L.g, tuple(c0 * c for c in L.coefficients))
     assert check_functional_equation(L)
     assert check_riemann_hypothesis(L) is want
 
@@ -153,12 +176,16 @@ def test_power_sums_match_root_oracle():
         LPolynomial(3, 1, (1, -3, 3)),       # maximal elliptic, N_1 = 7
         LPolynomial(5, 1, (1, -2, 5)),
         LPolynomial(3, 2, (1, -3, 5, -9, 9)),
+        # c_0 != 1: power_sums gives c_0^n t_n
+        LPolynomial(3, 1, (2, 1, 6)),
+        LPolynomial(3, 2, (-3, 9, -15, 27, -27)),
     ]
     for L in cases:
+        c0 = L.coefficients[0]
         exact = power_sums(L, 6)
         numeric = power_sums_by_roots(L, 6)
-        for a, b in zip(exact, numeric):
-            assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
+        for n, (a, b) in enumerate(zip(exact, numeric), 1):
+            assert abs(a - c0**n * b) <= 1e-6 * max(1.0, abs(a))
 
 
 def test_supersingular_counts_to_degree_four():
