@@ -20,19 +20,30 @@ Curve coefficients live in the prime field, so extending scalars is the
 constant embedding.  All counts are exact; the heavy lifting is done by the
 vectorized tables module.
 
-Plane counts and the singularity search walk the same three affine charts,
-listed once by `_charts`: (1:y:z), (0:1:z), then (0:0:1).  One evaluator
-sums the terms co * y^b z^c digitwise over blocks of whole z-lines of about
-CHUNK pairs (pieces of a line when it is longer), so a walk holds O(CHUNK)
-values plus one power table per exponent in use.  Counting adds up where F
-vanishes.  The search keeps the pairs where F and its three partials vanish
-and stops at the first one; it eliminates z once per curve: a singular
-chart point (1:y0:z0) forces y0 to be a root of Res_z(F1, dF1) * lc * lc,
-computed exactly in F_p[y] by fraction-free elimination, so in each
-extension chart (1:y:z) is walked only on the y-lines through those roots.
-When elimination says nothing (both partials of F1 vanish, or the resultant
-does identically, which only very non-generic curves allow) every y-line is
-walked.
+Plane curves are counted by lines, never point by point.  On the line
+y = c of the chart (1:y:z) the points are the roots in F_Q (Q = q^j) of
+F1(c, z) = F(1, c, z), so there are deg gcd(F1(c, z), z^Q - z) of them, or
+Q when F1(c, .) vanishes identically.  The coefficients of F1(c, .) come
+from one log-space Horner pass per power of z over all Q lines; z^Q mod
+F1(c, .) takes about log2 Q squarings vectorized over blocks of at most
+CHUNK lines of one degree in z (the degree drops where the leading
+coefficient vanishes at c), and a Euclid masked per line gives the gcd.
+The chart (0:1:z) is the same gcd for F(0, 1, z), in F_p[z], and (0:0:1)
+is one coefficient.  So a count is O(Q) work and memory, and it is charged
+Q like every other family.
+
+The singularity search walks the three affine charts listed by `_charts`:
+(1:y:z), (0:1:z), then (0:0:1).  One evaluator sums the terms
+co * y^b z^c digitwise over blocks of whole z-lines of about CHUNK pairs
+(pieces of a line when it is longer), so a walk holds O(CHUNK) values plus
+one power table per exponent in use.  The search keeps the pairs where F and
+its three partials vanish and stops at the first one; it eliminates z once
+per curve: a singular chart point (1:y0:z0) forces y0 to be a root of
+Res_z(F1, dF1) * lc * lc, computed exactly in F_p[y] by fraction-free
+elimination, so in each extension chart (1:y:z) is walked only on the
+y-lines through those roots.  When elimination says nothing (both partials
+of F1 vanish, or the resultant does identically, which only very
+non-generic curves allow) every y-line is walked.
 """
 
 from __future__ import annotations
@@ -57,9 +68,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_square_in
-from .tables import FieldTable, get_table
+from .tables import CHUNK, FieldTable, get_table
 
-CHUNK = 1 << 16  # (y, z) pairs per block of a chart walk
 DEFAULT_BUDGET = 10**6
 
 PROJECTIVE_LINE = "projective_line"
@@ -460,44 +470,131 @@ def make_biquadratic(field: FieldSpec, f, g) -> DiagramData:
 
 # --- point counting --------------------------------------------------------
 
-def _charge(curve: CurveModel, j: int) -> int:
-    q = curve.q
-    if curve.kind == SMOOTH_PLANE:
-        return q ** (2 * j) + q**j + 1
-    return q**j
+def _square_roots(T: FieldTable, f) -> np.ndarray:
+    """#{y : y^2 = f(x)} at every x, in exp order (p odd, so q - 1 is even):
+    1 where f(x) = 0, else 2 or 0 as log f(x) is even or odd."""
+    logs = T.eval_logs(f)
+    roots = 2 - 2 * (logs & 1).astype(np.int8)
+    roots[logs >= T.q - 1] = 1
+    return roots
+
+
+def _roots_in_field(T: FieldTable, h: list) -> int:
+    """Sum over lines of deg gcd(h, z^Q - z), the number of distinct roots in
+    F_Q (Q = T.q) of h = sum h_i z^i; h is a list of index arrays, one entry
+    per line, of exact degree D = len(h) - 1 >= 2 on every line.
+
+    z^Q mod h comes from about log2 Q squarings (and times z for the one bits
+    of Q), each reduced with z^D = sum nh_i z^i; then a Euclid masked per
+    line, since the remainders drop degree at different steps."""
+    D, minus_one = len(h) - 1, T.p - 1
+    neg_inv_lead = T.div(minus_one, h[D])
+    nh = [T.mul(c, neg_inv_lead) for c in h[:D]]
+
+    def reduce(u):
+        for k in range(len(u) - 1, D - 1, -1):
+            for i in range(D):
+                u[k - D + i] = T.add(u[k - D + i], T.mul(u[k], nh[i]))
+        return u[:D]
+
+    zero = np.zeros_like(h[0])
+    r = [zero, zero + 1] + [zero] * (D - 2)  # z mod h
+    for bit in bin(T.q)[3:]:
+        u = [zero] * (2 * D - 1)
+        for i in range(D):
+            u[2 * i] = T.mul(r[i], r[i])
+        if T.p != 2:  # cross terms 2 r_i r_j vanish in characteristic 2
+            twice = [T.mul(c, 2) for c in r]
+            for i in range(D):
+                for j in range(i + 1, D):
+                    u[i + j] = T.add(u[i + j], T.mul(r[i], twice[j]))
+        r = reduce(u)
+        if bit == "1":
+            r = reduce([zero] + r)
+    r[1] = T.add_scalar(r[1], -1)  # z^Q - z mod h
+    return int(_gcd_degrees(T, np.array(h), np.array(r + [zero])).sum())
+
+
+def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """deg gcd(A, B) per line for two polynomials in z stored as (rows, lines)
+    index arrays, row i the coefficient of z^i; A must be nonzero on every
+    line.  Each step cancels the leading term of the higher-degree one."""
+    rows, cols = np.arange(len(A))[:, None], np.arange(A.shape[1])
+
+    def degrees(M):
+        nonzero = M != 0
+        return np.where(nonzero.any(axis=0), len(M) - 1 - np.argmax(nonzero[::-1], axis=0), -1)
+
+    dA, dB = degrees(A), degrees(B)
+    while True:
+        swap = dA < dB
+        A, B = np.where(swap, B, A), np.where(swap, A, B)
+        dA, dB = np.where(swap, dB, dA), np.where(swap, dA, dB)
+        live = dB >= 0
+        if not live.any():
+            return dA
+        factor = T.mul(T.div(A[dA, cols], B[np.maximum(dB, 0), cols]), T.p - 1)
+        src = rows - (dA - dB)  # the row of B that lands on each row of A
+        shifted = np.where(src >= 0, B[np.maximum(src, 0), cols], 0)
+        A = T.add(A, T.mul(shifted, np.where(live, factor, 0)))
+        dA = degrees(A)
+
+
+def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
+    """Points of F = 0 in P^2(F_Q), Q = T.q, by lines (module docstring):
+    lines of degree 0 and 1 in z are read off, the others go to
+    _roots_in_field in blocks of CHUNK lines, grouped by degree."""
+    Q = T.q
+    coeffs = [T.eval_poly(P) for P in _chart_a_zpolys(monomials, p)]  # z^c on each line
+    total = 0
+    for lo in range(0, Q, CHUNK):
+        block = [a[lo:lo + CHUNK] for a in coeffs]
+        deg = np.full(len(block[0]), -1)
+        for c, a in enumerate(block):
+            deg[a != 0] = c
+        total += Q * int(np.count_nonzero(deg < 0)) + int(np.count_nonzero(deg == 1))
+        for D in range(2, len(block)):
+            lines = np.nonzero(deg == D)[0]
+            if len(lines):
+                total += _roots_in_field(T, [a.take(lines) for a in block[:D + 1]])
+    d = sum(monomials[0][:3])
+    at_x0 = [0] * (d + 1)
+    for a, _, c, co in monomials:
+        if a == 0:
+            at_x0[c] += co
+    f = fppoly.trim(at_x0, p)  # F(0, 1, z); its z^d coefficient is F(0, 0, 1)
+    if not f:
+        return total + Q + 1
+    roots = fppoly.gcd(f, fppoly.sub(fppoly.powmod((0, 1), Q, f, p), (0, 1), p), p)
+    return total + fppoly.degree(roots) + (fppoly.degree(f) < d)
 
 
 def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of points of the smooth projective model over F_{q^j}.
 
-    The budget bounds the number of enumerated items (field elements for
-    hyperelliptic and biquadratic models, projective chart representatives
-    for plane curves); exceeding it raises instead of grinding.  The
-    projective line is a closed form, enumerates nothing and is not charged."""
+    The budget bounds the field elements enumerated, q^j for every enumerated
+    family: the x-values of a hyperelliptic or biquadratic model, the y-lines
+    of a plane curve's chart (1:y:z); exceeding it raises instead of
+    grinding.  The projective line is a closed form, enumerates nothing and
+    is not charged."""
     if j < 1:
         raise InvalidDegree(j)
     if curve.kind == PROJECTIVE_LINE:
         return curve.q**j + 1
-    needed = _charge(curve, j)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    if curve.q**j > budget:
+        raise BudgetExceeded(curve.q**j, budget)
     ext = extension_of(curve.base, j)
     T = get_table(ext)
     if curve.kind == HYPERELLIPTIC:
-        sqc = T.sqrt_count()
-        affine = int(sqc.take(T.eval_poly(curve.f)).sum())
+        affine = int(_square_roots(T, curve.f).sum())
         if fppoly.degree(curve.f) % 2 == 1:
             return affine + 1
         return affine + (2 if scalar_is_square_in(curve.f[-1], ext) else 0)
     if curve.kind == BIQUADRATIC:
-        sqc = T.sqrt_count()
-        affine = int((sqc.take(T.eval_poly(curve.f)) * sqc.take(T.eval_poly(curve.g))).sum())
+        affine = int((_square_roots(T, curve.f) * _square_roots(T, curve.g)).sum())
         return affine + (2 if scalar_is_square_in(curve.g[-1], ext) else 0)
     if curve.kind == SMOOTH_PLANE:
-        F, pw = curve.monomials, _power_tables(T, curve.monomials)
-        return sum(int(np.count_nonzero(_zero_mask(T, pw, _on_chart(F, x), Y, Z)))
-                   for x, ys, zs in _charts(np.arange(T.q, dtype=np.int64), T.q)
-                   for Y, Z in _blocks(ys, zs))
+        return _count_plane(T, curve.monomials, curve.base.p)
     raise WrongKind(curve.kind)
 
 

@@ -67,7 +67,26 @@ def divmod_poly(f, g, p):
 
 
 def mod(f, g, p):
-    return divmod_poly(f, g, p)[1]
+    """Remainder of a polynomial f (trimmed, as everywhere here) by nonzero g;
+    no quotient is built."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    dg = len(g) - 1
+    if len(f) <= dg:
+        return tuple(f)
+    f = list(f)
+    inv_lead = pow(g[-1], -1, p)
+    terms = [(i, b) for i, b in enumerate(g[:dg]) if b]  # moduli are often sparse
+    for top in range(len(f) - 1, dg - 1, -1):
+        c = f[top] * inv_lead % p
+        if c:
+            lo = top - dg
+            for i, b in terms:
+                f[lo + i] = (f[lo + i] - c * b) % p
+    del f[dg:]
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
 
 
 def powmod(f, e, m, p):

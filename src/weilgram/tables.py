@@ -10,13 +10,24 @@ arithmetic, which the test suite checks.
 Multiplication runs in log space over a primitive element g (the lookup-table
 idiom of the galois package): for nonzero a and b,
 a*b = exp[(log a + log b) mod (q-1)], two gathers around one add and one
-wrap.  Zero needs no mask: log[0] is a sentinel whose sums land past the end
-of exp and are clipped onto its last slot, which holds 0.  A power e^n is
-one gather exp[(n log e) mod (q-1)], and the number of square roots of v is
-1 + chi(v), with the quadratic character chi read from the parity of log v
-(every element has one square root when p = 2).  Adding a prime-field
-constant moves only the degree-0 digit; callers that sum many terms do so on
-the digit matrix (curves sums a plane form's terms there).
+wrap.  Zero needs no mask: log[0] = 3(q-1) is a sentinel whose sums land past
+the end of exp, even after two wraps, and are clipped onto its last slot,
+which holds 0.  A power e^n is one gather exp[(n log e) mod (q-1)], and the
+number of square roots of v is 1 + chi(v), with the quadratic character chi
+read from the parity of log v (every element has one square root when p = 2).
+
+Addition runs in log space too, through the Zech logarithm
+Z[t] = log(1 + g^t): a + b = a (1 + b/a), so log(a + b) = log a + Z[log b -
+log a].  Z[q-1] = 0 = log(1 + 0), so a gather clipped at q-1 adds 1 to zero,
+and Z[t] is the sentinel where 1 + g^t = 0.  Horner's rule for a polynomial
+with prime-field coefficients keeps the running value v as log(v / c), c the
+last coefficient added, and the next nonzero coefficient c' at a gap of m
+degrees adds v x^m + c' = c' (1 + (v / c) x^m (c / c')): two adds (of
+log x^m and of the constant log(c / c')), two unsigned wraps and one Z
+gather.  x runs over g^i in CHUNK slices, so log x^m = m i mod (q-1) is a
+CHUNK-long table plus a constant per slice, which joins the constant add.
+Zero values and zero coefficients need no mask, and f(0) is the constant
+term.
 
 Tables are built once per field, in O(q K^2) work.  g is the first
 element, in enumeration order, with g^((q-1)/r) != 1 for every prime r
@@ -28,12 +39,14 @@ of exp.
 
 Memory per element: K digits of the smallest unsigned type that holds p-1
 (one byte up to p = 256); 4 bytes each for exp (int32) and
-log (uint32, so the wrap is one unsigned minimum); 1 byte of square-root
-counts once sqrt_count is used.  No per-exponent power array is kept (powers
-returns a new int32 array), and operation temporaries are proportional to
-the operands.  Tables stop at q = 2^26 (TooLarge above): there the log sums
-still fit 32 bits and every float64 entry of the build, at most K(p-1)^2,
-stays an exact integer.
+log (uint32, so the wrap is one unsigned minimum); 4 bytes of Zech
+logarithms (uint32) once zech is used, and 1 byte of square-root counts once
+sqrt_count is used.  No per-exponent power array is kept (powers returns a
+new int32 array, computed in CHUNK slices), and operation temporaries are
+proportional to the operands (eval_logs holds its q-entry result and
+O(CHUNK) more).  Tables stop at q = 2^26 (TooLarge above): there the log
+sums, at most 6(q-1), still fit 32 bits and every float64 entry of the build,
+at most K(p-1)^2, stays an exact integer.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from .errors import TooLarge
 from .finite_field import FieldSpec, _prime_factors, element_from_index
 
 MAX_Q = 1 << 26
+CHUNK = 1 << 16  # elements per slice of a bounded-memory pass
 _BABY_STEPS = 1 << 14
 
 
@@ -76,13 +90,14 @@ class FieldTable:
         self.reduction = np.array(rows, dtype=np.int64).reshape(self.K - 1, self.K)
         self._pvec = np.array([self.p**i for i in range(self.K)], dtype=np.int64)
         self._sqrt_count = None
+        self._zech = None
         self._pow_cache = {}  # always empty; perfbench sums its values
         self.exp = self._build_exp()
-        # log[0] = 2(q-1) is a sentinel: a sum with it stays >= q-1 after the
-        # wrap in mul, and the clipped gather sends it to exp[q-1] = 0
+        # log[0] = 3(q-1) is a sentinel: a sum with it stays >= q-1 after two
+        # wraps, and the clipped gather sends it to exp[q-1] = 0
         self.log = np.empty(self.q, dtype=np.uint32)
         self.log[self.exp[:-1]] = np.arange(self.q - 1, dtype=np.uint32)
-        self.log[0] = 2 * (self.q - 1)
+        self.log[0] = 3 * (self.q - 1)
 
     def _primitive_element(self):
         n = self.q - 1
@@ -132,11 +147,29 @@ class FieldTable:
         exp[n] = 0
         return exp
 
+    def _wrap(self, s: np.ndarray) -> np.ndarray:
+        """s - (q-1) where s >= q-1, in place: unsigned, so one minimum."""
+        return np.minimum(s, s - (self.q - 1), out=s)
+
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two index arrays (broadcast to equal shape)."""
         s = self.log.take(a) + self.log.take(b)  # take: no slow path for int32 indices
-        np.minimum(s, s - (self.q - 1), out=s)  # unsigned: subtracts q-1 iff s >= q-1
-        return self.exp.take(s, mode="clip")
+        return self.exp.take(self._wrap(s), mode="clip")
+
+    def div(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise a / b of two index arrays; b must be nonzero."""
+        s = self.log.take(a) + (self.q - 1 - self.log.take(b))
+        return self.exp.take(self._wrap(s), mode="clip")
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise sum of two index arrays: log(a + b) = lo + Z[hi - lo]
+        with lo, hi the smaller and larger of log a, log b.  A zero operand
+        has the larger log, so hi - lo >= q-1 and the clipped gather reads
+        Z[q-1] = 0; two zeros stay at the sentinel."""
+        la, lb = self.log.take(a), self.log.take(b)
+        lo = np.minimum(la, lb)
+        s = lo + self.zech().take(np.maximum(la, lb) - lo, mode="clip")
+        return self.exp.take(self._wrap(s), mode="clip")
 
     def add_scalar(self, a: np.ndarray, c: int) -> np.ndarray:
         """Add a prime-field constant: only the degree-0 digit moves."""
@@ -147,23 +180,67 @@ class FieldTable:
         shift = np.where(np.arange(self.p) < self.p - c, c, c - self.p).astype(a.dtype)
         return a + shift.take(a % self.p)
 
+    def eval_logs(self, f) -> np.ndarray:
+        """log f(x) for a prime-field polynomial f at every x, in exp order
+        (entry i is x = exp[i], so the last entry is x = 0); an entry >= q-1
+        means f(x) = 0.  Horner's rule in log space over CHUNK slices of the
+        nonzero x = g^i; see the module docstring."""
+        n, log = self.q - 1, self.log
+        terms = [(k, int(log[c % self.p])) for k, c in enumerate(f) if c % self.p]
+        if not terms:
+            return np.full(self.q, log[0], dtype=np.uint32)
+        out = np.empty(self.q, dtype=np.uint32)
+        out[n] = terms[0][1] if terms[0][0] == 0 else log[0]  # f(0)
+        # (m, d): times x^m and g^d, then (but for the last) add 1 by Zech;
+        # the running value is log(v / c) for the last coefficient c added
+        k, lc = terms.pop()
+        steps = []
+        for k_next, lc_next in reversed(terms):
+            steps.append((k - k_next, lc - lc_next))
+            k, lc = k_next, lc_next
+        steps.append((k, lc))
+
+        def progression(m):  # m i mod (q-1) for i < CHUNK, by doubling
+            table = np.zeros(min(CHUNK, n), dtype=np.uint32)
+            width = 1
+            while width < len(table):
+                s = table[width:2 * width]
+                self._wrap(np.add(table[:len(s)], m * width % n, out=s))
+                width *= 2
+            return table
+
+        zech, x_logs = self.zech(), {m: progression(m) for m, _ in steps}
+        for lo in range(0, n, CHUNK):
+            s = np.zeros(min(CHUNK, n - lo), dtype=np.uint32)
+            for i, (m, d) in enumerate(steps):
+                s = s + x_logs[m][:len(s)]
+                s += (m * lo + d) % n
+                self._wrap(self._wrap(s))
+                if i < len(steps) - 1:
+                    s = zech.take(s, mode="clip")
+            out[lo:lo + len(s)] = s
+        return out
+
     def eval_poly(self, f) -> np.ndarray:
-        """Horner evaluation of a prime-field polynomial at every field element."""
-        x = np.arange(self.q, dtype=np.int64)
-        if not f:
-            return np.zeros(x.shape, dtype=np.int64)
-        val = np.full(x.shape, f[-1] % self.p, dtype=np.int64)
-        for c in reversed(f[:-1]):
-            val = self.add_scalar(self.mul(val, x), c)
-        return val
+        """Horner evaluation of a prime-field polynomial at every field
+        element: an int32 index array in index order, scattered in CHUNK
+        slices (a scatter converts its int32 indices to int64)."""
+        logs, out = self.eval_logs(f), np.empty(self.q, dtype=np.int32)
+        for lo in range(0, self.q, CHUNK):
+            out[self.exp[lo:lo + CHUNK]] = self.exp.take(logs[lo:lo + CHUNK], mode="clip")
+        return out
 
     def powers(self, n: int) -> np.ndarray:
         """Index array (int32) of e^n over all elements e (n >= 0); e^0 = 1
-        for all e, and 0^n = 0 for n >= 1."""
+        for all e, and 0^n = 0 for n >= 1.  Computed in CHUNK slices, so no
+        int64 array of q entries is allocated."""
         if n == 0:
             return np.ones(self.q, dtype=np.int32)
         out = np.zeros(self.q, dtype=np.int32)
-        out[1:] = self.exp[self.log[1:].astype(np.int64) * (n % (self.q - 1)) % (self.q - 1)]
+        e = n % (self.q - 1)
+        for lo in range(1, self.q, CHUNK):
+            logs = self.log[lo:lo + CHUNK].astype(np.int64)
+            out[lo:lo + CHUNK] = self.exp.take(logs * e % (self.q - 1))
         return out
 
     def sqrt_count(self) -> np.ndarray:
@@ -175,6 +252,19 @@ class FieldTable:
                 counts[self.exp[1:-1:2]] = 0
             self._sqrt_count = counts
         return self._sqrt_count
+
+    def zech(self) -> np.ndarray:
+        """Table Z with Z[t] = log(1 + g^t) for t < q-1 and Z[q-1] = 0, built
+        once in CHUNK slices."""
+        if self._zech is None:
+            n = self.q - 1
+            zech = np.empty(self.q, dtype=np.uint32)
+            for lo in range(0, n, CHUNK):
+                hi = min(lo + CHUNK, n)
+                zech[lo:hi] = self.log.take(self.add_scalar(self.exp[lo:hi], 1))
+            zech[n] = 0
+            self._zech = zech
+        return self._zech
 
 
 @lru_cache(maxsize=32)

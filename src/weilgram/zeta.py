@@ -109,9 +109,13 @@ def power_sums(L: LPolynomial, m: int) -> list:
 
 
 def extrapolate(L: LPolynomial, j: int) -> int:
-    """N_j implied by L; pure integer arithmetic."""
+    """N_j implied by L; pure integer arithmetic.  Only an L with c_0 = 1 is
+    the L-polynomial of a curve, so any other c_0 raises
+    NonIntegerCoefficient (the power sums are then rational in general)."""
     if j < 1:
         raise ValueError(f"extension degree must be >= 1, got {j}")
+    if L.coefficients[0] != 1:
+        raise NonIntegerCoefficient(f"c_0 = {L.coefficients[0]} != 1: L is not a curve's")
     return L.q**j + 1 - power_sums(L, j)[-1]
 
 

@@ -38,7 +38,7 @@ from weilgram.errors import (
     ZeroPolynomial,
 )
 from weilgram.finite_field import construct_field, element_from_index
-from weilgram.zeta import infer_genus
+from weilgram.zeta import extrapolate, infer_genus, l_from_counts
 
 from oracles import (
     count_hyperelliptic_prime_field,
@@ -99,8 +99,13 @@ def test_fermat_cubic_singular_in_characteristic_three():
 
 
 def test_fermat_quartic_over_f5_genus_three():
+    """Genus 3: N_1..N_3 fix L, and the counts by lines up to F_{5^6}
+    (15,625 lines) are the ones L extrapolates."""
     X = make_smooth_plane(F5, FERMAT_QUARTIC, 4)
     assert X.genus == 3
+    counts = [count_points(X, j) for j in range(1, 7)]
+    L = l_from_counts(5, 3, counts[:3])
+    assert counts == [extrapolate(L, j) for j in range(1, 7)]
 
 
 def _merged(terms, p):
@@ -403,6 +408,43 @@ def test_plane_counts_match_slow_scan():
     assert count_points(conic, 1) == count_slow(conic, 1) == 4
 
 
+def _raw_plane(field, monomials, d):
+    """A plane curve model without the smoothness check: count_points counts
+    any form."""
+    return CurveModel(kind=SMOOTH_PLANE, base=field, monomials=_merged(monomials, field.p),
+                      degree=d, genus=(d - 1) * (d - 2) // 2, label="raw")
+
+
+def _extension_test_planes():
+    """Forms over F_2, F_3 and F_5 whose lines y = c of (1:y:z) reach every
+    case of the count by lines: F1(c, .) = 0, a nonzero constant, and degree
+    drops where the leading coefficient in z vanishes at c."""
+    rng = random.Random(10)
+    for p in (2, 3, 5):
+        m = p - 1
+        yield p, 1, ((0, 1, 0, 1),)                         # y: the line y = 0 is all of F1 = 0
+        yield p, 1, ((1, 0, 0, 1), (0, 1, 0, m))            # x - y
+        yield p, 1, ((0, 1, 0, 1), (0, 0, 1, 1))            # y + z
+        yield p, 2, ((0, 1, 1, 1), (2, 0, 0, 1))            # yz + x^2: lc y vanishes at y = 0
+        yield p, 3, ((0, 1, 2, 1), (3, 0, 0, m), (2, 0, 1, m))  # yz^2 - x^3 - x^2 z
+        yield p, 4, ((0, 2, 2, 1), (2, 0, 2, m), (4, 0, 0, 1), (0, 3, 1, 1))  # lc y^2 - 1
+        yield p, 4, ((1, 0, 3, 1), (0, 4, 0, 1), (4, 0, 0, 1))  # F(0, 1, z) = 1, no z^4
+        yield p, 3, ((1, 2, 0, 1), (1, 0, 2, 1), (2, 1, 0, 1))  # x G: F(0, 1, z) = 0
+        for d in (2, 3, 4):
+            yield p, d, _random_form(rng, p, d)
+        L = _random_form(rng, p, 1)
+        yield p, 3, _product(_product(L, L, p), _random_form(rng, p, 1), p)  # L^2 G
+
+
+def test_plane_counts_by_lines_match_slow_scan_over_extensions():
+    """Counts by lines over F_4, F_8, F_9 and F_25 equal the scalar scan of
+    every point of P^2, in characteristic 2 and odd characteristic."""
+    for p, d, monomials in _extension_test_planes():
+        X = _raw_plane(construct_field(p, 1), monomials, d)
+        for j in ((2, 3) if p == 2 else (2,)):
+            assert count_points(X, j) == count_slow(X, j), (p, monomials, j)
+
+
 def test_counts_exact_for_large_primes():
     """p > 32767 overflowed 16-bit digits: y^2 = x^3+x+1 over F_40009 gave 40229."""
     E = make_hyperelliptic(construct_field(40009, 1), (1, 1, 0, 1))
@@ -412,9 +454,8 @@ def test_counts_exact_for_large_primes():
 
 
 def test_plane_counts_exact_when_digit_products_exceed_16_bits():
-    """Over F_191 a coefficient times a digit exceeds 2^15 (the count was 212).
-    Over F_263, q^2 = 69169 > CHUNK, so the last chunk of the chart scan is
-    partial."""
+    """Over F_191 a coefficient times a digit exceeds 2^15 (the count was once
+    212).  Over F_263 the chart (1:y:z) has q^2 = 69169 > CHUNK points."""
     for p in (191, 263):
         monomials = ((0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 1, p - 1), (3, 0, 0, 1))
         X = CurveModel(kind=SMOOTH_PLANE, base=construct_field(p, 1),
@@ -422,6 +463,17 @@ def test_plane_counts_exact_when_digit_products_exceed_16_bits():
         assert count_points(X, 1) == count_plane_prime_field(monomials, p)
     assert count_plane_prime_field(((0, 0, 3, 1), (0, 3, 0, 1), (1, 1, 1, 190), (3, 0, 0, 1)),
                                    191) == 210
+
+
+def test_plane_counts_over_more_lines_than_chunk():
+    """Over F_65537 the 65537 lines of (1:y:z) take two blocks, the second of
+    one line: a smooth conic has p + 1 points, the line pair xy = 0 has 2p + 1."""
+    p = 65537
+    field = construct_field(p, 1)
+    assert CHUNK < p
+    conic = make_smooth_plane(field, [(2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1)], 2)
+    assert count_points(conic, 1) == p + 1
+    assert count_points(_raw_plane(field, ((1, 1, 0, 1),), 2), 1) == 2 * p + 1
 
 
 def test_line_counts_match_slow_scan():
@@ -462,11 +514,12 @@ def test_count_points_budget():
     # the projective line is a closed form: nothing enumerated, nothing charged
     for j in (1, 2, 5):
         assert count_points(make_projective_line(F3), j, budget=0) == 3**j + 1
-    # plane charge counts both affine chart scans: q^{2j} + q^j + 1
+    # a plane is charged its q^j y-lines of chart (1:y:z), like any family
     X = make_smooth_plane(F4, FERMAT_CUBIC, 3)
     with pytest.raises(BudgetExceeded) as info:
-        count_points(X, 1, budget=20)
-    assert info.value.needed == 21
+        count_points(X, 2, budget=15)
+    assert info.value.needed == 16
+    assert count_points(X, 2, budget=16) == 9
 
 
 # --- series invariants -----------------------------------------------------

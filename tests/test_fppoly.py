@@ -99,6 +99,8 @@ def test_divmod_identity(f, g, p):
     q, r = fppoly.divmod_poly(tuple(f), g, p)
     assert fppoly.add(fppoly.mul(q, g, p), r, p) == fppoly.trim(tuple(f), p)
     assert fppoly.degree(r) < fppoly.degree(g)
+    # the remainder-only mod of a trimmed polynomial
+    assert fppoly.mod(fppoly.trim(tuple(f), p), g, p) == r
 
 
 @settings(max_examples=100, deadline=None)

@@ -38,6 +38,9 @@ def test_mul_matches_scalar(p, k):
         ea = element_from_index(field, a)
         want = [(ea * element_from_index(field, b)).index() for b in range(q)]
         assert got.tolist() == want
+        quotients = T.div(np.full(q - 1, a, dtype=np.int64), idx[1:])
+        want = [(ea * element_from_index(field, b).inverse()).index() for b in range(1, q)]
+        assert quotients.tolist() == want
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -51,6 +54,11 @@ def test_add_and_scale_match_scalar(p, k):
         want = [(field.scalar(c) + element_from_index(field, b)).index()
                 for b in range(q)]
         assert got.tolist() == want
+    # Zech addition, zero operands and sums that vanish included
+    for a in range(q):
+        got = T.add(np.full(q, a, dtype=np.int64), idx)
+        ea = element_from_index(field, a)
+        assert got.tolist() == [(ea + element_from_index(field, b)).index() for b in range(q)]
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -63,17 +71,31 @@ def test_sqrt_count_matches_scalar(p, k):
         assert counts[v.index()] == want
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (7, 1)])
+@pytest.mark.parametrize("p,k", FIELDS)
 def test_eval_poly_matches_scalar_horner(p, k):
+    """Log-space Horner against scalar Horner, on polynomials that vanish at
+    x = 0 and elsewhere in the field, with runs of zero coefficients, and on
+    x^q - x and x^(q-1) - 1, which vanish on the whole field or all of it
+    but 0."""
     field = construct_field(p, k)
     T = get_table(field)
-    coeffs = (2, 0, 1, 1)  # x^3 + x^2 + 2 with prime-field coefficients
-    got = T.eval_poly(coeffs)
-    for x in enumerate_elements(field):
-        acc = field.zero()
-        for c in reversed(coeffs):
-            acc = acc * x + field.scalar(c)
-        assert got[x.index()] == acc.index()
+    q = field.q
+    polys = [
+        (2, 0, 1, 1),             # x^3 + x^2 + 2
+        (0, 1, 0, 1),             # x^3 + x, f(0) = 0
+        (0, 0, p - 1, 0, 1),      # x^4 - x^2: roots 0 and +-1
+        (1, 0, 0, 0, 0, 3, 0, 0, 1, 0, 0),  # trailing zeros, coefficient 3 >= p for p = 2
+        (0, p - 1) + (0,) * (q - 2) + (1,),  # x^q - x
+        (p - 1,) + (0,) * (q - 2) + (1,),    # x^(q-1) - 1
+        (), (0, 0), (p + 1,),
+    ]
+    for coeffs in polys:
+        got = T.eval_poly(coeffs)
+        for x in enumerate_elements(field):
+            acc = field.zero()
+            for c in reversed(coeffs):
+                acc = acc * x + field.scalar(c)
+            assert got[x.index()] == acc.index(), (coeffs, x.index())
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (2, 3), (13, 1)])
@@ -108,6 +130,14 @@ def test_chunking_consistency_large_field():
         assert int(prod[i]) == (ea * eb).index()
     # commutativity on the full arrays
     assert np.array_equal(prod, T.mul(b, a))
+    # Horner over nine CHUNK slices of the nonzero elements
+    coeffs = (1, 2, 0, 1, 0, 0, 2, 1)
+    values = T.eval_poly(coeffs)
+    for i in list(range(0, field.q, 9001)) + [field.q - 1]:
+        x, acc = element_from_index(field, i), field.zero()
+        for c in reversed(coeffs):
+            acc = acc * x + field.scalar(c)
+        assert int(values[i]) == acc.index()
 
 
 def test_products_powers_and_roots_match_scalar_at_5_9():

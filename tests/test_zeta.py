@@ -64,6 +64,9 @@ def test_extrapolate_examples():
     assert extrapolate(one, 3) == 126
     with pytest.raises(ValueError):
         extrapolate(L, 0)
+    # c_0 = 2: the power sums are not integers (N_1 would be 4.5)
+    with pytest.raises(NonIntegerCoefficient):
+        extrapolate(LPolynomial(3, 1, (2, 1, 6)), 1)
 
 
 def test_functional_equation_examples():
