@@ -59,6 +59,7 @@ from .errors import (
     DegreeParity,
     EvenCharacteristic,
     GenusOrder,
+    InconsistentCounts,
     InvalidDegree,
     NotCoprime,
     NotHomogeneous,
@@ -152,9 +153,10 @@ class PointCountSeries:
         for j in range(1, len(n) + 1):
             for d in range(1, j):
                 if j % d == 0 and n[j - 1] < n[d - 1]:
-                    raise ValueError(f"N_{j}={n[j-1]} < N_{d}={n[d-1]} with {d} | {j}")
+                    raise InconsistentCounts(
+                        f"N_{j}={n[j-1]} < N_{d}={n[d-1]} with {d} | {j}")
             if (n[j - 1] - self.q**j - 1) ** 2 > 4 * genus**2 * self.q**j:
-                raise ValueError(f"N_{j}={n[j-1]} violates the Weil inequality")
+                raise InconsistentCounts(f"N_{j}={n[j-1]} violates the Weil inequality")
 
     def __len__(self):
         return len(self.counts)
@@ -474,7 +476,9 @@ def _square_roots(T: FieldTable, f) -> np.ndarray:
     """#{y : y^2 = f(x)} at every x, in exp order (p odd, so q - 1 is even):
     1 where f(x) = 0, else 2 or 0 as log f(x) is even or odd."""
     logs = T.eval_logs(f)
-    roots = 2 - 2 * (logs & 1).astype(np.int8)
+    roots = np.bitwise_and(logs, 1, out=np.empty(T.q, dtype=np.int8), casting="unsafe")
+    roots *= -2
+    roots += 2
     roots[logs >= T.q - 1] = 1
     return roots
 
@@ -576,7 +580,12 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     family: the x-values of a hyperelliptic or biquadratic model, the y-lines
     of a plane curve's chart (1:y:z); exceeding it raises instead of
     grinding.  The projective line is a closed form, enumerates nothing and
-    is not charged."""
+    is not charged.
+
+    Memory: a hyperelliptic count over F_{3^12} with a table not yet built
+    peaks at 11.6 bytes per element under tracemalloc (8 of them the table
+    build's two uint32 permutations), and the cached table keeps 4, its
+    Zech logarithms, plus about 64 KB (see the tables module)."""
     if j < 1:
         raise InvalidDegree(j)
     if curve.kind == PROJECTIVE_LINE:

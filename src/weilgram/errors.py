@@ -95,6 +95,11 @@ class WrongKind(WeilgramError):
     """Operation does not apply to this curve family."""
 
 
+class InconsistentCounts(WeilgramError, ValueError):
+    """A point-count series breaks N_j >= N_d for d | j or the Weil
+    inequality, so some count is wrong."""
+
+
 class BudgetExceeded(WeilgramError):
     def __init__(self, needed, budget):
         super().__init__(f"enumeration of {needed} points exceeds budget {budget}")

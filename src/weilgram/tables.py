@@ -29,29 +29,51 @@ CHUNK-long table plus a constant per slice, which joins the constant add.
 Zero values and zero coefficients need no mask, and f(0) is the constant
 term.
 
-Tables are built once per field, in O(q K^2) work.  g is the first
-element, in enumeration order, with g^((q-1)/r) != 1 for every prime r
-dividing q-1, found with scalar arithmetic.  Multiplication by a fixed
-element is an F_p-linear map, a K x K matrix, so the digit rows of the baby
-steps g^0..g^(B-1) come from doubling, and each giant step (times g^B) is
-one (B x K) @ (K x K) float64 matmul mod p.  log is the inverse permutation
-of exp.
+Tables are built once per field from one linear recurring sequence, in
+O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
+first element, in enumeration order, with g^((q-1)/r) != 1 for every prime
+r dividing q-1, found with scalar arithmetic; one K x K solve mod p gives
+g^K = sum c_j g^j, its minimal polynomial.  Let s_m be the first coordinate
+of g^m in the basis 1, g, ..., g^(K-1); then s_(m+K) = sum c_j s_(m+j).
+Row k of R holds the coordinates of g^k, so s_(m+k) = R[k] . (s_m, ...,
+s_(m+K-1)), and s comes in blocks of B terms, each one (B+K) x K float64
+product with the last window, reduced mod p; B is about CHUNK / K, at most
+q, and R comes from doubling.  Every entry stays an integer below K(p-1)^2
+< 2^53, so the floats are exact.
 
-Memory per element: K digits of the smallest unsigned type that holds p-1
-(one byte up to p = 256); 4 bytes each for exp (int32) and
-log (uint32, so the wrap is one unsigned minimum); 4 bytes of Zech
-logarithms (uint32) once zech is used, and 1 byte of square-root counts once
-sqrt_count is used.  No per-exponent power array is kept (powers returns a
+The window (s_i, ..., s_(i+K-1)) is an F_p-linear bijective image of g^i,
+its window coordinates, and E[i] = sum_j s_(i+j) p^j indexes it.  The
+element 1 has window e_0, so adding 1 moves only digit 0, and with L the
+inverse permutation of E (L[0] = 3(q-1), the sentinel) the Zech table is
+Z = L[E + 1].  A prime-field constant c has window c e_0, index c, so its
+log is L[c].  eval_logs reads only Z and these p logs, so a hyperelliptic
+or biquadratic count builds nothing else.
+
+exp, log and digits are built on first use, for the index-space callers:
+mul, div, add, eval_poly, powers, sqrt_count and the plane-curve witness
+walk.  Each digit of g^m in the polynomial basis is a linear recurring
+sequence with the same recurrence, so exp runs the same blocks, started
+from the digits of g^0..g^(K-1).  log is the inverse permutation of exp,
+and digits the K base-p digits of every index.
+
+Memory per element: a table that only counts holds 4 bytes, its Zech
+logarithms (uint32), plus R, kept so that exp needs no second doubling:
+(B+K) x K entries of the smallest unsigned type that holds p-1, about
+CHUNK bytes in all up to p = 256.  The build peaks at 8 bytes, E and L
+(both uint32; s, one byte up to p = 256, is freed before L exists), plus
+O(CHUNK) slices, as both inverse permutations are scattered in CHUNK
+slices.  On first use, exp (int32) and log (uint32) add 4 bytes each,
+digits K bytes of the smallest unsigned type that holds p-1, and
+sqrt_count 1 byte.  No per-exponent power array is kept (powers returns a
 new int32 array, computed in CHUNK slices), and operation temporaries are
 proportional to the operands (eval_logs holds its q-entry result and
-O(CHUNK) more).  Tables stop at q = 2^26 (TooLarge above): there the log
-sums, at most 6(q-1), still fit 32 bits and every float64 entry of the build,
-at most K(p-1)^2, stays an exact integer.
+O(CHUNK) more).  Tables stop at q = 2^26 (TooLarge above): there the
+log sums, at most 6(q-1), still fit 32 bits.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,7 +83,44 @@ from .finite_field import FieldSpec, _prime_factors, element_from_index
 
 MAX_Q = 1 << 26
 CHUNK = 1 << 16  # elements per slice of a bounded-memory pass
-_BABY_STEPS = 1 << 14
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers below 2^53."""
+    y = x / p
+    np.floor(y, out=y)
+    y *= p
+    x -= y
+    return x
+
+
+def _solve_mod(A: list, b: list, p: int) -> list:
+    """x with A x = b mod p, for A square and invertible mod p, given as a
+    list of rows of ints (Gauss-Jordan elimination)."""
+    K = len(A)
+    M = [list(row) + [v] for row, v in zip(A, b)]
+    for col in range(K):
+        pivot = next(r for r in range(col, K) if M[r][col] % p)
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = pow(M[col][col], -1, p)
+        M[col] = [v * inv % p for v in M[col]]
+        for r in range(K):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [(v - f * w) % p for v, w in zip(M[r], M[col])]
+    return [row[K] for row in M]
+
+
+def _inverse_permutation(perm: np.ndarray, q: int) -> np.ndarray:
+    """L with L[perm[i]] = i for i < q-1 and L[0] = 3(q-1), the sentinel,
+    scattered in CHUNK slices (a scatter converts its indices to int64)."""
+    n = q - 1
+    inverse = np.empty(q, dtype=np.uint32)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        inverse[perm[lo:hi]] = np.arange(lo, hi, dtype=np.uint32)
+    inverse[0] = 3 * n
+    return inverse
 
 
 class FieldTable:
@@ -74,13 +133,6 @@ class FieldTable:
         self.p = spec.p
         self.K = spec.k
         self.q = spec.q
-        self.digits = np.empty((self.q, self.K), dtype=np.min_scalar_type(self.p - 1))
-        # as a (p,)*K grid the index runs over the digits from most significant
-        grid = self.digits.reshape((self.p,) * self.K + (self.K,))
-        for i in range(self.K):
-            axis = [1] * self.K
-            axis[self.K - 1 - i] = self.p
-            grid[..., i] = np.arange(self.p).reshape(axis)
         # rows m-K of t^m mod modulus, for m = K .. 2K-2 (read by perfbench)
         rows = []
         power = fppoly.mod((0,) * self.K + (1,), spec.modulus, self.p)
@@ -90,14 +142,18 @@ class FieldTable:
         self.reduction = np.array(rows, dtype=np.int64).reshape(self.K - 1, self.K)
         self._pvec = np.array([self.p**i for i in range(self.K)], dtype=np.int64)
         self._sqrt_count = None
-        self._zech = None
         self._pow_cache = {}  # always empty; perfbench sums its values
-        self.exp = self._build_exp()
-        # log[0] = 3(q-1) is a sentinel: a sum with it stays >= q-1 after two
-        # wraps, and the clipped gather sends it to exp[q-1] = 0
-        self.log = np.empty(self.q, dtype=np.uint32)
-        self.log[self.exp[:-1]] = np.arange(self.q - 1, dtype=np.uint32)
-        self.log[0] = 3 * (self.q - 1)
+        g, power, g_powers = self._primitive_element(), spec.one(), []
+        for _ in range(self.K + 1):
+            g_powers.append(power.coefficients)
+            power = power * g
+        # g^K = sum c_j g^j: one K x K solve, the digits of g^j as columns
+        self._rows = self._baby_steps(
+            _solve_mod(list(zip(*g_powers[:self.K])), g_powers[self.K], self.p))
+        self._g_digits = np.array(g_powers[:self.K], dtype=np.float64)
+        # zech[t] = log(1 + g^t) for t < q-1 (the sentinel where 1 + g^t = 0)
+        # and zech[q-1] = 0
+        self.zech, self._prime_logs = self._zech_logs()
 
     def _primitive_element(self):
         n = self.q - 1
@@ -110,42 +166,92 @@ class FieldTable:
                 return g
         raise AssertionError(f"no primitive element in {self.spec!r}")  # unreachable
 
-    def _mul_matrix(self, c) -> np.ndarray:
-        """R with digits(x * c) = digits(x) @ R mod p: row i holds t^i * c."""
-        t = self.spec.generator()  # t, or 1 when K = 1
-        rows, term = [], c
-        for _ in range(self.K):
-            rows.append(term.coefficients)
-            term = term * t
-        return np.array(rows, dtype=np.float64)
+    def _baby_steps(self, c: list) -> np.ndarray:
+        """R, whose row k holds the coordinates of g^k in the basis 1, g, ..,
+        g^(K-1), for k < B+K, given g^K = sum c_j g^j; by doubling, since
+        g^(k+n) = sum_j R[k, j] g^(j+n) makes R[k+n] = R[k] @ R[n:n+K].  B is
+        about CHUNK / K, at most q, and R is kept in the smallest unsigned
+        type that holds p-1."""
+        K, p = self.K, self.p
+        B = min(self.q, CHUNK // K)
+        R = np.empty((B + K, K))
+        R[:K], R[K] = np.eye(K), c
+        n = 1
+        while n < B:
+            m = min(n, B - n)
+            R[n + K:n + K + m] = _reduce(R[K:m + K] @ R[n:n + K], p)
+            n += m
+        return R.astype(np.min_scalar_type(p - 1))
 
-    def _build_exp(self) -> np.ndarray:
-        """exp[i] = index of g^i for i < q-1, and exp[q-1] = 0.
+    def _blocks(self, state: np.ndarray):
+        """Terms lo .. lo+B+K-1 of every linear recurring sequence u with
+        u_(m+K) = sum c_j u_(m+j), for lo = 0, B, 2B, .. < q-1, given terms
+        0..K-1 as the rows of `state` (one column per sequence).  Such a u
+        is a linear function of g^m, so u_(m+k) = R[k] . (u_m .. u_(m+K-1)),
+        and a block is one (B+K) x K product mod p.  Float64 so it runs in
+        BLAS; every entry is below p and every dot product below K(p-1)^2 <
+        2^53, so all of it is exact."""
+        R = self._rows.astype(np.float64)
+        B = len(R) - self.K
+        for lo in range(0, self.q - 1, B):
+            block = _reduce(R @ state, self.p)
+            yield lo, block
+            state = block[B:]
 
-        Digit rows are float64 so the matmuls run in BLAS; every entry and
-        dot product is an integer below K(p-1)^2 < 2^53, so all of it is exact.
-        """
-        n, p = self.q - 1, self.p
+    def _zech_logs(self) -> tuple:
+        """(Z, logs of 0..p-1) in window coordinates: with s_m the first
+        coordinate of g^m, E[i] = sum_j s_(i+j) p^j indexes g^i, L inverts
+        E, and Z = L[E + 1], where + 1 moves digit 0 only.  E is turned into
+        Z in place, in CHUNK slices."""
+        n, p, K = self.q - 1, self.p, self.K
+        s = np.empty(n + K - 1, dtype=np.min_scalar_type(p - 1))
+        for lo, block in self._blocks(np.eye(K)[0]):  # s_0..s_(K-1) = 1, 0, .., 0
+            out = s[lo:lo + len(block)]
+            out[:] = block[:len(out)]
+        E = np.zeros(self.q, dtype=np.uint32)
+        for j in range(K - 1, -1, -1):  # Horner over the window's digits
+            E[:n] *= p
+            E[:n] += s[j:j + n]
+        del s
+        L = _inverse_permutation(E, self.q)
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            E[lo:hi] = L.take(self.add_scalar(E[lo:hi], 1))
+        E[n] = 0
+        return E, L[:p].copy()
 
-        def reduce(x):
-            x -= np.floor(x / p) * p
-            return x
-
-        B = min(_BABY_STEPS, 1 << (n - 1).bit_length())
-        rows = np.zeros((1, self.K))
-        rows[0, 0] = 1
-        step = self._mul_matrix(self._primitive_element())
-        while len(rows) < B:  # baby steps by doubling; step ends as g^B
-            rows = np.vstack([rows, reduce(rows @ step)])
-            step = reduce(step @ step)
-        pvec = self._pvec.astype(np.float64)
-        exp = np.empty(n + 1, dtype=np.int32)
-        for lo in range(0, n, B):  # giant steps
-            hi = min(lo + B, n)
-            exp[lo:hi] = rows[: hi - lo] @ pvec
-            rows = reduce(rows @ step)
+    @cached_property
+    def exp(self) -> np.ndarray:
+        """exp[i] = index of g^i for i < q-1, and exp[q-1] = 0, built on
+        first use.  Each digit of g^m is a linear recurring sequence with
+        the same recurrence as s, so the blocks start from the digits of
+        g^0..g^(K-1)."""
+        n, pvec = self.q - 1, self._pvec.astype(np.float64)
+        exp = np.empty(self.q, dtype=np.int32)
+        for lo, block in self._blocks(self._g_digits):
+            out = exp[lo:min(lo + len(block) - self.K, n)]
+            out[:] = block[:len(out)] @ pvec
         exp[n] = 0
         return exp
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """The inverse permutation of exp, built on first use.  log[0] =
+        3(q-1) is a sentinel: a sum with it stays >= q-1 after two wraps,
+        and the clipped gather sends it to exp[q-1] = 0."""
+        return _inverse_permutation(self.exp, self.q)
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """digits[x] = the K base-p digits of index x, built on first use."""
+        digits = np.empty((self.q, self.K), dtype=np.min_scalar_type(self.p - 1))
+        # as a (p,)*K grid the index runs over the digits from most significant
+        grid = digits.reshape((self.p,) * self.K + (self.K,))
+        for i in range(self.K):
+            axis = [1] * self.K
+            axis[self.K - 1 - i] = self.p
+            grid[..., i] = np.arange(self.p).reshape(axis)
+        return digits
 
     def _wrap(self, s: np.ndarray) -> np.ndarray:
         """s - (q-1) where s >= q-1, in place: unsigned, so one minimum."""
@@ -168,7 +274,7 @@ class FieldTable:
         Z[q-1] = 0; two zeros stay at the sentinel."""
         la, lb = self.log.take(a), self.log.take(b)
         lo = np.minimum(la, lb)
-        s = lo + self.zech().take(np.maximum(la, lb) - lo, mode="clip")
+        s = lo + self.zech.take(np.maximum(la, lb) - lo, mode="clip")
         return self.exp.take(self._wrap(s), mode="clip")
 
     def add_scalar(self, a: np.ndarray, c: int) -> np.ndarray:
@@ -185,7 +291,7 @@ class FieldTable:
         (entry i is x = exp[i], so the last entry is x = 0); an entry >= q-1
         means f(x) = 0.  Horner's rule in log space over CHUNK slices of the
         nonzero x = g^i; see the module docstring."""
-        n, log = self.q - 1, self.log
+        n, log = self.q - 1, self._prime_logs
         terms = [(k, int(log[c % self.p])) for k, c in enumerate(f) if c % self.p]
         if not terms:
             return np.full(self.q, log[0], dtype=np.uint32)
@@ -209,7 +315,7 @@ class FieldTable:
                 width *= 2
             return table
 
-        zech, x_logs = self.zech(), {m: progression(m) for m, _ in steps}
+        zech, x_logs = self.zech, {m: progression(m) for m, _ in steps}
         for lo in range(0, n, CHUNK):
             s = np.zeros(min(CHUNK, n - lo), dtype=np.uint32)
             for i, (m, d) in enumerate(steps):
@@ -252,19 +358,6 @@ class FieldTable:
                 counts[self.exp[1:-1:2]] = 0
             self._sqrt_count = counts
         return self._sqrt_count
-
-    def zech(self) -> np.ndarray:
-        """Table Z with Z[t] = log(1 + g^t) for t < q-1 and Z[q-1] = 0, built
-        once in CHUNK slices."""
-        if self._zech is None:
-            n = self.q - 1
-            zech = np.empty(self.q, dtype=np.uint32)
-            for lo in range(0, n, CHUNK):
-                hi = min(lo + CHUNK, n)
-                zech[lo:hi] = self.log.take(self.add_scalar(self.exp[lo:hi], 1))
-            zech[n] = 0
-            self._zech = zech
-        return self._zech
 
 
 @lru_cache(maxsize=32)

@@ -29,6 +29,7 @@ from weilgram.errors import (
     DegreeParity,
     EvenCharacteristic,
     GenusOrder,
+    InconsistentCounts,
     InvalidDegree,
     NotCoprime,
     NotHomogeneous,
@@ -533,6 +534,12 @@ def test_point_count_series_validation():
     series = PointCountSeries(q=3, counts=(4, 10, 28))
     assert len(series) == 3
     assert series[1] == 10
+
+
+def test_inconsistent_counts_raise_a_typed_error():
+    for counts in ((4, 3), (8,)):
+        with pytest.raises(InconsistentCounts):
+            PointCountSeries(q=3, counts=counts).validate(1)
 
 
 # --- covers ----------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Vectorized field tables against the scalar element arithmetic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from weilgram import curves
+from weilgram.curves import count_points, make_biquadratic, make_hyperelliptic
 from weilgram.errors import TooLarge
 from weilgram.finite_field import (
     construct_field,
@@ -161,3 +165,60 @@ def test_tables_refuse_fields_too_large_for_32_bit_logs():
     assert big.q > MAX_Q
     with pytest.raises(TooLarge):
         FieldTable(big)
+
+
+@pytest.mark.parametrize("p,k", [(3, 12), (5, 9), (2, 20), (251, 2), (65521, 1)])
+def test_recurrence_tables_match_scalar_powers(p, k):
+    """exp and the Zech table from the linear recurring sequence, sampled
+    against powers of the scalar primitive element: exp[i] is g^i, and
+    g^zech[t] is 1 + g^t (the sentinel where 1 + g^t = 0)."""
+    field = construct_field(p, k)
+    T = FieldTable(field)
+    n, g, one = field.q - 1, T._primitive_element(), field.one()
+    rng = np.random.default_rng(p * k)
+    samples = [0, 1, 2, n // 2, n - 1] + rng.integers(0, n, size=40).tolist()
+    if p != 2:
+        samples.append(n // 2 - 1)  # g^(n/2) = -1, so 1 + g^(n/2) = 0
+    for i in samples:
+        assert T.exp[i] == (g**i).index()
+        z, total = int(T.zech[i]), one + g**i
+        if total.is_zero():
+            assert z == 3 * n
+        else:
+            assert z < n and g**z == total
+    assert T.exp[n] == 0 and T.zech[n] == 0
+    assert np.array_equal(T.log[T.exp[samples]], samples)
+
+
+def test_counts_build_no_index_space_arrays(monkeypatch):
+    """A hyperelliptic or biquadratic count reads only the Zech table and
+    the prime-field logs: exp, log and digits are never built."""
+    built = []
+
+    def fresh_table(spec):
+        built.append(FieldTable(spec))
+        return built[-1]
+
+    monkeypatch.setattr(curves, "get_table", fresh_table)
+    F3 = construct_field(3, 1)
+    count_points(make_hyperelliptic(F3, (1, 0, 2, 1, 0, 1)), 6)
+    count_points(make_biquadratic(F3, (1, 2, 0, 1), (1, 0, 1)).X, 5)
+    assert len(built) == 2
+    for T in built:
+        assert not {"exp", "log", "digits"} & vars(T).keys()
+
+
+def test_hyperelliptic_count_peak_memory_per_element(monkeypatch):
+    """One count over F_{3^12} from a fresh table peaks at about 11.6 bytes
+    per element under tracemalloc: the build's E and L (4 bytes each), then
+    the Zech table and eval_logs' result, plus CHUNK slices."""
+    monkeypatch.setattr(curves, "get_table", FieldTable)
+    curve = make_hyperelliptic(construct_field(3, 1), (1, 0, 2, 1, 0, 1))
+    tracemalloc.start()
+    try:
+        n = count_points(curve, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 532683
+    assert peak < 12 * 3**12
