@@ -70,6 +70,7 @@ from .gram import (
     gram_diagram,
     gram_relative,
     int_det,
+    is_psd,
     psd_check,
     schwarz_margin,
 )

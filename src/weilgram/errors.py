@@ -141,7 +141,9 @@ class IndexOutOfRange(WeilgramError):
 
 
 class DimensionMismatch(WeilgramError):
-    """Combination vector length differs from the Gram dimension."""
+    """Matrix or vector of the wrong shape: a combination vector whose length
+    differs from the Gram dimension, a non-square or ragged matrix, or an
+    asymmetric one where a symmetric matrix is needed."""
 
 
 # --- bounds ----------------------------------------------------------------

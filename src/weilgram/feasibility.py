@@ -30,7 +30,7 @@ from fractions import Fraction
 from .bounds import weil_interval
 from .errors import BudgetExceeded, NegativeGenus, TooLarge, ZeroGenus
 from .finite_field import check_prime_power
-from .gram import gram_absolute, psd_check, psd_corner_interval
+from .gram import gram_absolute, is_psd, psd_corner_interval
 
 MAX_ORDER = 3
 MAX_Q = 64
@@ -65,9 +65,10 @@ class FeasibilityResult:
 
 
 def feasible_counts(q: int, g: int, counts, toggles: bool = True) -> bool:
-    """True iff the induced absolute Gram is PSD and (when toggled) the
-    place-count constraints all hold.  The Weil intervals need no test of
-    their own: the {0, j} principal minor is exactly the Weil inequality."""
+    """True iff the induced absolute Gram is PSD (`gram.is_psd`, one
+    elimination) and, when toggled, the place-count constraints all hold.
+    The Weil intervals need no test of their own: the {0, j} principal minor
+    is exactly the Weil inequality."""
     _check_genus(g)
     counts = tuple(counts)
     m = len(counts)
@@ -79,7 +80,7 @@ def feasible_counts(q: int, g: int, counts, toggles: bool = True) -> bool:
         for j in range(2, m + 1):
             if counts[j - 1] < counts[0] or (counts[j - 1] - counts[0]) % j != 0:
                 return False
-    return psd_check(gram_absolute(q, g, counts, m)).psd
+    return is_psd(gram_absolute(q, g, counts, m))
 
 
 def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:

@@ -9,11 +9,14 @@ Three constructions share one shape.  With t_j = (q^j + 1) - N_j:
   diagonal 2 G q^i, off-diagonal q^i (N_j(Y1) + N_j(Y2) - N_j(X) - N_j(Z)).
 
 Only inner products are ever represented; the vectors themselves have no
-finite description.  Positive semidefiniteness is decided exactly by integer
-determinants of all principal minors (fraction-free Bareiss elimination), so
-boundary cases with determinant exactly zero are classified correctly.  The
-same elimination, pivoted symmetrically, gives the exact integer range of one
-corner entry that keeps a matrix PSD (`psd_corner_interval`).
+finite description.  Positive semidefiniteness is decided exactly, in O(n^3)
+integer operations, by one symmetric fraction-free elimination on positive
+diagonal pivots (`is_psd`), so boundary cases with determinant exactly zero
+are classified correctly.  The same elimination, carrying one extra column,
+gives the exact integer range of one corner entry that keeps a matrix PSD
+(`psd_corner_interval`).  Principal minors are enumerated only where their
+values are the answer: the witness of `psd_check` and the margins of
+`bounds`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .errors import (
     TooLarge,
 )
 
+# bounds the witness search of `psd_check`, which enumerates 2^n - 1 minors;
+# `is_psd` has no order limit
 PSD_MAX_ORDER = 8
 
 
@@ -121,16 +126,32 @@ def gram_diagram(q: int, genera, counts, m: int) -> GramMatrix:
     )
 
 
-def _entries_of(M) -> tuple:
+def _square(rows) -> int:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DimensionMismatch(f"need a square matrix, got row lengths "
+                                f"{[len(row) for row in rows]}")
+    return n
+
+
+def _entries_of(M, symmetric: bool = False) -> tuple:
+    """The entries of M as integer row tuples.  A GramMatrix is square and
+    symmetric by construction; other input is checked here."""
     if isinstance(M, GramMatrix):
         return M.entries
-    return tuple(tuple(int(x) for x in row) for row in M)
+    entries = tuple(tuple(int(x) for x in row) for row in M)
+    n = _square(entries)
+    if symmetric and any(entries[i][j] != entries[j][i]
+                         for i in range(n) for j in range(i)):
+        raise DimensionMismatch("need a symmetric matrix")
+    return entries
 
 
 def int_det(rows) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
+    """Exact determinant of a square integer matrix by fraction-free
+    elimination."""
     M = [list(row) for row in rows]
-    n = len(M)
+    n = _square(M)
     if n == 0:
         return 1
     sign = 1
@@ -160,60 +181,91 @@ def principal_minors(M):
         yield subset, int_det([[entries[r][c] for c in subset] for r in subset])
 
 
+def _eliminate(B, n: int) -> Optional[list]:
+    """Eliminate the symmetric integer matrix B in place, fraction-free,
+    pivoting only on positive diagonal entries among indices 0..n-1; the
+    rows and columns from n on are updated but never pivoted on.  A row from
+    n on is updated only in the columns from n on: by symmetry its other
+    entries are those of its column, which is kept current, and the update
+    reads the pivot row B[k], never the pivot column.
+
+    After the pivots K taken so far, each entry (i, j) left equals
+    det(B[K]) times the Schur complement entry, with det(B[K]) > 0 the last
+    pivot: the same signs, and B is PSD iff that complement is.  Once no
+    positive pivot is left, every remaining diagonal entry below n is <= 0,
+    so the leading n x n block is PSD exactly when what is left of it is all
+    zero.  Returns the indices below n left without a pivot, or None when
+    the leading block is not PSD."""
+    rest = list(range(n))
+    tail = list(range(n, len(B)))
+    prev = 1
+    while (k := next((i for i in rest if B[i][i] > 0), None)) is not None:
+        rest.remove(k)
+        row_k = B[k]
+        p = row_k[k]
+        for rows, cols in ((rest, rest + tail), (tail, tail)):
+            for i in rows:
+                row_i, bik = B[i], row_k[i]
+                for j in cols:
+                    row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
+        prev = p
+    return None if any(B[i][j] for i in rest for j in rest) else rest
+
+
+def is_psd(M) -> bool:
+    """Exact PSD test of a symmetric integer matrix of any order, in O(n^3)
+    integer operations (see `_eliminate`)."""
+    B = [list(row) for row in _entries_of(M, symmetric=True)]
+    return _eliminate(B, len(B)) is not None
+
+
 def psd_check(M) -> PSDVerdict:
-    """Exact PSD test: every principal minor must be nonnegative.
+    """Exact PSD test with a witness: the verdict is `is_psd`'s, and a
+    matrix that is not PSD has a negative principal minor.
 
     The witness, if any, is the lexicographically first index subset (as a
-    sorted tuple) whose principal minor is negative."""
-    entries = _entries_of(M)
+    sorted tuple) whose principal minor is negative; only it enumerates
+    minors, so the order is capped at PSD_MAX_ORDER."""
+    entries = _entries_of(M, symmetric=True)
     n = len(entries)
     if n > PSD_MAX_ORDER:
         raise TooLarge(f"order {n} exceeds the exact-minor limit {PSD_MAX_ORDER}")
-    witness = next((subset for subset, det in principal_minors(M) if det < 0), None)
-    return PSDVerdict(psd=witness is None, witness=witness)
+    if is_psd(M):
+        return PSDVerdict(psd=True, witness=None)
+    witness = next(subset for subset, det in principal_minors(entries) if det < 0)
+    return PSDVerdict(psd=False, witness=witness)
 
 
 def psd_corner_interval(M) -> range:
     """Integers x such that M is PSD with x at (0, n) and (n, 0), n = order - 1.
 
-    The given (0, n) entry is ignored.  The leading n x n block is eliminated
-    symmetrically and fraction-free, always on a positive diagonal pivot,
-    carrying column n as affine functions u*x + v and the corner as a
-    quadratic a*x^2 + b*x + c.  Each step scales the Schur complement by a
-    positive factor, so the PSD condition is kept.  Once no positive pivot is
-    left, the rest of the block must be zero (else the block is not PSD and
-    the range is empty), and so must each remaining column entry: u != 0 pins
-    x to -v/u, u == 0 needs v == 0.  Last, the corner must be >= 0, a concave
-    quadratic whose integer roots come exactly from isqrt.
+    The given (0, n) entry is ignored.  Column n is split as v + x*u, with
+    u = e_0, and the leading n x n block A is bordered by v and u:
+
+        [[A, v, u], [v^T, M[n][n], 0], [u^T, 0, 0]]
+
+    `_eliminate` pivots on A alone.  Each remaining column entry is then the
+    affine function u*x + v, and the corner the quadratic a*x^2 + b*x + c
+    with (c, b/2, a) the bottom 2 x 2 block.  Once no positive pivot is left,
+    the rest of A must be zero (else A is not PSD and the range is empty),
+    and so must each column entry left beside it: u != 0 pins x to -v/u,
+    u == 0 needs v == 0.  Last, the corner must be >= 0, a concave quadratic
+    whose integer roots come exactly from isqrt.
     """
-    entries = _entries_of(M)
+    entries = _entries_of(M, symmetric=True)
     n = len(entries) - 1
     if n < 1:
         raise DimensionMismatch(f"a corner entry needs order >= 2, got {n + 1}")
-    block = [list(row[:n]) for row in entries[:n]]
-    column = [(1 if i == 0 else 0, 0 if i == 0 else entries[i][n]) for i in range(n)]
-    a, b, c = 0, 0, entries[n][n]
-    rest = list(range(n))
-    prev = 1
-    while (k := next((i for i in rest if block[i][i] > 0), None)) is not None:
-        rest.remove(k)
-        p = block[k][k]
-        uk, vk = column[k]
-        for i in rest:
-            bik = block[i][k]
-            for j in rest:
-                block[i][j] = (p * block[i][j] - bik * block[k][j]) // prev
-            ui, vi = column[i]
-            column[i] = ((p * ui - bik * uk) // prev, (p * vi - bik * vk) // prev)
-        a = (p * a - uk * uk) // prev
-        b = (p * b - 2 * uk * vk) // prev
-        c = (p * c - vk * vk) // prev
-        prev = p
+    B = [list(row) + [0] for row in entries] + [[0] * (n + 2)]
+    B[0][n] = B[n][0] = 0
+    B[0][n + 1] = B[n + 1][0] = 1
+    rest = _eliminate(B, n)
     empty = range(0)
-    if any(block[i][j] for i in rest for j in rest):
+    if rest is None:
         return empty
+    c, b, a = B[n][n], 2 * B[n][n + 1], B[n + 1][n + 1]
     pin = None
-    for u, v in (column[i] for i in rest):
+    for v, u in (B[i][n:] for i in rest):
         if (u, v) == (0, 0):
             continue
         if u == 0 or v % u or pin not in (None, -v // u):

@@ -25,8 +25,7 @@ q^i t_j at (i, i + j), see `gram.gram_absolute`) is positive semidefinite.
 
 Order g is not enough: L = 1 - 4T + 4T^2 - 8T^3 + 4T^4 over F_2 has a PSD
 Gram of order g = 2 and a real inverse root off the circle.  The verdict is
-all-integer: M is PSD exactly when its own corner entry lies in the corner's
-PSD range, `gram.psd_corner_interval`.
+all-integer: one exact elimination, `gram.is_psd`.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from fractions import Fraction
 
 from .errors import CountLengthMismatch, NonIntegerCoefficient
 from .finite_field import check_prime_power
-from .gram import gram_absolute, psd_corner_interval
+from .gram import gram_absolute, is_psd
 
 
 @dataclass(frozen=True)
@@ -132,9 +131,9 @@ def check_riemann_hypothesis(L: LPolynomial) -> bool:
     True for g = 0.  False when the functional equation fails, or when
     c_0 = 0 (then P(U) has the root 0).  Otherwise RH holds exactly when the
     order-2g absolute Gram matrix of the counts L implies is PSD (see the
-    module docstring), decided as its own corner entry lying in the corner's
-    PSD range.  For c_0 != 1 the power sums t_n are rational; the Gram is
-    built from c_0^{2g} t_n = c_0^{2g-n} u_n instead, a positive multiple."""
+    module docstring), decided exactly by `gram.is_psd`.  For c_0 != 1 the
+    power sums t_n are rational; the Gram is built from
+    c_0^{2g} t_n = c_0^{2g-n} u_n instead, a positive multiple."""
     if L.g == 0:
         return True
     if L.coefficients[0] == 0 or not check_functional_equation(L):
@@ -143,7 +142,7 @@ def check_riemann_hypothesis(L: LPolynomial) -> bool:
     u = power_sums(L, m)
     counts = [q**n + 1 - c0 ** (m - n) * u[n - 1] for n in range(1, m + 1)]
     M = gram_absolute(q, c0**m * L.g, counts, m)
-    return M[0][m] in psd_corner_interval(M)
+    return is_psd(M)
 
 
 def infer_genus(q: int, counts):

@@ -24,13 +24,14 @@ from weilgram.gram import (
     gram_diagram,
     gram_relative,
     int_det,
+    is_psd,
     principal_minors,
     psd_check,
     psd_corner_interval,
     schwarz_margin,
 )
 
-from oracles import gauss_det, psd_by_eigenvalues
+from oracles import gauss_det, psd_by_eigenvalues, psd_by_minors
 
 F3 = construct_field(3, 1)
 
@@ -138,6 +139,59 @@ def test_psd_order_limit():
         psd_check([[0] * 9 for _ in range(9)])
 
 
+@pytest.mark.parametrize("order", [9, 12])
+def test_is_psd_decides_past_the_witness_limit(order):
+    # V V^T with rows 2 and 5 of V zero; a 1 at (2, 5) and (5, 2) then makes
+    # the {2, 5} minor 0 * 0 - 1 = -1
+    V = [[0] * 4 if i in (2, 5) else [(i * k) % 5 - 2 for k in range(1, 5)]
+         for i in range(order)]
+    M = [[sum(a * b for a, b in zip(u, v)) for v in V] for u in V]
+    with pytest.raises(TooLarge):
+        psd_check(M)
+    assert is_psd(M)
+    M[2][5] = M[5][2] = 1
+    with pytest.raises(TooLarge):
+        psd_check(M)
+    assert not is_psd(M)
+
+
+# V V^T with some rows of V zeroed, so zero diagonals and zero pivots are
+# common, then one symmetric pair (or one diagonal entry) moved by delta
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))))
+def test_is_psd_matches_minors_oracle_with_zero_diagonals(case):
+    V, zero, i, j, delta = case
+    V = [[0] * len(row) if z else row for row, z in zip(V, zero)]
+    M = [[sum(a * b for a, b in zip(u, v)) for v in V] for u in V]
+    M[i][j] += delta
+    if i != j:
+        M[j][i] += delta
+    assert is_psd(M) == psd_by_minors(M), M
+
+
+def test_non_square_matrix_is_rejected():
+    with pytest.raises(DimensionMismatch):
+        psd_check([[1, 2]])
+    with pytest.raises(DimensionMismatch):
+        is_psd([[1, 2]])
+
+
+def test_ragged_rows_are_rejected():
+    for check in (psd_check, psd_corner_interval, int_det, is_psd):
+        with pytest.raises(DimensionMismatch):
+            check([[1], [2]])
+
+
+def test_asymmetric_matrix_is_rejected():
+    for check in (psd_corner_interval, psd_check, is_psd):
+        with pytest.raises(DimensionMismatch):
+            check([[1, 2], [3, 4]])
+    assert int_det([[1, 2], [3, 4]]) == -2
+
+
 def test_int_det_edge_cases():
     assert int_det([]) == 1
     assert int_det([[7]]) == 7
@@ -188,9 +242,13 @@ def _with_corner(rows, x):
 
 
 def _assert_interval_matches_psd_check(rows, window):
+    assert is_psd(rows) == psd_check(rows).psd, rows
     interval = psd_corner_interval(rows)
     for x in window:
-        assert (x in interval) == psd_check(_with_corner(rows, x)).psd, (rows, x)
+        with_x = _with_corner(rows, x)
+        verdict = psd_check(with_x).psd
+        assert is_psd(with_x) == verdict, (rows, x)
+        assert (x in interval) == verdict, (rows, x)
     return interval
 
 
