@@ -9,9 +9,7 @@ projective model:
   else 2 or 0 according to whether lc(f) is a square in F_{q^j};
 * smooth plane curve F(x,y,z) = 0 of degree d: projective solutions via the
   representatives (1:y:z), (0:1:z), (0:0:1); smoothness is validated at
-  construction by searching for common zeros of F and its gradient over all
-  extensions j <= d(d-1)/2, the bound on the number of singular points of a
-  reduced plane curve (see make_smooth_plane);
+  construction by one rank over F_p (see make_smooth_plane);
 * biquadratic total space X: the fiber product of y1^2 = f and y2^2 = g over
   P^1 (deg f odd, deg g even, f, g squarefree and coprime), counted fiberwise
   with 2 or 0 points over x = infinity according to whether lc(g) is a square.
@@ -32,17 +30,20 @@ The chart (0:1:z) is the same gcd for F(0, 1, z), in F_p[z], and (0:0:1)
 is one coefficient.  So a count is O(Q) work and memory, and it is charged
 Q like every other family.
 
-The singularity search walks the three affine charts listed by `_charts`:
-(1:y:z), (0:1:z), then (0:0:1).  One evaluator sums the terms
-co * y^b z^c digitwise over blocks of whole z-lines of about CHUNK pairs
-(pieces of a line when it is longer), so a walk holds O(CHUNK) values plus
-one power table per exponent in use.  The search keeps the pairs where F and
-its three partials vanish and stops at the first one; it eliminates z once
-per curve: a singular chart point (1:y0:z0) forces y0 to be a root of
-Res_z(F1, dF1) * lc * lc, computed exactly in F_p[y] by fraction-free
-elimination, so in each extension chart (1:y:z) is walked only on the
-y-lines through those roots.  When elimination says nothing (both partials
-of F1 vanish, or the resultant does identically, which only very
+A plane is smooth exactly when the Macaulay matrix of F and its three
+partials in degree 3d - 4 has full column rank over F_p (`_is_smooth`), so
+a smooth curve builds no table.  Only a singular curve is walked, to find its
+witness: the search goes through the three affine charts listed by `_charts`,
+(1:y:z), (0:1:z), then (0:0:1), over F_{q^j} for j = 1, 2, ...  One evaluator
+sums the terms co * y^b z^c digitwise over blocks of whole z-lines of about
+CHUNK pairs (pieces of a line when it is longer), so a walk holds O(CHUNK)
+values plus one power table per exponent in use.  The search keeps the pairs
+where F and its three partials vanish and stops at the first one; it
+eliminates z once per curve: a singular chart point (1:y0:z0) forces y0 to be
+a root of Res_z(F1, dF1) * lc * lc, computed exactly in F_p[y] by
+fraction-free elimination, so in each extension chart (1:y:z) is walked only
+on the y-lines through those roots.  When elimination says nothing (both
+partials of F1 vanish, or the resultant does identically, which only very
 non-generic curves allow) every y-line is walked.
 """
 
@@ -65,6 +66,7 @@ from .errors import (
     NotHomogeneous,
     NotSquarefree,
     SingularCurve,
+    TooLarge,
     WrongKind,
     ZeroPolynomial,
 )
@@ -72,6 +74,8 @@ from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_sq
 from .tables import CHUNK, FieldTable, get_table
 
 DEFAULT_BUDGET = 10**6
+# the Macaulay matrix of `_is_smooth`: 8 MB of int64, every degree d <= 13
+MACAULAY_MAX_ENTRIES = 1 << 20
 
 PROJECTIVE_LINE = "projective_line"
 HYPERELLIPTIC = "hyperelliptic"
@@ -308,6 +312,69 @@ def _chart_a_elimination(monomials: tuple, p: int):
     return fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p) if res else None
 
 
+def _monomials_of_degree(n: int) -> list:
+    """(a, b) for each x^a y^b z^(n-a-b) of degree n, a-major; none for n < 0."""
+    return [(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
+
+
+def _is_smooth(monomials: tuple, p: int, d: int) -> bool:
+    """Whether F and its three partials have no common zero in P^2 over the
+    algebraic closure of F_p: whether their Macaulay matrix in degree
+    D = 3d - 4 has full column rank over F_p.
+
+    Each row holds m G for G one of the four forms and m a monomial of degree
+    D - deg G; each column is a monomial of degree D.  Full rank puts every
+    monomial of degree D in the ideal I = (F, F_x, F_y, F_z), so no point is
+    a common zero.  Conversely, with no common zero I holds every form of
+    degree sum (d_i - 1) + 1 over the three largest degrees d, d-1, d-1
+    (Lazard, EUROCAL 1983), which is D.  F's own rows matter when p | d:
+    Euler's identity x F_x + y F_y + z F_z = d F then no longer puts F in
+    the ideal of the partials.  d = 1 gives D = -1 and an empty matrix: a
+    line is smooth.
+
+    Gaussian elimination mod p, column by column, updating only the rows
+    with a nonzero entry in the pivot column.  Entries are reduced lazily:
+    k updates after a reduction |entry| <= p - 1 + k (p-1)^2, and the rows
+    left are reduced before that bound could pass 2^63 - 1.  So int64 is
+    exact while p(p-1) < 2^63, and the same code runs on Python ints beyond.
+    Raises TooLarge before allocating more than MACAULAY_MAX_ENTRIES
+    entries."""
+    D = 3 * d - 4
+    forms = [f for f in (monomials, *(_partial(monomials, axis, p) for axis in range(3))) if f]
+    shifts = [np.array(_monomials_of_degree(D - sum(f[0][:3])), dtype=np.int64).reshape(-1, 2)
+              for f in forms]
+    rows, cols = sum(len(m) for m in shifts), (D + 2) * (D + 1) // 2
+    if rows * cols > MACAULAY_MAX_ENTRIES:
+        raise TooLarge(f"Macaulay matrix of {rows} x {cols} entries for degree {d}; "
+                       f"the limit is {MACAULAY_MAX_ENTRIES}")
+    M = np.zeros((rows, cols), dtype=np.int64 if p * (p - 1) < 2**63 else object)
+    top = 0
+    for f, m in zip(forms, shifts):
+        r = np.arange(top, top + len(m))
+        for a, b, _, co in f:  # x^a y^b z^c sits in column a(2D + 3 - a)/2 + b
+            A, B = m[:, 0] + a, m[:, 1] + b
+            M[r, A * (2 * D + 3 - A) // 2 + B] = co
+        top += len(m)
+    bound, step = p - 1, (p - 1) ** 2
+    for c in range(cols):
+        col = M[c:, c] % p
+        nonzero = np.flatnonzero(col)
+        if not len(nonzero):
+            return False
+        k = nonzero[0]
+        if k:
+            M[[c, c + k]] = M[[c + k, c]]
+            col[[0, k]] = col[[k, 0]]
+        pivot = M[c, c + 1:] % p * pow(int(col[0]), -1, p) % p
+        below = np.flatnonzero(col[1:]) + 1
+        if bound + step > 2**63 - 1:
+            M[c + 1:, c + 1:] %= p
+            bound = p - 1
+        M[c + below, c + 1:] -= np.multiply.outer(col[below], pivot)
+        bound += step
+    return True
+
+
 def _charts(ys, Q: int) -> tuple:
     """The affine charts of P^2(F_Q) in witness order, as (x, ys, zs): F(1, y, z)
     on ys x F_Q, F(0, 1, z) on {1} x F_Q and F(0, 0, 1) at (y, z) = (0, 1).
@@ -386,30 +453,42 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
     """Plane curve F = 0 with F homogeneous of degree d, validated smooth.
 
     `monomials` is a sequence of (a, b, c, coeff) with x^a y^b z^c; duplicate
-    exponent triples are merged mod p.  Construction eliminates z once, then
-    searches every extension j <= d(d-1)/2 for singular points: it builds the
-    table of F_{q^j} (TooLarge above 2^26 elements) and walks only the
-    candidate y-lines of chart (1:y:z) there, so time and memory grow with
-    q^j, not q^{2j}.
+    exponent triples are merged mod p.  Smoothness is decided by one rank over
+    F_p (`_is_smooth`), which builds no table.  A singular curve raises
+    SingularCurve with its first singular point: construction eliminates z
+    once, then walks every extension j = 1, 2, .. (see `_chart_a_elimination`
+    and `_plane_singular_witness`): it builds the table of F_{q^j} (TooLarge
+    above 2^26 elements) and walks only the candidate y-lines of chart
+    (1:y:z) there, so time and memory grow with q^j, not q^{2j}.  A curve
+    whose Macaulay matrix passes MACAULAY_MAX_ENTRIES is walked too: the walk
+    finds its witness or raises TooLarge at its first table above 2^26,
+    since d(d-1)/2 >= 91 there.
 
-    The bound holds in every characteristic.  If F is squarefree, its
-    singular set is finite with at most sum (d_i-1)(d_i-2)/2 +
-    sum_{i<j} d_i d_j <= d(d-1)/2 points over the algebraic closure (d_i the
-    degrees of the components; Fulton, Algebraic Curves, 5.4).  Frobenius
-    permutes that set, and an orbit of size s lies in P^2(F_{q^s}).  If
-    G^2 | F with deg G = e >= 1, all of V(G) is singular; G is defined over
-    F_{q^s} with s the size of its Frobenius orbit and 2se <= d, and G(0, y, z)
-    is either zero, so (0:0:1) is singular, or has a root of degree <= e over
-    F_{q^s}, so a singular point appears by j = d/2.
+    The walk finds a witness by j = d(d-1)/2, in every characteristic.  If F
+    is squarefree, its singular set is finite with at most
+    sum (d_i-1)(d_i-2)/2 + sum_{i<j} d_i d_j <= d(d-1)/2 points over the
+    algebraic closure (d_i the degrees of the components; Fulton, Algebraic
+    Curves, 5.4).  Frobenius permutes that set, and an orbit of size s lies
+    in P^2(F_{q^s}).  If G^2 | F with deg G = e >= 1, all of V(G) is
+    singular; G is defined over F_{q^s} with s the size of its Frobenius
+    orbit and 2se <= d, and G(0, y, z) is either zero, so (0:0:1) is
+    singular, or has a root of degree <= e over F_{q^s}, so a singular point
+    appears by j = d/2.
     """
     if d < 1:
         raise InvalidDegree(d)
     monos = _canonical_monomials(monomials, field.p, d)
-    cand = _chart_a_elimination(monos, field.p)
-    for j in range(1, d * (d - 1) // 2 + 1):
-        witness = _plane_singular_witness(field, monos, j, cand)
-        if witness is not None:
-            raise SingularCurve(witness, j)
+    try:
+        smooth = _is_smooth(monos, field.p, d)
+    except TooLarge:
+        smooth = False
+    if not smooth:
+        cand = _chart_a_elimination(monos, field.p)
+        for j in range(1, d * (d - 1) // 2 + 1):
+            witness = _plane_singular_witness(field, monos, j, cand)
+            if witness is not None:
+                raise SingularCurve(witness, j)
+        raise AssertionError(f"no singular point of a singular curve by j = {d * (d - 1) // 2}")
     terms = " + ".join(
         ("" if co == 1 and (a, b, c) != (0, 0, 0) else str(co))
         + "".join(v if e == 1 else (f"{v}^{e}" if e else "")

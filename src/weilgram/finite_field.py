@@ -3,13 +3,16 @@
 Fields are built as F_p[t]/(m(t)) where m is the lexicographically smallest
 monic irreducible polynomial of degree k (coefficients compared low degree
 first), so construction is reproducible across runs.  Candidates are tested
-by Rabin's criterion (Rabin, "Probabilistic algorithms in finite fields",
-1980), which is exact: a monic f of degree k is irreducible iff
-x^(p^k) = x mod f and gcd(x^(p^(k/r)) - x, f) = 1 for every prime r | k.
-The test takes k p-th powers mod f, about 2k log2(p) products of degree
-< k, and one gcd per prime r | k.  Elements carry their coefficient vector
-and a reference to the owning field; all operations are pure and exact, and
-powers and inverses (a^(q-2)) are one modular power of the representative.
+by Ben-Or's criterion (Ben-Or, "Probabilistic algorithms in finite fields",
+1981), which is exact: a monic f of degree k is irreducible iff
+gcd(x^(p^i) - x, f) = 1 for every i <= k/2, since a reducible f has an
+irreducible factor of some degree i <= k/2, and that factor divides
+x^(p^i) - x.  The test takes at most k/2 p-th powers mod f, about
+k log2(p) products of degree < k, and one gcd per power; most reducible
+candidates have a small factor and stop after a few.  Elements carry
+their coefficient vector and a reference to the owning field; all
+operations are pure and exact, and powers and inverses (a^(q-2)) are one
+modular power of the representative.
 
 Extensions F_{q^j} of F_q = F_{p^k} are built as fresh fields of degree k*j
 over the prime field.  Constants from F_p embed by the constant embedding,
@@ -229,17 +232,15 @@ def _prime_factors(n: int) -> list:
 
 
 def _is_irreducible(f: tuple, p: int) -> bool:
-    """Rabin's test for a monic f of degree k >= 1: x^(p^k) = x mod f, and
-    x^(p^(k/r)) - x is coprime to f for every prime r | k.  The powers
-    x^(p^i) come one p-th power at a time, so the cheap gcds run first."""
-    k = fppoly.degree(f)
+    """Ben-Or's test for a monic f of degree k >= 1: gcd(x^(p^i) - x, f) = 1
+    for every i <= k/2.  The powers x^(p^i) come one p-th power at a time,
+    and the test stops at the first common factor."""
     x = h = fppoly.mod((0, 1), f, p)
-    checks = {k // r for r in _prime_factors(k)}
-    for i in range(1, k + 1):
+    for _ in range(fppoly.degree(f) // 2):
         h = fppoly.powmod(h, p, f, p)
-        if i in checks and fppoly.degree(fppoly.gcd(fppoly.sub(h, x, p), f, p)) > 0:
+        if fppoly.degree(fppoly.gcd(fppoly.sub(h, x, p), f, p)) > 0:
             return False
-    return h == x
+    return True
 
 
 @lru_cache(maxsize=None)

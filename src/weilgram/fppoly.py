@@ -110,6 +110,26 @@ def gcd(f, g, p):
     return f
 
 
+def resultant(f, g, p):
+    """Res(f, g) = lc(f)^deg g * prod g(a) over the roots a of f, in F_p, by
+    Euclid's algorithm: Res(f, g) = (-1)^(deg f deg g) Res(g, f), and
+    Res(g, f) = lc(g)^(deg f - deg r) Res(g, r) for r = f mod g.  For a
+    monic modulus f this is the norm of g from F_p[t]/(f) to F_p."""
+    f, g = trim(f, p), trim(g, p)
+    res = 1
+    while True:
+        if not f or not g:
+            return 0
+        df, dg = len(f) - 1, len(g) - 1
+        if dg == 0:
+            return res * pow(g[0], df, p) % p
+        r = mod(f, g, p)
+        if df * dg % 2:
+            res = -res
+        res = res * pow(g[-1], df - len(r) + 1, p) % p  # no r: the next pass returns 0
+        f, g = g, r
+
+
 def derivative(f, p):
     return trim([i * f[i] for i in range(1, len(f))], p)
 

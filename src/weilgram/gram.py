@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -75,10 +76,17 @@ def _toeplitz(q: int, c: int, t, m: int) -> tuple:
     size = m + 1
     entries = [[0] * size for _ in range(size)]
     for i in range(size):
-        entries[i][i] = 2 * c * q**i
+        qi = q**i
+        entries[i][i] = 2 * c * qi
         for j in range(1, size - i):
-            entries[i][i + j] = entries[i + j][i] = q**i * t[j - 1]
+            entries[i][i + j] = entries[i + j][i] = qi * t[j - 1]
     return tuple(tuple(row) for row in entries)
+
+
+@lru_cache(maxsize=64)
+def _labels(kind: str, m: int) -> tuple:
+    """The basis labels frob^0|kind .. frob^m|kind, built once per order."""
+    return tuple(f"frob^{i}|{kind}" for i in range(m + 1))
 
 
 def gram_absolute(q: int, g: int, counts, m: int) -> GramMatrix:
@@ -87,7 +95,7 @@ def gram_absolute(q: int, g: int, counts, m: int) -> GramMatrix:
     t = [(q**j + 1) - counts[j - 1] for j in range(1, m + 1)]
     return GramMatrix(
         entries=_toeplitz(q, g, t, m),
-        labels=tuple(f"frob^{i}|absolute" for i in range(m + 1)),
+        labels=_labels("absolute", m),
         q=q,
     )
 
@@ -101,7 +109,7 @@ def gram_relative(q: int, gX: int, gY: int, countsX, countsY, m: int) -> GramMat
     t = [countsY[j - 1] - countsX[j - 1] for j in range(1, m + 1)]
     return GramMatrix(
         entries=_toeplitz(q, gX - gY, t, m),
-        labels=tuple(f"frob^{i}|relative" for i in range(m + 1)),
+        labels=_labels("relative", m),
         q=q,
     )
 
@@ -121,7 +129,7 @@ def gram_diagram(q: int, genera, counts, m: int) -> GramMatrix:
          for j in range(1, m + 1)]
     return GramMatrix(
         entries=_toeplitz(q, G, t, m),
-        labels=tuple(f"frob^{i}|diagram" for i in range(m + 1)),
+        labels=_labels("diagram", m),
         q=q,
     )
 

@@ -32,7 +32,8 @@ term.
 Tables are built once per field from one linear recurring sequence, in
 O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
 first element, in enumeration order, with g^((q-1)/r) != 1 for every prime
-r dividing q-1, found with scalar arithmetic; one K x K solve mod p gives
+r dividing q-1, found with scalar arithmetic (through the norm to F_p for
+r | p-1); one K x K solve mod p gives
 g^K = sum c_j g^j, its minimal polynomial.  Let s_m be the first coordinate
 of g^m in the basis 1, g, ..., g^(K-1); then s_(m+K) = sum c_j s_(m+j).
 Row k of R holds the coordinates of g^k, so s_(m+k) = R[k] . (s_m, ...,
@@ -156,13 +157,20 @@ class FieldTable:
         self.zech, self._prime_logs = self._zech_logs()
 
     def _primitive_element(self):
-        n = self.q - 1
-        one = self.spec.one()
-        cofactors = [n // r for r in _prime_factors(n)]
+        """The first element, in enumeration order, with g^((q-1)/r) != 1
+        for every prime r | q-1.  For r | p-1 that power is N(g)^((p-1)/r),
+        N(g) = g^((q-1)/(p-1)) = Res(modulus, g) the norm to F_p, so only
+        the primes r not dividing p-1 need a power in the field."""
+        n, p, one = self.q - 1, self.p, self.spec.one()
+        primes = _prime_factors(n)
+        in_base = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+        in_field = [n // r for r in primes if (p - 1) % r]
         # a prime-field scalar has order dividing p-1, so for K > 1 start at t
-        for i in range(self.p if self.K > 1 else 1, self.q):
+        for i in range(p if self.K > 1 else 1, self.q):
             g = element_from_index(self.spec, i)
-            if all(g**c != one for c in cofactors):
+            norm = fppoly.resultant(self.spec.modulus, fppoly.trim(g.coefficients, p), p)
+            if all(pow(norm, e, p) != 1 for e in in_base) and \
+                    all(g**e != one for e in in_field):
                 return g
         raise AssertionError(f"no primitive element in {self.spec!r}")  # unreachable
 

@@ -7,10 +7,10 @@ of fraction-free integer elimination, the feasibility search tries every
 count of each Weil interval instead of the exact PSD intervals, power sums
 come from numpy root finding instead of integer recurrences, primality comes
 from trial division instead of Miller-Rabin, irreducibility from trial
-division by every monic polynomial instead of Rabin's test, singular points
-come from a scan of every point instead of elimination, and the Riemann
-hypothesis in genus <= 2 comes from a closed form in integers instead of
-the positivity of a Gram matrix.
+division by every monic polynomial instead of Ben-Or's test, singular points
+come from a scan of every point or line instead of elimination or a rank, and
+the Riemann hypothesis in genus <= 2 comes from a closed form in integers
+instead of the positivity of a Gram matrix.
 Agreement between the two routes is the point.
 """
 
@@ -22,7 +22,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from weilgram.finite_field import FieldSpec, enumerate_elements, extension_of
+from weilgram.finite_field import FieldSpec, construct_field, enumerate_elements, extension_of
 
 
 def poly_value(coeffs, x):
@@ -127,10 +127,9 @@ def count_plane_prime_field(monomials, p: int) -> int:
     return total + (value(0, 0, 1) == 0)
 
 
-def first_singular_point_prime_field(monomials, p: int):
-    """First common zero of F and its three partials in P^2(F_p), scanning
-    (1:y:z) in y-major order, then (0:1:z), then (0:0:1); None if there is
-    none.  Plain integer arithmetic."""
+def _with_gradient(monomials) -> list:
+    """[F, F_x, F_y, F_z] as monomial lists (a, b, c, coeff), coefficients
+    not reduced."""
     def partial(i):
         out = []
         for mono in monomials:
@@ -140,12 +139,77 @@ def first_singular_point_prime_field(monomials, p: int):
                 out.append((*exps, mono[3] * mono[i]))
         return out
 
-    polys = [list(monomials)] + [partial(i) for i in range(3)]
+    return [list(monomials)] + [partial(i) for i in range(3)]
+
+
+def first_singular_point_prime_field(monomials, p: int):
+    """First common zero of F and its three partials in P^2(F_p), scanning
+    (1:y:z) in y-major order, then (0:1:z), then (0:0:1); None if there is
+    none.  Plain integer arithmetic."""
+    polys = _with_gradient(monomials)
     points = ([(1, y, z) for y in range(p) for z in range(p)]
               + [(0, 1, z) for z in range(p)] + [(0, 0, 1)])
     return next((pt for pt in points
                  if all(sum(co * pt[0]**a * pt[1]**b * pt[2]**c for a, b, c, co in f) % p == 0
                         for f in polys)), None)
+
+
+def _pseudo_gcd(a: list, b: list) -> list:
+    """A gcd, up to a unit, of polynomials given as lists of field elements,
+    ascending and trimmed, a nonzero: Euclid on pseudo-remainders, which
+    scale by leading coefficients instead of dividing by them."""
+    while b:
+        while len(a) >= len(b):
+            shift, la, lb = len(a) - len(b), a[-1], b[-1]
+            a = [u * lb for u in a]
+            for i, v in enumerate(b):
+                a[shift + i] = a[shift + i] - v * la
+            while a and a[-1].is_zero():
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _common_zero_on_line(forms, y, field: FieldSpec, x: int = 1) -> bool:
+    """Whether the forms have a common zero (x : y : z), z in the algebraic
+    closure, for x = 0 or 1 and y an element of `field`: all of them vanish
+    on the line, or the nonzero ones restricted to it share a factor in z."""
+    restricted = []
+    for form in forms:
+        coeffs = [field.zero()] * (max(c for _, _, c, _ in form) + 1 if form else 0)
+        for a, b, c, co in form:
+            if x or not a:
+                coeffs[c] = coeffs[c] + field.scalar(co) * y**b
+        while coeffs and coeffs[-1].is_zero():
+            coeffs.pop()
+        if coeffs:
+            restricted.append(coeffs)
+    if not restricted:
+        return True
+    g = restricted[0]
+    for f in restricted[1:]:
+        g = _pseudo_gcd(g, f)
+    return len(g) > 1
+
+
+def singular_point_exists(monomials, p: int, d: int) -> bool:
+    """Whether F and its three partials have a common zero in P^2 over the
+    algebraic closure of F_p, by a scan with scalar field elements: no
+    table, elimination or rank.  Such a zero lies in P^2(F_{p^j}) for some
+    j <= d(d-1)/2 (the bound make_smooth_plane proves, with F_p as the
+    base), so it is (0 : 0 : 1), on the line x = 0, or on a line x = 1,
+    y = c with c in some F_{p^j}; each line is one gcd in z."""
+    forms = _with_gradient(monomials)
+    if all(sum(co for a, b, _, co in f if a == b == 0) % p == 0 for f in forms):
+        return True  # (0 : 0 : 1)
+    base = construct_field(p, 1)
+    if _common_zero_on_line(forms, base.one(), base, x=0):
+        return True
+    for j in range(1, d * (d - 1) // 2 + 1):
+        field = construct_field(p, j)
+        if any(_common_zero_on_line(forms, y, field) for y in enumerate_elements(field)):
+            return True
+    return False
 
 
 def is_prime_trial(n: int) -> bool:

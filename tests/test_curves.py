@@ -35,6 +35,7 @@ from weilgram.errors import (
     NotHomogeneous,
     NotSquarefree,
     SingularCurve,
+    TooLarge,
     WrongKind,
     ZeroPolynomial,
 )
@@ -46,6 +47,7 @@ from oracles import (
     count_plane_prime_field,
     count_slow,
     first_singular_point_prime_field,
+    singular_point_exists,
 )
 
 F3 = construct_field(3, 1)
@@ -55,6 +57,7 @@ F9 = construct_field(3, 2)
 
 FERMAT_CUBIC = [(3, 0, 0, 1), (0, 3, 0, 1), (0, 0, 3, 1)]
 FERMAT_QUARTIC = [(4, 0, 0, 1), (0, 4, 0, 1), (0, 0, 4, 1)]
+QUINTIC = [(5, 0, 0, 1), (0, 5, 0, 1), (0, 0, 5, 1), (1, 4, 0, 1), (0, 1, 4, 1), (4, 0, 1, 1)]
 
 
 # --- constructors and genus formulas ---------------------------------------
@@ -228,6 +231,70 @@ def test_plane_sweep_outcomes_are_frozen():
     assert digest == "51da0b3a169f47c4e1e085927e8972e92994a3c7fb15ad3cfbc39eff607ee883"
 
 
+def _through_point(rng, p, d, a, b):
+    """A random form of degree d that vanishes at (1 : a : b)."""
+    while True:
+        H = _random_form(rng, p, d)
+        value = sum(co * a**e * b**f for _, e, f, co in H) % p
+        H = _merged(list(H) + [(d, 0, 0, -value)], p)
+        if H:
+            return H
+
+
+def _smoothness_sweep():
+    """Planes of degree 2..5 over F_2, F_3, F_4, F_5 and F_7.  Where the
+    oracle's scan of every line up to F_{p^(d(d-1)/2)} is affordable (at
+    most 343 lines in the largest field), dense and sparse random forms,
+    the Fermat and Klein-type curves (the Fermat curve is singular
+    everywhere when p | d) and a product of two random forms.  Elsewhere
+    only curves singular by construction, whose scan stops early: the
+    Fermat curve when p | d, and the smooth Klein-type quintic over F_2.
+    Everywhere G^2 H with G a line, and G H with G a line through a
+    rational point of H."""
+    rng = random.Random(13)
+    for (p, k), degrees in (((2, 1), (2, 3, 4, 5)), ((3, 1), (2, 3, 4, 5)),
+                            ((2, 2), (2, 3, 4, 5)), ((5, 1), (2, 3, 4, 5)),
+                            ((7, 1), (2, 3, 4, 5))):
+        for d in degrees:
+            fermat = ((0, 0, d, 1), (0, d, 0, 1), (d, 0, 0, 1))
+            klein = ((d - 1, 1, 0, 1), (0, d - 1, 1, 1), (1, 0, d - 1, 1))
+            forms = [klein] if (p, k, d) == (2, 1, 5) else []  # smooth, a 1.5 s scan
+            if p ** (d * (d - 1) // 2) <= 343:
+                forms += [_random_form(rng, p, d, density=density)
+                          for density in (0.9, 0.3) for _ in range(3 if d < 4 else 1)]
+                forms += [fermat, klein]
+                e = rng.randrange(1, d)
+                forms.append(_product(_random_form(rng, p, e), _random_form(rng, p, d - e), p))
+            elif d % p == 0:
+                forms.append(fermat)
+            L = _random_form(rng, p, 1)
+            forms.append(_product(_product(L, L, p), _random_form(rng, p, d - 2), p)
+                         if d > 2 else _product(L, L, p))
+            a, b = rng.randrange(p), rng.randrange(p)
+            forms.append(_product(_through_point(rng, p, 1, a, b),
+                                  _through_point(rng, p, d - 1, a, b), p))
+            for F in forms:
+                yield construct_field(p, k), d, F
+
+
+def test_smoothness_rank_agrees_with_a_scan_for_singular_points():
+    """make_smooth_plane accepts a plane exactly when the oracle's scan
+    finds no common zero of F and its gradient over the algebraic closure,
+    and every singular one keeps a witness.  Both verdicts occur when p | d,
+    where the rank needs F's own rows, and in degree 2, where the partials
+    alone generate nothing in degree 3d - 5 = 1."""
+    outcomes = set()
+    for field, d, F in _smoothness_sweep():
+        try:
+            make_smooth_plane(field, F, d)
+            smooth = True
+        except SingularCurve:
+            smooth = False
+        assert smooth != singular_point_exists(F, field.p, d), (field, d, F)
+        outcomes.add((d % field.p == 0, smooth))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_squared_cubic_scans_every_line_in_bounded_memory():
     """F = G^2 makes the resultant vanish identically, so every y-line is
     z-scanned.  The q^{2j} pair grid used here before peaked at 115 MB."""
@@ -297,22 +364,76 @@ def _tables_up_to(monkeypatch, limit):
     return asked
 
 
-def test_smooth_quintic_over_f3_scans_to_j_10(monkeypatch):
-    """The scan stops at j = d(d-1)/2 = 10, so no table above 3^10 is
-    built; j = (d-1)^2 = 16 would need 3^16, 43M elements."""
-    asked = _tables_up_to(monkeypatch, 3**10)
-    quintic = [(5, 0, 0, 1), (0, 5, 0, 1), (0, 0, 5, 1), (1, 4, 0, 1), (0, 1, 4, 1),
-               (4, 0, 1, 1)]
-    X = make_smooth_plane(F3, quintic, 5)
-    assert X.genus == 6 and max(asked) == 3**10
+def test_smooth_quintic_over_f3_builds_no_table(monkeypatch):
+    """Smoothness is one rank over F_3, so no table is requested; a scan
+    over j <= d(d-1)/2 = 10 would build every table up to F_{3^10}."""
+    asked = _tables_up_to(monkeypatch, 0)
+    X = make_smooth_plane(F3, QUINTIC, 5)
+    assert X.genus == 6 and asked == []
 
 
 def test_fermat_quartic_over_f7_constructs(monkeypatch):
-    """The scan stops at j = 6; j = (d-1)^2 = 9 would need 7^9, 40M
-    elements."""
-    asked = _tables_up_to(monkeypatch, 7**6)
+    """No table is requested; a scan to j = 6 would build F_{7^6}."""
+    asked = _tables_up_to(monkeypatch, 0)
     X = make_smooth_plane(construct_field(7, 1), FERMAT_QUARTIC, 4)
-    assert X.genus == 3 and max(asked) == 7**6
+    assert X.genus == 3 and asked == []
+
+
+@pytest.mark.parametrize("p,k,monos,d,genus", [
+    (5, 1, [(4, 1, 0, 1), (0, 4, 1, 1), (1, 0, 4, 1)], 5, 6),   # a scan needs F_{5^10}
+    (7, 1, QUINTIC, 5, 6),                                      # F_{7^10}: above 2^26
+    (2, 2, [(5, 1, 0, 1), (0, 5, 1, 1), (1, 0, 5, 1)], 6, 10),  # F_{4^15}: above 2^26
+    (2**61 - 1, 1, FERMAT_CUBIC, 3, 1),  # int64 would overflow; no table of F_p exists
+])
+def test_smooth_plane_beyond_the_old_scan_builds_no_table(monkeypatch, p, k, monos, d, genus):
+    asked = _tables_up_to(monkeypatch, 0)
+    X = make_smooth_plane(construct_field(p, k), monos, d)
+    assert X.genus == genus and asked == []
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+def test_smoothness_rank_is_exact_for_large_primes(p):
+    """Near 2^31 int64 elimination must reduce before each update; at
+    2^61 - 1 products pass 2^63 and Python ints take over.  Large
+    coefficients fill the matrix with large entries: y^2 z = x^3 + x^2 z
+    with x -> x + u z, y -> y + v z keeps its node, now at (-u : -v : 1),
+    and a x^3 + b y^3 + c z^3 + t xyz stays smooth."""
+    u, v, w = 3**40 % p, 5**30 % p, 7**25 % p
+    X, Y, Z = ((1, 0, 0, 1), (0, 0, 1, u)), ((0, 1, 0, 1), (0, 0, 1, v)), ((0, 0, 1, 1),)
+    X2 = _product(X, X, p)
+    node = _merged(_product(_product(Y, Y, p), Z, p) + tuple(
+        (a, b, c, -co) for a, b, c, co in _product(X2, X, p) + _product(X2, Z, p)), p)
+    assert not curves._is_smooth(node, p, 3)
+    smooth = [(3, 0, 0, u), (0, 3, 0, v), (0, 0, 3, w), (1, 1, 1, u * v * w)]
+    assert ((u * v * w) ** 3 + 27 * u * v * w) % p
+    assert curves._is_smooth(curves._canonical_monomials(smooth, p, 3), p, 3)
+
+
+def test_sextic_singular_over_f3_keeps_its_witness():
+    """x^5 y + y^5 z + z^5 x is smooth over F_4 (above) and singular at
+    (1 : 1 : 1) over F_3, where the walk still finds that witness at j = 1."""
+    with pytest.raises(SingularCurve) as info:
+        make_smooth_plane(F3, [(5, 1, 0, 1), (0, 5, 1, 1), (1, 0, 5, 1)], 6)
+    assert (info.value.witness, info.value.extension_degree) == ((1, 1, 1), 1)
+
+
+def test_macaulay_matrix_cap(monkeypatch):
+    """_is_smooth raises TooLarge above MACAULAY_MAX_ENTRIES, before
+    allocating; make_smooth_plane then leaves the curve to the walk, which
+    finds the witness it found before.  A cubic's matrix is 36 x 21."""
+    cubic = curves._canonical_monomials(FERMAT_CUBIC, 5, 3)
+    monkeypatch.setattr(curves, "MACAULAY_MAX_ENTRIES", 36 * 21)
+    assert curves._is_smooth(cubic, 5, 3)
+    monkeypatch.setattr(curves, "MACAULAY_MAX_ENTRIES", 36 * 21 - 1)
+    with pytest.raises(TooLarge):
+        curves._is_smooth(cubic, 5, 3)
+    monkeypatch.undo()
+    curve = [(0, 14, 0, 1), (0, 0, 14, 1), (12, 1, 1, 1)]  # singular at (1 : 0 : 0)
+    with pytest.raises(TooLarge):
+        curves._is_smooth(curves._canonical_monomials(curve, 5, 14), 5, 14)
+    with pytest.raises(SingularCurve) as info:
+        make_smooth_plane(F5, curve, 14)
+    assert (info.value.witness, info.value.extension_degree) == ((1, 0, 0), 1)
 
 
 def test_make_smooth_plane_errors():

@@ -130,7 +130,7 @@ def test_modulus_of_f_2_40_is_pinned():
 ])
 def test_large_prime_moduli_are_pinned_and_fast(p, k, modulus):
     """A divisor search would list p^(k/2), a million or more, polynomials
-    here; Rabin's test takes a few modular powers per candidate."""
+    here; Ben-Or's test takes at most k/2 modular powers per candidate."""
     start = time.perf_counter()
     field = construct_field.__wrapped__(p, k)  # bypass the cache
     assert time.perf_counter() - start < 10

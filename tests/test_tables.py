@@ -9,6 +9,7 @@ from weilgram import curves
 from weilgram.curves import count_points, make_biquadratic, make_hyperelliptic
 from weilgram.errors import TooLarge
 from weilgram.finite_field import (
+    _prime_factors,
     construct_field,
     element_from_index,
     enumerate_elements,
@@ -188,6 +189,20 @@ def test_recurrence_tables_match_scalar_powers(p, k):
             assert z < n and g**z == total
     assert T.exp[n] == 0 and T.zech[n] == 0
     assert np.array_equal(T.log[T.exp[samples]], samples)
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 4), (3, 10), (5, 3), (7, 2), (13, 1), (31, 2)])
+def test_primitive_element_is_the_first_of_full_order(p, k):
+    """g has order q-1 and every element before it in enumeration order
+    (from t when k > 1) has a smaller one, by powers g^((q-1)/r) in the
+    field alone, where the table decides r | p-1 through the norm."""
+    field = construct_field(p, k)
+    n, one = field.q - 1, field.one()
+    cofactors = [n // r for r in _prime_factors(n)]
+    g = FieldTable(field)._primitive_element()
+    assert all(g**c != one for c in cofactors)
+    for i in range(p if k > 1 else 1, g.index()):
+        assert any(element_from_index(field, i)**c == one for c in cofactors), i
 
 
 def test_counts_build_no_index_space_arrays(monkeypatch):
