@@ -32,15 +32,16 @@ Q like every other family.
 
 A plane is smooth exactly when the Macaulay matrix of F and its three
 partials in degree 3d - 4 has full column rank over F_p (`_is_smooth`), so
-a smooth curve builds no table.  Only a singular curve is walked, to find its
-witness: the search goes through the three affine charts listed by `_charts`,
-(1:y:z), (0:1:z), then (0:0:1), over F_{q^j} for j = 1, 2, ...  One evaluator
-sums the terms co * y^b z^c digitwise over blocks of whole z-lines of about
-CHUNK pairs (pieces of a line when it is longer), so a walk holds O(CHUNK)
-values plus one power table per exponent in use.  The search keeps the pairs
-where F and its three partials vanish and stops at the first one; it
-eliminates z once per curve: a singular chart point (1:y0:z0) forces y0 to be
-a root of Res_z(F1, dF1) * lc * lc, computed exactly in F_p[y] by
+a smooth curve builds no table, and a matrix above MACAULAY_MAX_ENTRIES is
+refused with TooLarge.  Only a curve the rank proves singular is walked, to
+find its witness: the search goes through the three affine charts listed by
+`_charts`, (1:y:z), (0:1:z), then (0:0:1), over F_{q^j} for j = 1, 2, ...
+One evaluator sums the terms co * y^b z^c digitwise over blocks of whole
+z-lines of about CHUNK pairs (pieces of a line when it is longer), so a walk
+holds O(CHUNK) values plus one power table per exponent in use.  The search
+keeps the pairs where F and its three partials vanish and stops at the first
+one; it eliminates z once per curve: a singular chart point (1:y0:z0) forces
+y0 to be a root of Res_z(F1, dF1) * lc * lc, computed exactly in F_p[y] by
 fraction-free elimination, so in each extension chart (1:y:z) is walked only
 on the y-lines through those roots.  When elimination says nothing (both
 partials of F1 vanish, or the resultant does identically, which only very
@@ -74,7 +75,8 @@ from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_sq
 from .tables import CHUNK, FieldTable, get_table
 
 DEFAULT_BUDGET = 10**6
-# the Macaulay matrix of `_is_smooth`: 8 MB of int64, every degree d <= 13
+# the Macaulay matrix of `_is_smooth`, 8 MB of int64: the plane degree limit,
+# d <= 13 when all three partials are nonzero
 MACAULAY_MAX_ENTRIES = 1 << 20
 
 PROJECTIVE_LINE = "projective_line"
@@ -337,16 +339,16 @@ def _is_smooth(monomials: tuple, p: int, d: int) -> bool:
     k updates after a reduction |entry| <= p - 1 + k (p-1)^2, and the rows
     left are reduced before that bound could pass 2^63 - 1.  So int64 is
     exact while p(p-1) < 2^63, and the same code runs on Python ints beyond.
-    Raises TooLarge before allocating more than MACAULAY_MAX_ENTRIES
-    entries."""
+    Raises TooLarge above MACAULAY_MAX_ENTRIES entries, counted before
+    allocating: (n + 1)(n + 2)/2 shifts of degree n, none for n = -1, -2."""
     D = 3 * d - 4
     forms = [f for f in (monomials, *(_partial(monomials, axis, p) for axis in range(3))) if f]
-    shifts = [np.array(_monomials_of_degree(D - sum(f[0][:3])), dtype=np.int64).reshape(-1, 2)
-              for f in forms]
-    rows, cols = sum(len(m) for m in shifts), (D + 2) * (D + 1) // 2
+    ns = [D - sum(f[0][:3]) for f in forms]
+    rows, cols = sum((n + 1) * (n + 2) // 2 for n in ns), (D + 2) * (D + 1) // 2
     if rows * cols > MACAULAY_MAX_ENTRIES:
         raise TooLarge(f"Macaulay matrix of {rows} x {cols} entries for degree {d}; "
                        f"the limit is {MACAULAY_MAX_ENTRIES}")
+    shifts = [np.array(_monomials_of_degree(n), dtype=np.int64).reshape(-1, 2) for n in ns]
     M = np.zeros((rows, cols), dtype=np.int64 if p * (p - 1) < 2**63 else object)
     top = 0
     for f, m in zip(forms, shifts):
@@ -454,15 +456,13 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
 
     `monomials` is a sequence of (a, b, c, coeff) with x^a y^b z^c; duplicate
     exponent triples are merged mod p.  Smoothness is decided by one rank over
-    F_p (`_is_smooth`), which builds no table.  A singular curve raises
+    F_p (`_is_smooth`), which builds no table and raises TooLarge above
+    MACAULAY_MAX_ENTRIES.  A curve that rank proves singular raises
     SingularCurve with its first singular point: construction eliminates z
     once, then walks every extension j = 1, 2, .. (see `_chart_a_elimination`
     and `_plane_singular_witness`): it builds the table of F_{q^j} (TooLarge
     above 2^26 elements) and walks only the candidate y-lines of chart
-    (1:y:z) there, so time and memory grow with q^j, not q^{2j}.  A curve
-    whose Macaulay matrix passes MACAULAY_MAX_ENTRIES is walked too: the walk
-    finds its witness or raises TooLarge at its first table above 2^26,
-    since d(d-1)/2 >= 91 there.
+    (1:y:z) there, so time and memory grow with q^j, not q^{2j}.
 
     The walk finds a witness by j = d(d-1)/2, in every characteristic.  If F
     is squarefree, its singular set is finite with at most
@@ -478,11 +478,7 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
     if d < 1:
         raise InvalidDegree(d)
     monos = _canonical_monomials(monomials, field.p, d)
-    try:
-        smooth = _is_smooth(monos, field.p, d)
-    except TooLarge:
-        smooth = False
-    if not smooth:
+    if not _is_smooth(monos, field.p, d):
         cand = _chart_a_elimination(monos, field.p)
         for j in range(1, d * (d - 1) // 2 + 1):
             witness = _plane_singular_witness(field, monos, j, cand)
@@ -669,6 +665,8 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
         raise InvalidDegree(j)
     if curve.kind == PROJECTIVE_LINE:
         return curve.q**j + 1
+    if j >= budget.bit_length():  # q^j >= 2^j > budget: too large to compute
+        raise BudgetExceeded(f"{curve.q}^{j}", budget)
     if curve.q**j > budget:
         raise BudgetExceeded(curve.q**j, budget)
     ext = extension_of(curve.base, j)

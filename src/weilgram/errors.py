@@ -101,6 +101,8 @@ class InconsistentCounts(WeilgramError, ValueError):
 
 
 class BudgetExceeded(WeilgramError):
+    """`needed` is q^j, or the string "q^j" when too large to compute."""
+
     def __init__(self, needed, budget):
         super().__init__(f"enumeration of {needed} points exceeds budget {budget}")
         self.needed = needed

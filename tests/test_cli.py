@@ -63,7 +63,9 @@ def test_count_invalid_inputs(manifest, tmp_path, capsys):
 
 def test_count_budget_exit_code(manifest, capsys):
     assert main(["--budget", "2", "count", manifest(ELLIPTIC)]) == 3
-    capsys.readouterr()
+    # 3^10000 is refused before it is computed, and the message prints
+    assert main(["count", manifest(ELLIPTIC), "--ext", "10000"]) == 3
+    assert "3^10000" in capsys.readouterr().err
 
 
 # --- zeta ------------------------------------------------------------------

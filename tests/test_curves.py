@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -418,9 +419,10 @@ def test_sextic_singular_over_f3_keeps_its_witness():
 
 
 def test_macaulay_matrix_cap(monkeypatch):
-    """_is_smooth raises TooLarge above MACAULAY_MAX_ENTRIES, before
-    allocating; make_smooth_plane then leaves the curve to the walk, which
-    finds the witness it found before.  A cubic's matrix is 36 x 21."""
+    """_is_smooth raises TooLarge above MACAULAY_MAX_ENTRIES, and so does
+    make_smooth_plane, singular curve or smooth, before any table is
+    requested: the rank is the only verdict.  A cubic's matrix is 36 x 21;
+    at d = 14 it is 1378 x 780."""
     cubic = curves._canonical_monomials(FERMAT_CUBIC, 5, 3)
     monkeypatch.setattr(curves, "MACAULAY_MAX_ENTRIES", 36 * 21)
     assert curves._is_smooth(cubic, 5, 3)
@@ -428,12 +430,29 @@ def test_macaulay_matrix_cap(monkeypatch):
     with pytest.raises(TooLarge):
         curves._is_smooth(cubic, 5, 3)
     monkeypatch.undo()
-    curve = [(0, 14, 0, 1), (0, 0, 14, 1), (12, 1, 1, 1)]  # singular at (1 : 0 : 0)
-    with pytest.raises(TooLarge):
-        curves._is_smooth(curves._canonical_monomials(curve, 5, 14), 5, 14)
-    with pytest.raises(SingularCurve) as info:
-        make_smooth_plane(F5, curve, 14)
-    assert (info.value.witness, info.value.extension_degree) == ((1, 0, 0), 1)
+    asked = _tables_up_to(monkeypatch, 0)
+    singular = [(0, 14, 0, 1), (0, 0, 14, 1), (12, 1, 1, 1)]  # at (1 : 0 : 0)
+    fermat = [(14, 0, 0, 1), (0, 14, 0, 1), (0, 0, 14, 1)]
+    for field, curve in [(F5, singular), (F3, fermat)]:
+        with pytest.raises(TooLarge):
+            make_smooth_plane(field, curve, 14)
+    assert asked == []
+
+
+def test_macaulay_matrix_cap_is_checked_before_allocating():
+    """x^1000 + y^1000 + z^1000 over F_5 has zero partials, so its matrix
+    is F's 1997 * 1998 / 2 shifts by 2998 * 2997 / 2 monomials; it is
+    refused from those counts, without building the shifts."""
+    fermat = curves._canonical_monomials(
+        [(1000, 0, 0, 1), (0, 1000, 0, 1), (0, 0, 1000, 1)], 5, 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            curves._is_smooth(fermat, 5, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_make_smooth_plane_errors():
@@ -642,6 +661,19 @@ def test_count_points_budget():
         count_points(X, 2, budget=15)
     assert info.value.needed == 16
     assert count_points(X, 2, budget=16) == 9
+
+
+def test_count_points_budget_before_computing_q_to_the_j():
+    """From j >= budget.bit_length() on, q^j > budget without computing it:
+    3^(10^8) alone would take minutes, and 3^10000 has too many digits to
+    print."""
+    E = make_hyperelliptic(F3, (0, 1, 0, 1))
+    start = time.perf_counter()
+    for j in (10**4, 10**8):
+        with pytest.raises(BudgetExceeded) as info:
+            count_points(E, j)
+        assert str(info.value) == f"enumeration of 3^{j} points exceeds budget {10**6}"
+    assert time.perf_counter() - start < 1
 
 
 # --- series invariants -----------------------------------------------------
