@@ -33,19 +33,17 @@ Q like every other family.
 A plane is smooth exactly when the Macaulay matrix of F and its three
 partials in degree 3d - 4 has full column rank over F_p (`_is_smooth`), so
 a smooth curve builds no table, and a matrix above MACAULAY_MAX_ENTRIES is
-refused with TooLarge.  Only a curve the rank proves singular is walked, to
-find its witness: the search goes through the three affine charts listed by
-`_charts`, (1:y:z), (0:1:z), then (0:0:1), over F_{q^j} for j = 1, 2, ...
-One evaluator sums the terms co * y^b z^c digitwise over blocks of whole
-z-lines of about CHUNK pairs (pieces of a line when it is longer), so a walk
-holds O(CHUNK) values plus one power table per exponent in use.  The search
-keeps the pairs where F and its three partials vanish and stops at the first
-one; it eliminates z once per curve: a singular chart point (1:y0:z0) forces
-y0 to be a root of Res_z(F1, dF1) * lc * lc, computed exactly in F_p[y] by
-fraction-free elimination, so in each extension chart (1:y:z) is walked only
-on the y-lines through those roots.  When elimination says nothing (both
-partials of F1 vanish, or the resultant does identically, which only very
-non-generic curves allow) every y-line is walked.
+refused with TooLarge.  Only a curve the rank proves singular is searched
+for its witness, over F_{q^j} for j = 1, 2, ..., with the line algebra of a
+count.  z is eliminated once per curve: a singular chart point (1:y0:z0)
+forces y0 to be a root of Res_z(F1, dF1) * lc * lc, computed exactly in
+F_p[y] by fraction-free elimination, so chart (1:y:z) is searched only on
+the y-lines through those roots (on every y-line when elimination says
+nothing: both partials of F1 vanish, or the resultant does identically,
+which only very non-generic curves allow).  Horner's rule in y gives each
+line's polynomials in z, Horner's rule in z finds the zeros of F on blocks
+of about CHUNK points, and the partials are evaluated only there.  The
+chart (0:1:z) is a gcd in F_p[z] and (0:0:1) three coefficients.
 """
 
 from __future__ import annotations
@@ -377,77 +375,66 @@ def _is_smooth(monomials: tuple, p: int, d: int) -> bool:
     return True
 
 
-def _charts(ys, Q: int) -> tuple:
-    """The affine charts of P^2(F_Q) in witness order, as (x, ys, zs): F(1, y, z)
-    on ys x F_Q, F(0, 1, z) on {1} x F_Q and F(0, 0, 1) at (y, z) = (0, 1).
-    Field elements are table indices, so 0 and 1 index themselves."""
-    zs = np.arange(Q, dtype=np.int64)
-    return ((1, ys, zs), (0, np.array([1]), zs), (0, np.array([0]), np.array([1])))
+def _horner(T: FieldTable, coeffs, x) -> np.ndarray:
+    """sum coeffs[i] x^i by Horner's rule in index space; each coeffs[i]
+    broadcasts against x, and the result has their common shape."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = T.add(T.mul(acc, x), c)
+    return np.broadcast_to(acc, np.broadcast_shapes(np.shape(coeffs[0]), np.shape(x)))
 
 
-def _on_chart(monomials: tuple, x: int) -> tuple:
-    """The monomials that survive x = 0 or x = 1; the chart drops x^a."""
-    return monomials if x else tuple(m for m in monomials if m[0] == 0)
-
-
-def _blocks(ys, zs):
-    """(Y, Z) blocks of ys x zs in (y, z) order: whole z-lines of about CHUNK
-    pairs, or CHUNK-long pieces of one line when a line is longer."""
-    lines = max(1, CHUNK // len(zs))
-    for lo in range(0, len(ys), lines):
-        Y = ys[lo:lo + lines]
-        for zlo in range(0, len(zs), CHUNK):
-            Z = zs[zlo:zlo + CHUNK]
-            yield np.repeat(Y, len(Z)), np.tile(Z, len(Y))
-
-
-def _power_tables(T: FieldTable, *polys) -> dict:
-    """T.powers(e) for every exponent e >= 1 of y or z in `polys`."""
-    exponents = {e for f in polys for _, b, c, _ in f for e in (b, c) if e}
-    return {e: T.powers(e) for e in exponents}
-
-
-def _zero_mask(T: FieldTable, pw: dict, monomials, Y, Z) -> np.ndarray:
-    """Where sum co * y^b z^c vanishes on the pairs (Y, Z), with pw from
-    `_power_tables`; the terms are summed digitwise, reduced once."""
-    # bounds every sum, and holds p even when there is no term
-    acc_type = np.min_scalar_type(max(len(monomials), 1) * (T.p - 1) ** 2)
-    acc = np.zeros((len(Y), T.K), dtype=acc_type)
-    for _, b, c, co in monomials:
-        if b and c:
-            term = T.mul(pw[b][Y], pw[c][Z])
-        elif b:
-            term = pw[b][Y]
-        elif c:
-            term = pw[c][Z]
-        else:
-            term = np.ones(len(Y), dtype=np.int64)
-        acc += co * T.digits.take(term, axis=0).astype(acc_type)
-    acc -= acc // T.p * T.p  # acc % p, but numpy divides small ints faster
-    return acc @ T._pvec == 0
+def _at_x0(monomials: tuple, p: int) -> tuple:
+    """F(0, 1, z) in F_p[z]: the x-free monomials, by their power of z."""
+    out = [0] * (max((c for _, _, c, _ in monomials), default=-1) + 1)
+    for a, _, c, co in monomials:
+        if a == 0:
+            out[c] += co
+    return fppoly.trim(out, p)
 
 
 def _plane_singular_witness(field: FieldSpec, monomials: tuple, j: int, cand):
-    """First common zero of F and its gradient in P^2(F_{q^j}), in the order
-    of `_charts`, with chart (1:y:z) walked on the roots of `cand`, the
-    curve's `_chart_a_elimination`; None if there is none.  On (1:y:z),
-    Euler's identity x F_x + y F_y + z F_z = d F makes the F_x filter a
-    no-op; it stays so that every chart is filtered alike."""
+    """First common zero of F and its gradient in P^2(F_{q^j}), in table-index
+    order: (1:y:z) on the y-lines at the roots of `cand`, the curve's
+    `_chart_a_elimination` (every y-line when it is None), the least z first;
+    then (0:1:z); then (0:0:1).  None if there is none.
+
+    The y-lines come in blocks of about CHUNK pairs, or one line in
+    CHUNK-long z pieces.  One Horner in y gives the z-coefficients of F, F_y
+    and F_z on every line of a block, a Horner in z finds F's zeros, and F_y
+    and F_z are evaluated only there; Euler's identity
+    x F_x + y F_y + z F_z = d F makes F_x vanish with them at x = 1.  On
+    (0:1:z) the four forms restricted to x = 0 have their common zeros at
+    the roots of their gcd in F_p[z]."""
+    p = field.p
     T = get_table(extension_of(field, j))
-    if cand is None:
-        ys = np.arange(T.q, dtype=np.int64)
-    else:  # eval_poly peaks at several q-arrays; nothing else of size q is held yet
-        ys = np.nonzero(T.eval_poly(cand) == 0)[0]
-    polys = (monomials,) + tuple(_partial(monomials, axis, field.p) for axis in range(3))
-    pw = _power_tables(T, *polys)
-    for x, chart_ys, zs in _charts(ys, T.q):
-        on_chart = [_on_chart(f, x) for f in polys]
-        for Y, Z in _blocks(chart_ys, zs):
-            for f in on_chart:
-                keep = _zero_mask(T, pw, f, Y, Z)
-                Y, Z = Y[keep], Z[keep]
-            if len(Y):
-                return (x, int(Y[0]), int(Z[0]))
+    ys = np.arange(T.q) if cand is None else np.flatnonzero(T.eval_poly(cand) == 0)
+    partials = [_partial(monomials, axis, p) for axis in range(3)]
+    # rows: the y-polynomials of the z-coefficients of F, then F_y, then F_z
+    rows = [_chart_a_zpolys(f, p) or [()] for f in (monomials, *partials[1:])]
+    ends = np.cumsum([len(r) for r in rows])
+    rows = [P for r in rows for P in r]
+    width = max(len(P) for P in rows)
+    by_y = np.array([P + (0,) * (width - len(P)) for P in rows]).T[:, :, None]
+    lines = max(1, CHUNK // T.q)
+    for lo in range(0, len(ys), lines):
+        Y = ys[lo:lo + lines]
+        F, Fy, Fz = np.split(_horner(T, by_y, Y), ends[:2])
+        for Z in (np.arange(s, min(s + CHUNK, T.q)) for s in range(0, T.q, CHUNK)):
+            y, z = np.nonzero(_horner(T, F[:, :, None], Z) == 0)
+            singular = (_horner(T, Fy[:, y], Z[z]) == 0) & (_horner(T, Fz[:, y], Z[z]) == 0)
+            if singular.any():
+                k = np.argmax(singular)
+                return (1, int(Y[y[k]]), int(Z[z[k]]))
+    g = ()
+    for f in (monomials, *partials):
+        g = fppoly.gcd(g, _at_x0(f, p), p)
+    roots = np.flatnonzero(T.eval_poly(g) == 0)
+    if len(roots):
+        return (0, 1, int(roots[0]))
+    d = sum(monomials[0][:3])  # F, F_x, F_y vanish at (0:0:1), and with them F_z
+    if not {m[:3] for m in monomials} & {(0, 0, d), (1, 0, d - 1), (0, 1, d - 1)}:
+        return (0, 0, 1)
     return None
 
 
@@ -459,12 +446,13 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
     F_p (`_is_smooth`), which builds no table and raises TooLarge above
     MACAULAY_MAX_ENTRIES.  A curve that rank proves singular raises
     SingularCurve with its first singular point: construction eliminates z
-    once, then walks every extension j = 1, 2, .. (see `_chart_a_elimination`
-    and `_plane_singular_witness`): it builds the table of F_{q^j} (TooLarge
-    above 2^26 elements) and walks only the candidate y-lines of chart
-    (1:y:z) there, so time and memory grow with q^j, not q^{2j}.
+    once, then searches every extension j = 1, 2, .. (see
+    `_chart_a_elimination` and `_plane_singular_witness`): it builds the
+    table of F_{q^j} (TooLarge above 2^26 elements) and evaluates F only on
+    the candidate y-lines of chart (1:y:z) there, CHUNK points at a time,
+    so time and memory grow with q^j, not q^{2j}.
 
-    The walk finds a witness by j = d(d-1)/2, in every characteristic.  If F
+    The search finds a witness by j = d(d-1)/2, in every characteristic.  If F
     is squarefree, its singular set is finite with at most
     sum (d_i-1)(d_i-2)/2 + sum_{i<j} d_i d_j <= d(d-1)/2 points over the
     algebraic closure (d_i the degrees of the components; Fulton, Algebraic
@@ -636,16 +624,11 @@ def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
             lines = np.nonzero(deg == D)[0]
             if len(lines):
                 total += _roots_in_field(T, [a.take(lines) for a in block[:D + 1]])
-    d = sum(monomials[0][:3])
-    at_x0 = [0] * (d + 1)
-    for a, _, c, co in monomials:
-        if a == 0:
-            at_x0[c] += co
-    f = fppoly.trim(at_x0, p)  # F(0, 1, z); its z^d coefficient is F(0, 0, 1)
+    f = _at_x0(monomials, p)  # its z^d coefficient is F(0, 0, 1)
     if not f:
         return total + Q + 1
     roots = fppoly.gcd(f, fppoly.sub(fppoly.powmod((0, 1), Q, f, p), (0, 1), p), p)
-    return total + fppoly.degree(roots) + (fppoly.degree(f) < d)
+    return total + fppoly.degree(roots) + (fppoly.degree(f) < sum(monomials[0][:3]))
 
 
 def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int:

@@ -50,12 +50,11 @@ Z = L[E + 1].  A prime-field constant c has window c e_0, index c, so its
 log is L[c].  eval_logs reads only Z and these p logs, so a hyperelliptic
 or biquadratic count builds nothing else.
 
-exp, log and digits are built on first use, for the index-space callers:
-mul, div, add, eval_poly, powers, sqrt_count and the plane-curve witness
-walk.  Each digit of g^m in the polynomial basis is a linear recurring
-sequence with the same recurrence, so exp runs the same blocks, started
-from the digits of g^0..g^(K-1).  log is the inverse permutation of exp,
-and digits the K base-p digits of every index.
+exp and log are built on first use, for the index-space callers: mul,
+div, add, eval_poly and sqrt_count.  Each digit of g^m in the polynomial
+basis is a linear recurring sequence with the same recurrence, so exp runs
+the same blocks, started from the digits of g^0..g^(K-1), and log is its
+inverse permutation.  The library reads neither digits nor powers.
 
 Memory per element: a table that only counts holds 4 bytes, its Zech
 logarithms (uint32), plus R, kept so that exp needs no second doubling:
@@ -141,6 +140,7 @@ class FieldTable:
             rows.append(power + (0,) * (self.K - len(power)))
             power = fppoly.mod((0,) + power, spec.modulus, self.p)
         self.reduction = np.array(rows, dtype=np.int64).reshape(self.K - 1, self.K)
+        # p^i for i < K (read by perfbench)
         self._pvec = np.array([self.p**i for i in range(self.K)], dtype=np.int64)
         self._sqrt_count = None
         self._pow_cache = {}  # always empty; perfbench sums its values
@@ -234,7 +234,7 @@ class FieldTable:
         first use.  Each digit of g^m is a linear recurring sequence with
         the same recurrence as s, so the blocks start from the digits of
         g^0..g^(K-1)."""
-        n, pvec = self.q - 1, self._pvec.astype(np.float64)
+        n, pvec = self.q - 1, float(self.p) ** np.arange(self.K)
         exp = np.empty(self.q, dtype=np.int32)
         for lo, block in self._blocks(self._g_digits):
             out = exp[lo:min(lo + len(block) - self.K, n)]
@@ -251,7 +251,8 @@ class FieldTable:
 
     @cached_property
     def digits(self) -> np.ndarray:
-        """digits[x] = the K base-p digits of index x, built on first use."""
+        """digits[x] = the K base-p digits of index x, built on first use;
+        kept for perfbench, as nothing in the library reads it."""
         digits = np.empty((self.q, self.K), dtype=np.min_scalar_type(self.p - 1))
         # as a (p,)*K grid the index runs over the digits from most significant
         grid = digits.reshape((self.p,) * self.K + (self.K,))
@@ -347,7 +348,8 @@ class FieldTable:
     def powers(self, n: int) -> np.ndarray:
         """Index array (int32) of e^n over all elements e (n >= 0); e^0 = 1
         for all e, and 0^n = 0 for n >= 1.  Computed in CHUNK slices, so no
-        int64 array of q entries is allocated."""
+        int64 array of q entries is allocated.  Kept for the tests and
+        perfbench, as nothing in the library calls it."""
         if n == 0:
             return np.ones(self.q, dtype=np.int32)
         out = np.zeros(self.q, dtype=np.int32)

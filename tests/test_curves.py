@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from weilgram import curves
+from weilgram import curves, fppoly
 from weilgram.curves import (
     CHUNK,
     SMOOTH_PLANE,
@@ -153,19 +153,22 @@ def _seeded_planes():
 def test_singular_witness_matches_point_scan_oracle():
     """The first singular point over F_p, found through elimination, is the
     first one in the oracle's scan of every point of P^2(F_p)."""
-    outcomes = set()
+    outcomes, charts = set(), set()
     for p, d, monos in _seeded_planes():
         field = construct_field(p, 1)
         cand = curves._chart_a_elimination(monos, p)
         no_z = len(curves._chart_a_zpolys(monos, p)) == 1
         outcomes.add("none" if cand is None else "no_z" if no_z else "resultant")
         expected = first_singular_point_prime_field(monos, p)
+        charts.add(None if expected is None else
+                   "(1:y:z)" if expected[0] else "(0:1:z)" if expected[1] else "(0:0:1)")
         assert curves._plane_singular_witness(field, monos, 1, cand) == expected, (p, monos)
         if expected is not None:
             with pytest.raises(SingularCurve) as info:
                 make_smooth_plane(field, monos, d)
             assert (info.value.witness, info.value.extension_degree) == (expected, 1)
     assert outcomes == {"none", "no_z", "resultant"}
+    assert charts == {"(1:y:z)", "(0:1:z)", "(0:0:1)", None}
 
 
 def test_every_chart_counts_like_the_point_scan_oracle():
@@ -189,6 +192,23 @@ def test_witness_in_the_second_piece_of_a_line_longer_than_chunk():
     with pytest.raises(SingularCurve) as info:
         make_smooth_plane(field, [(1, 1, 0, 1)], 2)
     assert (info.value.witness, info.value.extension_degree) == ((0, 0, 1), 1)
+
+
+def test_witness_on_a_later_candidate_line():
+    """Over F_65537 each block holds one line.  The nodal cubic
+    y^2 z = x^3 + x^2 z under x -> y - 40000 x, y -> z - 123 x, z -> x has
+    its node at (1 : 40000 : 123); cand has two roots in F_p, and the first,
+    39999, is a line tangent to the curve with no singular point on it."""
+    p = 65537
+    X, Y, Z = ((0, 1, 0, 1), (1, 0, 0, -40000)), ((0, 0, 1, 1), (1, 0, 0, -123)), ((1, 0, 0, 1),)
+    X2 = _product(X, X, p)
+    F = _merged(_product(_product(Y, Y, p), Z, p) + tuple(
+        (a, b, c, -co) for a, b, c, co in _product(X2, X, p) + _product(X2, Z, p)), p)
+    cand = curves._chart_a_elimination(F, p)
+    assert [y for y in range(p) if fppoly.eval_at(cand, y, p) == 0] == [39999, 40000]
+    with pytest.raises(SingularCurve) as info:
+        make_smooth_plane(construct_field(p, 1), F, 3)
+    assert (info.value.witness, info.value.extension_degree) == ((1, 40000, 123), 1)
 
 
 def _sweep_planes():
