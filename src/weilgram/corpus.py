@@ -48,6 +48,7 @@ from .curves import (
     DiagramData,
     count_series,
     hyperelliptic_cover,
+    make_biquadratic,
     make_hyperelliptic,
     make_projective_line,
     make_smooth_plane,
@@ -197,8 +198,6 @@ def _sample_plane(rng: LCG, field, lo: int, hi: int):
 
 
 def _sample_biquadratic(rng: LCG, field, f_range, g_range):
-    from .curves import make_biquadratic
-
     odd = [d for d in range(f_range[0], f_range[1] + 1) if d % 2 == 1]
     even = [d for d in range(max(2, g_range[0]), g_range[1] + 1) if d % 2 == 0]
     if not odd or not even:

@@ -55,6 +55,7 @@ import numpy as np
 
 from . import fppoly
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     DegreeParity,
     EvenCharacteristic,
@@ -72,7 +73,6 @@ from .errors import (
 from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_square_in
 from .tables import CHUNK, FieldTable, get_table
 
-DEFAULT_BUDGET = 10**6
 # the Macaulay matrix of `_is_smooth`, 8 MB of int64: the plane degree limit,
 # d <= 13 when all three partials are nonzero
 MACAULAY_MAX_ENTRIES = 1 << 20

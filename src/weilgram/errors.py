@@ -100,6 +100,10 @@ class InconsistentCounts(WeilgramError, ValueError):
     inequality, so some count is wrong."""
 
 
+# the enumeration budget of a count when the caller states none
+DEFAULT_BUDGET = 10**6
+
+
 class BudgetExceeded(WeilgramError):
     """`needed` is q^j, or the string "q^j" when too large to compute."""
 

@@ -8,17 +8,18 @@ degree 1, 2 and 3 it implies are nonnegative integers:
     N_2 >= N_1 and N_2 == N_1 (mod 2)   (degree-2 places)
     N_3 >= N_1 and N_3 == N_1 (mod 3)   (degree-3 places)
 
-together with each N_j inside its Weil interval (the intervals are implied by
-the 2x2 principal minors indexed {0, j}, so they are redundant as constraints
-but pin down the finite scan ranges).
+Each N_j also lies in its Weil interval, because the 2x2 principal minor
+indexed {0, j} is exactly the Weil inequality; no separate test is needed.
 
 The search is an exact integer interval scan.  In the Gram matrix of a prefix
 (N_1, .., N_j), the count N_j enters only through t_j = q^j + 1 - N_j at the
 corner (0, j), so given a PSD prefix of length j - 1 the values of N_j that
-keep it PSD form an interval, computed exactly by `psd_corner_interval`.  Each
-N_j is taken only from that interval, intersected with its Weil interval and,
-when toggled, with the place-count constraints.  Every candidate still passes
-through `feasible_counts`, and no floating-point value enters the search.
+keep it PSD form an interval, computed exactly by `psd_corner_interval`.
+Every scan range is that interval, intersected, when toggled, with the
+place-count constraints.  For N_1 the Gram matrix is the 2x2 one of order 1,
+so its corner interval is exactly N_1's Weil interval; for j >= 2 the corner
+interval already lies inside N_j's.  Every candidate still passes through
+`feasible_counts`, and no floating-point value enters the search.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import weil_interval
 from .errors import BudgetExceeded, NegativeGenus, TooLarge, ZeroGenus
 from .finite_field import check_prime_power
 from .gram import gram_absolute, is_psd, psd_corner_interval
@@ -97,8 +97,15 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     every genus.
     """
     q, g, m, toggles = problem.q, problem.g, problem.m, problem.toggles
-    intervals = [weil_interval(q, g, j) for j in range(1, m + 1)]
     scanned = 0
+
+    def scan_range(prefix):
+        """[lo, hi] of N_j, j = len(prefix) + 1: the PSD corner interval."""
+        j = len(prefix) + 1
+        # the trailing 0 is a placeholder for t_j, which the interval replaces
+        t = psd_corner_interval(gram_absolute(q, g, prefix + (0,), j))
+        # N_j = q^j + 1 - t_j; an empty t leaves lo > hi
+        return q**j + 2 - t.stop, q**j + 1 - t.start
 
     def completions(prefix):
         nonlocal scanned
@@ -108,11 +115,7 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
         j = len(prefix) + 1
         if j > m:
             return prefix
-        # the trailing 0 is a placeholder for t_j, which the interval replaces
-        t = psd_corner_interval(gram_absolute(q, g, prefix + (0,), j))
-        # N_j = q^j + 1 - t_j; an empty t leaves lo > hi
-        lo, hi = intervals[j - 1]
-        lo, hi = max(lo, q**j + 2 - t.stop), min(hi, q**j + 1 - t.start)
+        lo, hi = scan_range(prefix)
         step = 1
         if toggles:
             # N_j >= N_1 and N_j == N_1 (mod j) for j = 2, 3 (j <= MAX_ORDER)
@@ -124,7 +127,7 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
                 return found
         return None
 
-    lo1, hi1 = intervals[0]
+    lo1, hi1 = scan_range(())
     for n1 in range(hi1, lo1 - 1, -1):
         witness = completions((n1,))
         if witness is not None:

@@ -1,5 +1,7 @@
 """Count-vector feasibility scans and the closed-form order-2 bound."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -183,3 +185,28 @@ def test_ihara_floor_matches_float_form():
             assert 2 * cf.floor <= 2 * q + 2 - g + root < 2 * cf.floor + 2
             approx = q + 1 + (math.sqrt(cf.radicand) - g) / 2.0
             assert float(cf) == pytest.approx(approx, rel=1e-12)
+
+
+def test_max_n1_grid_is_frozen():
+    """`max_n1` over all 1458 problems with q <= 64, g = 0..8, m = 1..3 and
+    toggles on and off, hashed.  It pins `scanned` too, which the CLI prints.
+    The digest was computed when the N_1 scan range still came from
+    `weil_interval` and every N_j range was cut to its Weil interval."""
+    rows = []
+    for q in [q for q in range(2, 65) if _is_prime_power(q)]:
+        for g in range(9):
+            for m in (1, 2, 3):
+                for toggles in (True, False):
+                    res = max_n1(FeasibilityProblem(q=q, g=g, m=m, toggles=toggles))
+                    rows.append([q, g, m, toggles, res.max_n1, list(res.witness),
+                                 res.scanned])
+    assert len(rows) == 1458
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "3a88b2178a003e31cb75b0691749c2562e23c0650a082ec6b42ef38df1d9fe42"
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1

@@ -1,0 +1,147 @@
+"""The package namespace loads lazily, and table-free paths never load numpy.
+
+Each check runs in a fresh interpreter, since the test session itself has
+long since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from weilgram.errors import DEFAULT_BUDGET
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# the public names of the package, in order, as the eager namespace had them
+PUBLIC = [
+    "fppoly", "errors", "finite_field", "tables", "curves", "gram", "bounds",
+    "BoundReport", "CheckRecord", "check_diagram", "check_relative",
+    "check_relative_second", "check_weil", "full_report", "report_to_csv",
+    "report_to_dict", "report_to_json", "weil_interval",
+    "zeta", "corpus",
+    "LCG", "CorpusSpec", "builtin_covers", "builtin_curves", "default_corpus_spec",
+    "generate_corpus", "parse_corpus_spec", "run_corpus", "seeded_diagrams",
+    "summary_csv", "write_report",
+    "DEFAULT_BUDGET", "CoverData", "CurveModel", "DiagramData", "PointCountSeries",
+    "count_points", "count_series", "hyperelliptic_cover", "hyperelliptic_genus",
+    "make_biquadratic", "make_hyperelliptic", "make_projective_line",
+    "make_smooth_plane", "parse_manifest", "serialize_manifest",
+    "WeilgramError",
+    "feasibility",
+    "FeasibilityProblem", "FeasibilityResult", "IharaClosedForm", "feasible_counts",
+    "ihara_closed_form", "max_n1",
+    "FieldElement", "FieldSpec", "construct_field", "enumerate_elements",
+    "extension_of", "is_square",
+    "GramMatrix", "PSDVerdict", "combined_vector_gram", "gram_absolute",
+    "gram_diagram", "gram_relative", "int_det", "is_psd", "psd_check",
+    "schwarz_margin",
+    "LPolynomial", "check_functional_equation", "check_riemann_hypothesis",
+    "extrapolate", "infer_genus", "l_from_counts", "power_sums",
+]
+SUBMODULES = ["fppoly", "errors", "finite_field", "tables", "curves", "gram",
+              "bounds", "zeta", "corpus", "feasibility"]
+
+# runs `python -m weilgram.cli ARGS`, then prints to stderr whether numpy was loaded
+CLI_THEN_NUMPY = ("import atexit, runpy, sys; "
+                  "atexit.register(lambda: print('numpy' in sys.modules, file=sys.stderr)); "
+                  "runpy.run_module('weilgram.cli', run_name='__main__', alter_sys=True)")
+
+
+def run_python(code, *args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["weilgram", "weilgram.feasibility", "weilgram.zeta",
+                                    "weilgram.gram", "weilgram.finite_field",
+                                    "weilgram.fppoly", "weilgram.errors"])
+def test_table_free_modules_load_no_numpy(module):
+    result = run_python(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+def test_table_free_names_load_no_numpy():
+    result = run_python("import sys, weilgram\n"
+                        "weilgram.max_n1, weilgram.is_psd, weilgram.l_from_counts\n"
+                        "weilgram.construct_field, weilgram.DEFAULT_BUDGET, weilgram.WeilgramError\n"
+                        "print('numpy' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (["feasibility", "64", "8", "3"],
+     "max_N1=193\nwitness=(193, 3073, 270337)\nscanned=3\n"
+     "ihara_floor=262\nwithin_closed_form=true\n"),
+    (["zeta", "--q", "3", "--counts", "4,16"], "L=[1,0,3]\ngenus=1\nrh_passed=true\n"),
+    (["--help"], None),
+], ids=["feasibility", "zeta", "help"])
+def test_table_free_cli_commands_load_no_numpy(argv, stdout):
+    result = run_python(CLI_THEN_NUMPY, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "False\n"
+    if stdout is not None:
+        assert result.stdout == stdout
+    else:
+        assert f"(default {DEFAULT_BUDGET})" in result.stdout
+
+
+def test_manifest_commands_still_load_numpy(tmp_path):
+    """The control: a command that reads a manifest imports `curves`, and
+    numpy with it, so the check above can see numpy when it is loaded."""
+    manifest = tmp_path / "line.json"
+    manifest.write_text(json.dumps({"kind": "line", "p": 3, "k": 1}))
+    result = run_python(CLI_THEN_NUMPY, "count", str(manifest), "--ext", "2")
+    assert result.returncode == 0, result.stderr
+    assert (result.stdout, result.stderr) == ("N_2=10\n", "True\n")
+
+
+def test_public_names_resolve_to_their_home_objects():
+    """Each submodule name is the submodule; each class or function is the
+    object its defining module holds; `DEFAULT_BUDGET` is the one in
+    `errors`, which `curves` shares."""
+    code = """
+import importlib, json, sys
+import weilgram
+submodules = json.loads(sys.argv[1])
+wrong = []
+for name in weilgram.__all__:
+    obj = getattr(weilgram, name)
+    if name in submodules:
+        ok = obj is importlib.import_module("weilgram." + name)
+    else:
+        home = getattr(obj, "__module__", "weilgram.errors")
+        ok = home.startswith("weilgram.") and getattr(importlib.import_module(home), name) is obj
+    if not ok:
+        wrong.append(name)
+from weilgram import curves, errors
+ok_budget = weilgram.DEFAULT_BUDGET is errors.DEFAULT_BUDGET is curves.DEFAULT_BUDGET
+print(json.dumps({"all": weilgram.__all__, "dir": dir(weilgram), "wrong": wrong,
+                  "budget": ok_budget}))
+"""
+    result = run_python(code, json.dumps(SUBMODULES))
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["all"] == PUBLIC
+    assert out["dir"] == sorted(PUBLIC)
+    assert out["wrong"] == []
+    assert out["budget"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    result = run_python(
+        "import weilgram\n"
+        "try:\n    weilgram.no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)\n")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "module 'weilgram' has no attribute 'no_such_name'\n"
+
+    import weilgram
+    assert not hasattr(weilgram, "no_such_name")
+    assert weilgram.__version__ == "0.1.0"
