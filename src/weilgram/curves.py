@@ -18,6 +18,24 @@ Curve coefficients live in the prime field, so extending scalars is the
 constant embedding.  All counts are exact; the heavy lifting is done by the
 vectorized tables module.
 
+Hyperelliptic and biquadratic models are counted by a parity rule on
+K = kj, Q = p^K.  Where K is odd, f is evaluated at every x of the table of
+F_Q.  Where K is even, Q = q'^2 with q' = p^(K/2), and the count runs on
+the table of F_q' alone, through the norm to F_q' (Lidl & Niederreiter,
+Finite Fields, ch. 2 and 6); F_Q is neither constructed nor tabled.  Write
+x = a + b theta with a, b in F_q' and theta^2 = d a non-square of F_q'.
+Then f(a + b theta) f(a - b theta) = sum_s c^s H_s(a) with c = d b^2, where
+H_s = sum_(k+l=2s) (-1)^l f^[k] f^[l] in F_p[a] (f^[k] the Hasse
+derivatives, H_0 = f^2, H_n = (-1)^n lc^2), and a nonzero v in F_Q is a
+square exactly when its norm v v^q' is a square in F_q'.  So
+#{y : y^2 = f(x)} = 1 + chi_q'(sum_s c^s H_s(a)), with chi(0) = 0.  b = 0
+gives c = 0, and as b runs over F_q'^* the c = d b^2 are the non-squares,
+each twice.  As the H_s have coefficients in F_p, the sum over a is the
+same at c and c^p, so only one non-square per orbit of c -> c^p is summed,
+weighted by twice the orbit's size: about Q / K pairs (c, a) instead of Q
+points.  A biquadratic model multiplies the rows of f and g.  At infinity
+every F_p scalar is a square in F_Q, so an even-degree model adds 2.
+
 Plane curves are counted by lines, never point by point.  On the line
 y = c of the chart (1:y:z) the points are the roots in F_Q (Q = q^j) of
 F1(c, z) = F(1, c, z), so there are deg gcd(F1(c, z), z^Q - z) of them, or
@@ -49,6 +67,8 @@ chart (0:1:z) is a gcd in F_p[z] and (0:0:1) three coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -295,21 +315,51 @@ def _resultant_z(A: list, B: list, p: int) -> tuple:
     return _poly_det(rows, p)
 
 
+def _share_a_factor_in_z(A: list, B: list, p: int) -> bool:
+    """Whether A and B, polynomials in z with F_p[y] coefficients and nonzero
+    leading entries, have a common factor of positive degree in z, which is
+    when Res_z(A, B) vanishes identically.  Euclid in F_p(y)[z] on
+    pseudo-remainders, each divided by its content (the gcd of its
+    coefficients) so that their degrees in y stay small."""
+    if len(A) < len(B):
+        A, B = B, A
+    while len(B) > 1:
+        R = A
+        while len(R) >= len(B):  # R = lc(B) R - lead(R) z^shift B, its top cancelled
+            lead, shift = R[-1], len(R) - len(B)
+            R = [fppoly.sub(fppoly.mul(r, B[-1], p),
+                            fppoly.mul(lead, B[i - shift], p) if i >= shift else (), p)
+                 for i, r in enumerate(R[:-1])]
+            while R and not R[-1]:
+                R.pop()
+        if not R:
+            return True
+        content = ()
+        for r in R:
+            content = fppoly.gcd(content, r, p)
+        A, B = B, [fppoly.divmod_poly(r, content, p)[0] for r in R]
+    return False
+
+
 def _chart_a_elimination(monomials: tuple, p: int):
     """cand for F1 = F(1, y, z), computed once per curve.
 
     Every singular chart point has its y-coordinate among the roots of cand:
     F1 itself when it has no z, else Res_z(F1, D) * lc(F1) * lc(D) for D the
     z-partial of F1, or its y-partial when that is zero.  cand is None when
-    elimination says nothing (both partials zero, or the resultant
-    identically zero); then every y is a candidate."""
+    elimination says nothing, and then every y is a candidate: when both
+    partials are zero, or when F1 and D share a factor of positive degree in
+    z (a square G^2 dividing F1 does), so that the resultant vanishes
+    identically.  Euclid in z decides that before any determinant."""
     zpolys = _chart_a_zpolys(monomials, p)
     if len(zpolys) == 1:
         return zpolys[0]
     D = _chart_a_zpolys(_partial(monomials, 2, p), p) or \
         _chart_a_zpolys(_partial(monomials, 1, p), p)
-    res = _resultant_z(zpolys, D, p) if D else ()
-    return fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p) if res else None
+    if not D or _share_a_factor_in_z(zpolys, D, p):
+        return None
+    res = _resultant_z(zpolys, D, p)
+    return fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p)
 
 
 def _monomials_of_degree(n: int) -> list:
@@ -546,6 +596,77 @@ def _square_roots(T: FieldTable, f) -> np.ndarray:
     return roots
 
 
+@lru_cache(maxsize=64)
+def _norm_coefficients(f: tuple, p: int, q: int) -> np.ndarray:
+    """H, row s the coefficients in a of H_s in f(a + t) f(a - t) = sum_s
+    H_s(a) t^(2s), for f in F_p[x] of degree n, reduced for evaluation at a
+    in F_q and t^2 in F_q: a^i = a^(i-(q-1)) for i >= q, t^e = t^(e-2(q-1))
+    for e >= 2q.  The odd powers of t cancel, and f(a + t) = sum_k f^[k](a)
+    t^k with the Hasse derivatives f^[k] = sum_i C(k+i, k) f_(k+i) a^i.  The
+    product is one integer product (Kronecker substitution), one slot per
+    coefficient of a^i t^e, each wide enough for its sum of products."""
+    n = len(f) - 1
+    rows, cols = min(n + 1, 2 * q), min(n + 1, q)  # t and a degrees below these
+    width = 2 * cols - 1
+
+    def fold(e, start, period):
+        return e if e < start + period else (e - start) % period + start
+
+    plus = [0] * rows * width
+    binom = [1] * (n + 1)  # C(k+i, k) mod p for i <= n - k, from the row k - 1
+    for k in range(n + 1):
+        if k:
+            binom = list(accumulate(binom[:n + 1 - k], lambda u, v: (u + v) % p))
+        row = fold(k, 2, 2 * q - 2) * width
+        for i, b in enumerate(binom):
+            plus[row + fold(i, 1, q - 1)] += b * f[k + i]
+    plus = [c % p for c in plus]
+    minus = [-c % p if r % 2 else c for r in range(rows) for c in plus[r * width:(r + 1) * width]]
+    size = (cols * rows * (p - 1) ** 2).bit_length() // 8 + 1  # bytes per slot
+    product = _pack(plus, size) * _pack(minus, size)
+    product = product.to_bytes(size * width * (2 * rows - 1), "little")
+    H = np.zeros((min(n, q - 1) + 1, min(2 * n, q - 1) + 1), dtype=object)
+    for e in range(0, 2 * rows - 1, 2):
+        s = fold(e, 2, 2 * q - 2) // 2
+        for i in range(width):
+            at = (e * width + i) * size
+            H[s, fold(i, 1, q - 1)] += int.from_bytes(product[at:at + size], "little")
+    H = (H % p).astype(np.int64)
+    H.setflags(write=False)
+    return H
+
+
+def _pack(slots: list, size: int) -> int:
+    """The integer whose size-byte little-endian slots hold `slots`."""
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in slots), "little")
+
+
+def _norm_count(T: FieldTable, polys) -> int:
+    """Sum over x in F_Q of the product over f in polys of #{y : y^2 =
+    f(x)}, for Q = q'^2, q' = T.q, on the table of F_q' alone (module
+    docstring): the row c = 0 once, and each non-square orbit leader's row
+    twice per element of its orbit, each row summed over every a in F_q'.
+    Rows come in blocks of about CHUNK (c, a) pairs."""
+    n = T.q - 1
+    a_logs = np.append(np.arange(n, dtype=np.uint32), np.uint32(3 * n))  # every a
+    values = []  # per f, row s: log H_s(a) at every a
+    for f in polys:
+        H = T.prime_logs.take(_norm_coefficients(f, T.p, T.q))
+        values.append(T.horner_logs(list(H.T[:, :, None]), a_logs))
+    leaders, sizes = T.frobenius_orbits
+    c_logs = np.append(leaders, np.uint32(3 * n))[:, None]
+    weights = np.append(2 * sizes, 1)
+    roots = np.zeros(n + 1, dtype=np.int8)  # by log: 2 at a square, 0 at a non-square
+    roots[0:n:2], roots[n] = 2, 1  # and 1 at the sentinel, zero
+    total, rows = 0, max(1, CHUNK // T.q)
+    for lo in range(0, len(c_logs), rows):
+        block = 1
+        for H in values:
+            block = block * roots.take(T.horner_logs(list(H), c_logs[lo:lo + rows]), mode="clip")
+        total += int(block.sum(axis=1) @ weights[lo:lo + rows])
+    return total
+
+
 def _roots_in_field(T: FieldTable, h: list) -> int:
     """Sum over lines of deg gcd(h, z^Q - z), the number of distinct roots in
     F_Q (Q = T.q) of h = sum h_i z^i; h is a list of index arrays, one entry
@@ -638,20 +759,33 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     family: the x-values of a hyperelliptic or biquadratic model, the y-lines
     of a plane curve's chart (1:y:z); exceeding it raises instead of
     grinding.  The projective line is a closed form, enumerates nothing and
-    is not charged.
+    is not charged; like every family it is refused from j >=
+    budget.bit_length() on, where q^j > budget is known without computing
+    it.
 
-    Memory: a hyperelliptic count over F_{3^12} with a table not yet built
-    peaks at 11.6 bytes per element under tracemalloc (8 of them the table
-    build's two uint32 permutations), and the cached table keeps 4, its
-    Zech logarithms, plus about 64 KB (see the tables module)."""
+    Memory: a hyperelliptic or biquadratic count with kj even holds the
+    table of F_{q'}, q' = sqrt(q^j), the values of its H_s there ((n + 1) q'
+    uint32 per polynomial of degree n) and one block of about CHUNK (c, a)
+    pairs: over F_{3^12}, from tables not yet built, it peaks at about 2
+    bytes per element of F_{3^12} under tracemalloc.  With kj odd it walks
+    the table of F_{q^j}: over F_{3^13} it peaks at about 10.5 bytes per
+    element (8 of them the table build's two uint32 permutations), and the
+    cached table keeps 4, its Zech logarithms, plus about 64 KB (see the
+    tables module)."""
     if j < 1:
         raise InvalidDegree(j)
-    if curve.kind == PROJECTIVE_LINE:
-        return curve.q**j + 1
     if j >= budget.bit_length():  # q^j >= 2^j > budget: too large to compute
         raise BudgetExceeded(f"{curve.q}^{j}", budget)
+    if curve.kind == PROJECTIVE_LINE:
+        return curve.q**j + 1
     if curve.q**j > budget:
         raise BudgetExceeded(curve.q**j, budget)
+    p, K = curve.base.p, curve.base.k * j
+    if curve.kind in (HYPERELLIPTIC, BIQUADRATIC) and K % 2 == 0:
+        # every F_p scalar is a square in F_{p^K}: infinity adds 2 for even deg
+        polys = (curve.f,) if curve.kind == HYPERELLIPTIC else (curve.f, curve.g)
+        affine = _norm_count(get_table(construct_field(p, K // 2)), polys)
+        return affine + (1 if fppoly.degree(polys[-1]) % 2 else 2)
     ext = extension_of(curve.base, j)
     T = get_table(ext)
     if curve.kind == HYPERELLIPTIC:

@@ -25,9 +25,19 @@ last coefficient added, and the next nonzero coefficient c' at a gap of m
 degrees adds v x^m + c' = c' (1 + (v / c) x^m (c / c')): two adds (of
 log x^m and of the constant log(c / c')), two unsigned wraps and one Z
 gather.  x runs over g^i in CHUNK slices, so log x^m = m i mod (q-1) is a
-CHUNK-long table plus a constant per slice, which joins the constant add.
-Zero values and zero coefficients need no mask, and f(0) is the constant
-term.
+CHUNK-long table plus a constant per slice, which joins the constant add;
+each such progression is built once per table and gap m, and kept.  Zero
+values and zero coefficients need no mask, and f(0) is the constant term.
+
+horner_logs is Horner's rule in log space where coefficients and points
+vary per entry and any of them may be zero (the counts through the norm,
+see the curves module): a step v x + c adds log v and log x and reduces
+the sum by one gather of a residue table, t mod (q-1) for t < 3(q-1) with
+every larger t sent to the sentinel, then adds c by Zech between the
+smaller and the larger log; a zero operand makes their difference exceed
+q-1, so the clipped gather reads Z[q-1] = 0.  frobenius_orbits lists one
+non-square per orbit of c -> c^p, the least log of its orbit among the odd
+logs, with the orbit's size.
 
 Tables are built once per field from one linear recurring sequence, in
 O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
@@ -47,8 +57,8 @@ its window coordinates, and E[i] = sum_j s_(i+j) p^j indexes it.  The
 element 1 has window e_0, so adding 1 moves only digit 0, and with L the
 inverse permutation of E (L[0] = 3(q-1), the sentinel) the Zech table is
 Z = L[E + 1].  A prime-field constant c has window c e_0, index c, so its
-log is L[c].  eval_logs reads only Z and these p logs, so a hyperelliptic
-or biquadratic count builds nothing else.
+log is L[c] (prime_logs).  eval_logs and horner_logs read only Z and these
+p logs, so a hyperelliptic or biquadratic count builds nothing else.
 
 exp and log are built on first use, for the index-space callers: mul,
 div, add, eval_poly and sqrt_count.  Each digit of g^m in the polynomial
@@ -64,11 +74,16 @@ CHUNK bytes in all up to p = 256.  The build peaks at 8 bytes, E and L
 O(CHUNK) slices, as both inverse permutations are scattered in CHUNK
 slices.  On first use, exp (int32) and log (uint32) add 4 bytes each,
 digits K bytes of the smallest unsigned type that holds p-1, and
-sqrt_count 1 byte.  No per-exponent power array is kept (powers returns a
-new int32 array, computed in CHUNK slices), and operation temporaries are
-proportional to the operands (eval_logs holds its q-entry result and
-O(CHUNK) more).  Tables stop at q = 2^26 (TooLarge above): there the
-log sums, at most 6(q-1), still fit 32 bits.
+sqrt_count 1 byte.  eval_logs keeps one progression per gap m it has
+met, min(CHUNK, q-1) uint32 (256 KB from q > CHUNK on).  The tables that
+counts through the norm run on also keep the residue table (12 bytes per
+element) and the orbit leaders and sizes (12 bytes per leader, about
+q / 2K leaders); as those tables have sqrt(Q) elements for a count over
+F_Q, this is O(sqrt(Q)).  No per-exponent power array is kept (powers
+returns a new int32 array, computed in CHUNK slices), and operation
+temporaries are proportional to the operands (eval_logs holds its q-entry
+result and O(CHUNK) more).  Tables stop at q = 2^26 (TooLarge above):
+there the log sums, at most 6(q-1), still fit 32 bits.
 """
 
 from __future__ import annotations
@@ -144,6 +159,7 @@ class FieldTable:
         self._pvec = np.array([self.p**i for i in range(self.K)], dtype=np.int64)
         self._sqrt_count = None
         self._pow_cache = {}  # always empty; perfbench sums its values
+        self._progressions = {}  # m -> m i mod (q-1) for i < CHUNK, for eval_logs
         g, power, g_powers = self._primitive_element(), spec.one(), []
         for _ in range(self.K + 1):
             g_powers.append(power.coefficients)
@@ -154,7 +170,7 @@ class FieldTable:
         self._g_digits = np.array(g_powers[:self.K], dtype=np.float64)
         # zech[t] = log(1 + g^t) for t < q-1 (the sentinel where 1 + g^t = 0)
         # and zech[q-1] = 0
-        self.zech, self._prime_logs = self._zech_logs()
+        self.zech, self.prime_logs = self._zech_logs()
 
     def _primitive_element(self):
         """The first element, in enumeration order, with g^((q-1)/r) != 1
@@ -295,12 +311,27 @@ class FieldTable:
         shift = np.where(np.arange(self.p) < self.p - c, c, c - self.p).astype(a.dtype)
         return a + shift.take(a % self.p)
 
+    def _progression(self, m: int) -> np.ndarray:
+        """m i mod (q-1) for i < min(CHUNK, q-1), built by doubling on first
+        use and kept."""
+        table = self._progressions.get(m)
+        if table is None:
+            n = self.q - 1
+            table = np.zeros(min(CHUNK, n), dtype=np.uint32)
+            width = 1
+            while width < len(table):
+                s = table[width:2 * width]
+                self._wrap(np.add(table[:len(s)], m * width % n, out=s))
+                width *= 2
+            self._progressions[m] = table
+        return table
+
     def eval_logs(self, f) -> np.ndarray:
         """log f(x) for a prime-field polynomial f at every x, in exp order
         (entry i is x = exp[i], so the last entry is x = 0); an entry >= q-1
         means f(x) = 0.  Horner's rule in log space over CHUNK slices of the
         nonzero x = g^i; see the module docstring."""
-        n, log = self.q - 1, self._prime_logs
+        n, log = self.q - 1, self.prime_logs
         terms = [(k, int(log[c % self.p])) for k, c in enumerate(f) if c % self.p]
         if not terms:
             return np.full(self.q, log[0], dtype=np.uint32)
@@ -315,16 +346,7 @@ class FieldTable:
             k, lc = k_next, lc_next
         steps.append((k, lc))
 
-        def progression(m):  # m i mod (q-1) for i < CHUNK, by doubling
-            table = np.zeros(min(CHUNK, n), dtype=np.uint32)
-            width = 1
-            while width < len(table):
-                s = table[width:2 * width]
-                self._wrap(np.add(table[:len(s)], m * width % n, out=s))
-                width *= 2
-            return table
-
-        zech, x_logs = self.zech, {m: progression(m) for m, _ in steps}
+        zech, x_logs = self.zech, {m: self._progression(m) for m, _ in steps}
         for lo in range(0, n, CHUNK):
             s = np.zeros(min(CHUNK, n - lo), dtype=np.uint32)
             for i, (m, d) in enumerate(steps):
@@ -335,6 +357,51 @@ class FieldTable:
                     s = zech.take(s, mode="clip")
             out[lo:lo + len(s)] = s
         return out
+
+    @cached_property
+    def _residues(self) -> np.ndarray:
+        """t mod (q-1) for t < 3(q-1), and the sentinel 3(q-1) at the end,
+        where a clipped gather sends every larger t."""
+        n = self.q - 1
+        residues = np.arange(3 * n + 1, dtype=np.uint32) % np.uint32(n)
+        residues[3 * n] = 3 * n
+        return residues
+
+    def horner_logs(self, coeffs, x) -> np.ndarray:
+        """log sum coeffs[i] x^i by Horner's rule in log space, for uint32 log
+        arrays that broadcast together: each coeffs[i] and x is a log below
+        q-1 or the sentinel 3(q-1) for zero.  The result has the same form.
+
+        A step v x + c is one add and one gather of the residue table, which
+        reduces a sum of two logs and sends a sum with a sentinel to the
+        sentinel, then log(u + c) = lo + Z[hi - lo] with lo, hi the smaller
+        and larger of log u and log c: when one of them is zero, hi - lo >
+        q-1 and the clipped gather reads Z[q-1] = 0, so the sum is the other;
+        when both are, lo and the sum stay at or above the sentinel."""
+        residues, zech = self._residues, self.zech
+        v = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            t = residues.take(v + x, mode="clip")
+            v = np.minimum(t, c)
+            t = np.maximum(t, c)
+            t -= v
+            v += zech.take(t, mode="clip")
+        return residues.take(v, mode="clip")
+
+    @cached_property
+    def frobenius_orbits(self) -> tuple:
+        """(leaders, sizes) of the orbits of c -> c^p on the non-squares
+        (p odd): in logs the non-squares are the odd i < q-1 and the map is
+        i -> p i mod (q-1); each leader is the least log of its orbit."""
+        n = self.q - 1
+        odd = np.arange(1, n, 2, dtype=np.int64)
+        least, i = odd.copy(), odd
+        for _ in range(self.K - 1):
+            i = i * self.p % n
+            np.minimum(least, i, out=least)
+        sizes = np.bincount(least)
+        leaders = np.flatnonzero(sizes)
+        return leaders.astype(np.uint32), sizes[leaders]
 
     def eval_poly(self, f) -> np.ndarray:
         """Horner evaluation of a prime-field polynomial at every field

@@ -17,6 +17,7 @@ Agreement between the two routes is the point.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -35,9 +36,9 @@ def poly_value(coeffs, x):
     return acc
 
 
-def sqrt_count_scalar(value) -> int:
-    """#{y : y^2 = value} by scanning every y. O(q) per call."""
-    return sum(1 for y in enumerate_elements(value.owner) if y * y == value)
+def square_counts(field: FieldSpec) -> Counter:
+    """#{y : y^2 = v} for every v, from one scan of every y: O(q)."""
+    return Counter(y * y for y in enumerate_elements(field))
 
 
 def leading_is_square(coeffs, field: FieldSpec) -> bool:
@@ -46,14 +47,11 @@ def leading_is_square(coeffs, field: FieldSpec) -> bool:
 
 
 def count_hyperelliptic_slow(curve, j: int) -> int:
-    """Scan all (x, y) pairs; apply the infinity rule for the smooth model."""
+    """Every x against the squares of every y; the infinity rule for the
+    smooth model."""
     ext = extension_of(curve.base, j)
-    affine = 0
-    for x in enumerate_elements(ext):
-        fx = poly_value(curve.f, x)
-        for y in enumerate_elements(ext):
-            if y * y == fx:
-                affine += 1
+    squares = square_counts(ext)
+    affine = sum(squares[poly_value(curve.f, x)] for x in enumerate_elements(ext))
     deg = len(curve.f) - 1
     if deg % 2 == 1:
         return affine + 1
@@ -62,10 +60,9 @@ def count_hyperelliptic_slow(curve, j: int) -> int:
 
 def count_biquadratic_slow(curve, j: int) -> int:
     ext = extension_of(curve.base, j)
-    affine = 0
-    for x in enumerate_elements(ext):
-        affine += sqrt_count_scalar(poly_value(curve.f, x)) * \
-            sqrt_count_scalar(poly_value(curve.g, x))
+    squares = square_counts(ext)
+    affine = sum(squares[poly_value(curve.f, x)] * squares[poly_value(curve.g, x)]
+                 for x in enumerate_elements(ext))
     return affine + (2 if leading_is_square(curve.g, ext) else 0)
 
 

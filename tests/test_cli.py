@@ -42,6 +42,18 @@ def test_count_line_extension(manifest, capsys):
     assert (code, lines) == (0, ["N_2=26"])
 
 
+def test_count_line_past_the_budget_bits_is_refused(manifest, capsys):
+    """q^j for j >= budget.bit_length() exceeds the budget: a line that far
+    out ends in BudgetExceeded and exit 3, not in printing a number of
+    thousands of digits."""
+    assert main(["count", manifest(LINE_F3), "--ext", "10000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: enumeration of 3^10000 points exceeds budget {10**6}\n"
+    code, lines = run_lines(capsys, ["count", manifest(LINE_F3), "--ext", "19"])
+    assert (code, lines) == (0, [f"N_19={3**19 + 1}"])  # 19 < (10^6).bit_length()
+
+
 def test_count_diagram_counts_total_space(manifest, capsys):
     code, lines = run_lines(capsys, ["count", manifest(DIAGRAM)])
     assert (code, lines) == (0, ["N_1=2"])

@@ -41,6 +41,7 @@ from weilgram.errors import (
     ZeroPolynomial,
 )
 from weilgram.finite_field import construct_field, element_from_index
+from weilgram.tables import FieldTable
 from weilgram.zeta import extrapolate, infer_genus, l_from_counts
 
 from oracles import (
@@ -561,6 +562,80 @@ def test_biquadratic_counts_match_pair_scan():
     assert count_points(D5.X, 1) == count_slow(D5.X, 1)
 
 
+F7 = construct_field(7, 1)
+# y^2 = x^7+x^6+2x^4+x+1 over F_9, genus 3: counted to F_{9^8} = F_{3^16}
+F9_RECORD = (1, 1, 0, 0, 2, 0, 1, 1)
+
+
+@pytest.mark.parametrize("field,f,js", [
+    (F3, (1, 2, 0, 1), (2, 4)),                   # odd degree
+    (F3, (1, 0, 1, 0, 2), (2, 4)),                # even degree, lc 2 a non-square of F_3
+    (F5, (1, 1, 0, 1), (2, 4)),
+    (F5, (1, 0, 3), (2,)),                        # even degree, lc 3 a non-square of F_5
+    (F7, (1, 1, 0, 0, 0, 0, 0, 1), (2,)),
+    (F9, F9_RECORD, (1, 2, 3)),                   # k = 2: F_{3^3} does not contain F_9
+    (F9, (1, 0, 1, 0, 2), (1, 2, 3)),
+    (F3, (1, 2, 1, 1, 2, 1, 2, 0, 1, 2, 2, 1, 2, 1), (2, 4)),  # degree 13 > q' - 1
+])
+def test_even_extension_counts_through_the_norm_match_the_scan(field, f, js):
+    """Where kj is even the count runs on F_{p^(kj/2)}, one row per Frobenius
+    orbit of non-squares c plus the row c = 0; the scan walks all of
+    F_{p^(kj)}.  Over F_3^4, F_9^2 and F_9^3 the orbits have sizes above 1,
+    and a degree above q' - 1 makes the norm's powers of a and c fold."""
+    X = make_hyperelliptic(field, f)
+    for j in js:
+        assert (field.k * j) % 2 == 0
+        assert count_points(X, j) == count_slow(X, j), j
+
+
+@pytest.mark.parametrize("field,f,g,js", [
+    (F3, (1, 2, 0, 1), (1, 0, 1, 0, 2), (2, 4)),
+    (F9, (1, 2, 0, 1), (2, 1, 1), (1, 2, 3)),
+])
+def test_even_extension_biquadratic_counts_match_the_scan(field, f, g, js):
+    D = make_biquadratic(field, f, g)
+    for j in js:
+        assert count_points(D.X, j) == count_slow(D.X, j), j
+
+
+def test_f9_record_counts_follow_its_l_polynomial():
+    """N_1..N_8 of a genus-3 curve over F_9, every one through the norm
+    (k = 2), are the counts its L-polynomial from N_1..N_3 extrapolates."""
+    X = make_hyperelliptic(F9, F9_RECORD)
+    counts = [count_points(X, j, budget=10**8) for j in range(1, 9)]
+    L = l_from_counts(9, 3, counts[:3])
+    assert counts == [extrapolate(L, j) for j in range(1, 9)]
+    assert counts[-1] == 43027586
+
+
+def test_even_extension_builds_only_the_half_field(monkeypatch):
+    """An even-kj count constructs F_{p^(kj/2)} and builds its table, Zech
+    logarithms only: no F_{p^(kj)}, no exp and no log."""
+    built, tables = [], []
+
+    def spy_table(spec):
+        tables.append(FieldTable(spec))
+        return tables[-1]
+
+    def spy_field(p, k):
+        built.append((p, k))
+        return construct_field(p, k)
+
+    def no_extension(field, j):
+        raise AssertionError(f"F_{field.q}^{j} constructed")
+
+    monkeypatch.setattr(curves, "get_table", spy_table)
+    monkeypatch.setattr(curves, "construct_field", spy_field)
+    monkeypatch.setattr(curves, "extension_of", no_extension)
+    assert count_points(make_hyperelliptic(F3, (1, 2, 0, 1)), 6) == \
+        count_points(make_hyperelliptic(F9, (1, 2, 0, 1)), 3)
+    count_points(make_biquadratic(F3, (1, 2, 0, 1), (1, 0, 1, 0, 2)).X, 4)
+    assert built == [(3, 3), (3, 3), (3, 2)]
+    assert [(T.p, T.K) for T in tables] == built
+    for T in tables:
+        assert "exp" not in vars(T) and "log" not in vars(T)
+
+
 def test_plane_counts_match_slow_scan():
     X = make_smooth_plane(F4, FERMAT_CUBIC, 3)
     for j in (1, 2):
@@ -672,9 +747,12 @@ def test_count_points_budget():
     assert info.value.budget == 8
     with pytest.raises(InvalidDegree):
         count_points(E, 0)
-    # the projective line is a closed form: nothing enumerated, nothing charged
-    for j in (1, 2, 5):
-        assert count_points(make_projective_line(F3), j, budget=0) == 3**j + 1
+    # the projective line is a closed form: nothing enumerated, nothing
+    # charged, but refused from j >= budget.bit_length() on, as q^j > budget
+    for j in (1, 2, 3):
+        assert count_points(make_projective_line(F3), j, budget=8) == 3**j + 1
+    with pytest.raises(BudgetExceeded):
+        count_points(make_projective_line(F3), 1, budget=0)
     # a plane is charged its q^j y-lines of chart (1:y:z), like any family
     X = make_smooth_plane(F4, FERMAT_CUBIC, 3)
     with pytest.raises(BudgetExceeded) as info:

@@ -224,9 +224,10 @@ def test_counts_build_no_index_space_arrays(monkeypatch):
 
 
 def test_hyperelliptic_count_peak_memory_per_element(monkeypatch):
-    """One count over F_{3^12} from a fresh table peaks at about 11.6 bytes
-    per element under tracemalloc: the build's E and L (4 bytes each), then
-    the Zech table and eval_logs' result, plus CHUNK slices."""
+    """One count over F_{3^12} from fresh tables stays under 12 bytes per
+    element of F_{3^12} under tracemalloc.  kj = 12 is even, so the count
+    builds only the table of F_{3^6} (729 elements) and its (c, a) grid, and
+    peaks at about 2 bytes per element of F_{3^12}."""
     monkeypatch.setattr(curves, "get_table", FieldTable)
     curve = make_hyperelliptic(construct_field(3, 1), (1, 0, 2, 1, 0, 1))
     tracemalloc.start()
@@ -237,3 +238,60 @@ def test_hyperelliptic_count_peak_memory_per_element(monkeypatch):
         tracemalloc.stop()
     assert n == 532683
     assert peak < 12 * 3**12
+
+
+def test_odd_extension_count_peak_memory_per_element(monkeypatch):
+    """kj = 13 is odd, so the count builds the table of F_{3^13} itself and
+    peaks at about 10.5 bytes per element under tracemalloc: the build's E
+    and L (4 bytes each), then the Zech table and eval_logs' result, plus
+    CHUNK slices."""
+    monkeypatch.setattr(curves, "get_table", FieldTable)
+    curve = make_hyperelliptic(construct_field(3, 1), (1, 0, 2, 1, 0, 1))
+    tracemalloc.start()
+    try:
+        n = count_points(curve, 13, budget=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 1596665
+    assert peak < 12 * 3**13
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (5, 2), (7, 1), (3, 1)])
+def test_horner_logs_matches_index_space_horner(p, k):
+    """Coefficients and points that vary per entry, zero among them, through
+    the log-space Horner and through mul and add."""
+    T = get_table(construct_field(p, k))
+    rng = np.random.default_rng(p * k)
+    coeffs = [rng.integers(0, T.q, size=(7, 1)) for _ in range(5)]
+    coeffs[2][:3] = 0
+    coeffs[-1][0] = 0
+    x = np.append(rng.integers(0, T.q, size=9), 0)
+    expected = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        expected = T.add(T.mul(expected, x), c)
+    got = T.horner_logs([T.log.take(c) for c in coeffs], T.log.take(x))
+    assert np.array_equal(T.exp.take(got, mode="clip"), np.broadcast_to(expected, got.shape))
+    assert got.max() <= 3 * (T.q - 1) and np.all((got < T.q - 1) | (got == 3 * (T.q - 1)))
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 4), (5, 3), (7, 2), (3, 6)])
+def test_frobenius_orbits_partition_the_non_squares(p, k):
+    T = get_table(construct_field(p, k))
+    n = T.q - 1
+    leaders, sizes = T.frobenius_orbits
+    seen = set()
+    for leader, size in zip(leaders.tolist(), sizes.tolist()):
+        orbit = {leader * p**r % n for r in range(k)}
+        assert leader % 2 == 1 and leader == min(orbit) and size == len(orbit)
+        seen |= orbit
+    assert seen == set(range(1, n, 2))
+
+
+def test_eval_logs_builds_each_progression_once():
+    T = FieldTable(construct_field(3, 11))  # 177,147 elements: three CHUNK slices
+    first = T.eval_logs((1, 0, 2, 1, 0, 1))
+    kept = dict(T._progressions)
+    assert sorted(kept) == [0, 1, 2]  # the gaps 2, 1, 2 of x^5 + x^3 + 2x^2 + 1, then x^0
+    assert np.array_equal(T.eval_logs((1, 0, 2, 1, 0, 1)), first)
+    assert all(T._progressions[m] is a for m, a in kept.items())
