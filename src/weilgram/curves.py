@@ -24,17 +24,19 @@ F_Q.  Where K is even, Q = q'^2 with q' = p^(K/2), and the count runs on
 the table of F_q' alone, through the norm to F_q' (Lidl & Niederreiter,
 Finite Fields, ch. 2 and 6); F_Q is neither constructed nor tabled.  Write
 x = a + b theta with a, b in F_q' and theta^2 = d a non-square of F_q'.
-Then f(a + b theta) f(a - b theta) = sum_s c^s H_s(a) with c = d b^2, where
-H_s = sum_(k+l=2s) (-1)^l f^[k] f^[l] in F_p[a] (f^[k] the Hasse
-derivatives, H_0 = f^2, H_n = (-1)^n lc^2), and a nonzero v in F_Q is a
-square exactly when its norm v v^q' is a square in F_q'.  So
-#{y : y^2 = f(x)} = 1 + chi_q'(sum_s c^s H_s(a)), with chi(0) = 0.  b = 0
-gives c = 0, and as b runs over F_q'^* the c = d b^2 are the non-squares,
-each twice.  As the H_s have coefficients in F_p, the sum over a is the
-same at c and c^p, so only one non-square per orbit of c -> c^p is summed,
+With f(a + t) = sum_k F_k(a) t^k (the F_k in F_p[a] are the Hasse
+derivatives of f) and c = d b^2, f(a + b theta) = A + b theta B where
+A = sum_s F_2s(a) c^s and B = sum_s F_2s+1(a) c^s, so its norm to F_q' is
+f(a + b theta) f(a - b theta) = A^2 - c B^2.  A nonzero v in F_Q is a
+square exactly when its norm is a square in F_q', so
+#{y : y^2 = f(x)} = 1 + chi_q'(A^2 - c B^2), with chi(0) = 0.  b = 0 gives
+c = 0, and as b runs over F_q'^* the c = d b^2 are the non-squares, each
+twice.  As the F_k have coefficients in F_p, the sum over a is the same at
+c and c^p, so only one non-square per orbit of c -> c^p is summed,
 weighted by twice the orbit's size: about Q / K pairs (c, a) instead of Q
-points.  A biquadratic model multiplies the rows of f and g.  At infinity
-every F_p scalar is a square in F_Q, so an even-degree model adds 2.
+points, each two Horner sums in c.  A biquadratic model multiplies the
+rows of f and g.  At infinity every F_p scalar is a square in F_Q, so an
+even-degree model adds 2.
 
 Plane curves are counted by lines, never point by point.  On the line
 y = c of the chart (1:y:z) the points are the roots in F_Q (Q = q^j) of
@@ -67,8 +69,6 @@ chart (0:1:z) is a gcd in F_p[z] and (0:0:1) three coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -596,49 +596,55 @@ def _square_roots(T: FieldTable, f) -> np.ndarray:
     return roots
 
 
-@lru_cache(maxsize=64)
-def _norm_coefficients(f: tuple, p: int, q: int) -> np.ndarray:
-    """H, row s the coefficients in a of H_s in f(a + t) f(a - t) = sum_s
-    H_s(a) t^(2s), for f in F_p[x] of degree n, reduced for evaluation at a
-    in F_q and t^2 in F_q: a^i = a^(i-(q-1)) for i >= q, t^e = t^(e-2(q-1))
-    for e >= 2q.  The odd powers of t cancel, and f(a + t) = sum_k f^[k](a)
-    t^k with the Hasse derivatives f^[k] = sum_i C(k+i, k) f_(k+i) a^i.  The
-    product is one integer product (Kronecker substitution), one slot per
-    coefficient of a^i t^e, each wide enough for its sum of products."""
+def _fold(coeffs: np.ndarray, q: int) -> np.ndarray:
+    """The coefficients of a polynomial reduced mod x^q - x, which leaves its
+    value at every x in F_q unchanged: x^i for i >= q becomes
+    x^(1 + (i-1) % (q-1))."""
+    if len(coeffs) <= q:
+        return coeffs
+    tail = coeffs[1:]
+    tail = np.concatenate([tail, np.zeros(-len(tail) % (q - 1), dtype=tail.dtype)])
+    return np.concatenate([coeffs[:1], tail.reshape(-1, q - 1).sum(axis=0)])
+
+
+def _hasse_rows(f: tuple, p: int, q: int) -> np.ndarray:
+    """M, rows 2s and 2s + 1 the coefficients in a of F_2s and F_2s+1, for f
+    in F_p[x] and f(a + t) = sum_k F_k(a) t^k, so that f(a + b theta) =
+    sum_s F_2s(a) c^s + b theta sum_s F_2s+1(a) c^s with c = d b^2, reduced
+    for a, c in F_q and x in F_q^2: each F_k mod a^q - a, F_k for s >= q
+    added to row s' = 1 + (s-1) % (q-1) (c^s = c^s' on F_q), and f first mod
+    x^(q^2) - x.  F_k = sum_i C(k+i, k) f_(k+i) a^i, the Hasse derivative,
+    and each row of binomials mod p is a cumulative sum of the one before."""
+    f = _fold(np.array(f, dtype=np.int64), q * q) % p
     n = len(f) - 1
-    rows, cols = min(n + 1, 2 * q), min(n + 1, q)  # t and a degrees below these
-    width = 2 * cols - 1
-
-    def fold(e, start, period):
-        return e if e < start + period else (e - start) % period + start
-
-    plus = [0] * rows * width
-    binom = [1] * (n + 1)  # C(k+i, k) mod p for i <= n - k, from the row k - 1
+    rows = min(n // 2 + 1, q)
+    M = np.zeros((rows, 2, min(n + 1, q)), dtype=np.int64)  # below 2 p^2 (n/q + 1)^2
+    binom = np.ones(n + 1, dtype=np.int64)  # C(k+i, k) mod p for i <= n - k
     for k in range(n + 1):
         if k:
-            binom = list(accumulate(binom[:n + 1 - k], lambda u, v: (u + v) % p))
-        row = fold(k, 2, 2 * q - 2) * width
-        for i, b in enumerate(binom):
-            plus[row + fold(i, 1, q - 1)] += b * f[k + i]
-    plus = [c % p for c in plus]
-    minus = [-c % p if r % 2 else c for r in range(rows) for c in plus[r * width:(r + 1) * width]]
-    size = (cols * rows * (p - 1) ** 2).bit_length() // 8 + 1  # bytes per slot
-    product = _pack(plus, size) * _pack(minus, size)
-    product = product.to_bytes(size * width * (2 * rows - 1), "little")
-    H = np.zeros((min(n, q - 1) + 1, min(2 * n, q - 1) + 1), dtype=object)
-    for e in range(0, 2 * rows - 1, 2):
-        s = fold(e, 2, 2 * q - 2) // 2
-        for i in range(width):
-            at = (e * width + i) * size
-            H[s, fold(i, 1, q - 1)] += int.from_bytes(product[at:at + size], "little")
-    H = (H % p).astype(np.int64)
-    H.setflags(write=False)
-    return H
+            binom = np.cumsum(binom[:n + 1 - k]) % p
+        s = k // 2 if k < 2 * q else 1 + (k // 2 - 1) % (q - 1)
+        row = _fold(binom * f[k:], q)
+        M[s, k % 2, :len(row)] += row
+    return M.reshape(2 * rows, -1) % p
 
 
-def _pack(slots: list, size: int) -> int:
-    """The integer whose size-byte little-endian slots hold `slots`."""
-    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in slots), "little")
+def _hasse_logs(T: FieldTable, f) -> np.ndarray:
+    """Row r the log of sum_i M[r, i] a^i at every a in F_q', q' = T.q, in
+    exp order, for M = _hasse_rows(f): a sum over the nonzero M[r, i] only,
+    one power of a at a time.  Most M[r, i] are zero (the binomials mod p,
+    and the zero coefficients of f), so this is cheaper than Horner in a."""
+    n = T.q - 1
+    M = _hasse_rows(f, T.p, T.q)
+    a_logs = np.append(np.arange(n, dtype=np.uint32), np.uint32(3 * n))  # every a
+    logs = np.full((len(M), T.q), 3 * n, dtype=np.uint32)
+    x = np.zeros(T.q, dtype=np.uint32)  # log a^i, from i = 0
+    for i in range(M.shape[1]):
+        rows = np.flatnonzero(M[:, i])
+        if len(rows):
+            logs[rows] = T.horner_logs([logs[rows], T.prime_logs.take(M[rows, i])[:, None]], x)
+        x = T.reduce_logs(x + a_logs)
+    return logs
 
 
 def _norm_count(T: FieldTable, polys) -> int:
@@ -646,23 +652,25 @@ def _norm_count(T: FieldTable, polys) -> int:
     f(x)}, for Q = q'^2, q' = T.q, on the table of F_q' alone (module
     docstring): the row c = 0 once, and each non-square orbit leader's row
     twice per element of its orbit, each row summed over every a in F_q'.
-    Rows come in blocks of about CHUNK (c, a) pairs."""
+    With A + b theta B = f(a + b theta), the norm is A^2 - c B^2, and A and
+    B are Horner sums in c of the F_k(a).  Rows come in blocks of about
+    CHUNK (c, a) pairs."""
     n = T.q - 1
-    a_logs = np.append(np.arange(n, dtype=np.uint32), np.uint32(3 * n))  # every a
-    values = []  # per f, row s: log H_s(a) at every a
-    for f in polys:
-        H = T.prime_logs.take(_norm_coefficients(f, T.p, T.q))
-        values.append(T.horner_logs(list(H.T[:, :, None]), a_logs))
+    hasse = [_hasse_logs(T, f) for f in polys]
     leaders, sizes = T.frobenius_orbits
     c_logs = np.append(leaders, np.uint32(3 * n))[:, None]
+    minus_c = np.append((leaders + n // 2) % n, np.uint32(3 * n))[:, None]  # log -c
     weights = np.append(2 * sizes, 1)
     roots = np.zeros(n + 1, dtype=np.int8)  # by log: 2 at a square, 0 at a non-square
     roots[0:n:2], roots[n] = 2, 1  # and 1 at the sentinel, zero
     total, rows = 0, max(1, CHUNK // T.q)
     for lo in range(0, len(c_logs), rows):
-        block = 1
-        for H in values:
-            block = block * roots.take(T.horner_logs(list(H), c_logs[lo:lo + rows]), mode="clip")
+        c, block = c_logs[lo:lo + rows], 1
+        for F in hasse:
+            A2 = T.reduce_logs(2 * T.horner_logs(list(F[0::2]), c))
+            B2 = T.reduce_logs(2 * T.horner_logs(list(F[1::2]), c))
+            norm = T.horner_logs([A2, B2], minus_c[lo:lo + rows])  # A^2 - c B^2
+            block = block * roots.take(norm, mode="clip")
         total += int(block.sum(axis=1) @ weights[lo:lo + rows])
     return total
 
@@ -764,10 +772,11 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     it.
 
     Memory: a hyperelliptic or biquadratic count with kj even holds the
-    table of F_{q'}, q' = sqrt(q^j), the values of its H_s there ((n + 1) q'
-    uint32 per polynomial of degree n) and one block of about CHUNK (c, a)
-    pairs: over F_{3^12}, from tables not yet built, it peaks at about 2
-    bytes per element of F_{3^12} under tracemalloc.  With kj odd it walks
+    table of F_{q'}, q' = sqrt(q^j), the values of the F_k there (at most
+    min(n + 1, 2q') rows of q' uint32 per polynomial of degree n) and one
+    block of about CHUNK (c, a) pairs: over F_{3^12}, from tables not yet
+    built, it peaks at about 2.5 bytes per element of F_{3^12} under
+    tracemalloc.  With kj odd it walks
     the table of F_{q^j}: over F_{3^13} it peaks at about 10.5 bytes per
     element (8 of them the table build's two uint32 permutations), and the
     cached table keeps 4, its Zech logarithms, plus about 64 KB (see the

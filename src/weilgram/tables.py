@@ -35,9 +35,10 @@ see the curves module): a step v x + c adds log v and log x and reduces
 the sum by one gather of a residue table, t mod (q-1) for t < 3(q-1) with
 every larger t sent to the sentinel, then adds c by Zech between the
 smaller and the larger log; a zero operand makes their difference exceed
-q-1, so the clipped gather reads Z[q-1] = 0.  frobenius_orbits lists one
-non-square per orbit of c -> c^p, the least log of its orbit among the odd
-logs, with the orbit's size.
+q-1, so the clipped gather reads Z[q-1] = 0.  reduce_logs is that gather
+alone, the log of a product of up to three factors.  frobenius_orbits
+lists one non-square per orbit of c -> c^p, the least log of its orbit
+among the odd logs, with the orbit's size.
 
 Tables are built once per field from one linear recurring sequence, in
 O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
@@ -367,6 +368,12 @@ class FieldTable:
         residues[3 * n] = 3 * n
         return residues
 
+    def reduce_logs(self, t) -> np.ndarray:
+        """log of a product from t, the sum of the logs of at most three
+        factors, each below q-1 or the sentinel 3(q-1): t mod (q-1), or the
+        sentinel when a factor is zero."""
+        return self._residues.take(t, mode="clip")
+
     def horner_logs(self, coeffs, x) -> np.ndarray:
         """log sum coeffs[i] x^i by Horner's rule in log space, for uint32 log
         arrays that broadcast together: each coeffs[i] and x is a log below
@@ -378,15 +385,15 @@ class FieldTable:
         and larger of log u and log c: when one of them is zero, hi - lo >
         q-1 and the clipped gather reads Z[q-1] = 0, so the sum is the other;
         when both are, lo and the sum stay at or above the sentinel."""
-        residues, zech = self._residues, self.zech
+        zech = self.zech
         v = coeffs[-1]
         for c in coeffs[-2::-1]:
-            t = residues.take(v + x, mode="clip")
+            t = self.reduce_logs(v + x)
             v = np.minimum(t, c)
             t = np.maximum(t, c)
             t -= v
             v += zech.take(t, mode="clip")
-        return residues.take(v, mode="clip")
+        return self.reduce_logs(v)
 
     @cached_property
     def frobenius_orbits(self) -> tuple:

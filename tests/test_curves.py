@@ -608,6 +608,46 @@ def test_f9_record_counts_follow_its_l_polynomial():
     assert counts[-1] == 43027586
 
 
+def test_even_extension_counts_above_the_table_limit():
+    """q^j above 2^26, the largest table, is counted where kj is even, as only
+    F_{q^(j/2)} is tabled: E over F_97 at j = 4 (97^4 = 88529281) matches
+    its L-polynomial.  Where kj is odd the count needs the table of F_{q^j},
+    and raises TooLarge."""
+    E = make_hyperelliptic(construct_field(97, 1), (1, 1, 0, 1))
+    L = l_from_counts(97, 1, [count_points(E, 1)])
+    assert count_points(E, 4, budget=10**8) == extrapolate(L, 4)
+    with pytest.raises(TooLarge):
+        count_points(make_hyperelliptic(F3, (1, 1, 0, 1)), 17, budget=2 * 10**8)
+
+
+def test_even_extension_count_of_high_degree_is_no_slower_than_the_scan():
+    """f of degree 1000 over F_3 counted over F_9.  The count through the
+    norm reduces f mod x^9 - x first, which keeps its values on F_9, so it
+    takes no longer than evaluating f at every element of F_9, as the
+    full-table count does (best of three, with the tables built)."""
+    rng = random.Random(1000)
+    while True:
+        f = tuple(rng.randrange(3) for _ in range(1000)) + (1,)
+        if fppoly.is_squarefree(f, 3):
+            break
+    X = make_hyperelliptic(F3, f)
+
+    def best_of_three(count):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            n = count()
+            times.append(time.perf_counter() - start)
+        return n, min(times)
+
+    T = curves.get_table(curves.extension_of(F3, 2))
+    norm, norm_s = best_of_three(lambda: count_points(X, 2))
+    # two points at infinity: the degree is even and lc = 1 a square
+    scan, scan_s = best_of_three(lambda: int(curves._square_roots(T, f).sum()) + 2)
+    assert norm == scan
+    assert norm_s <= scan_s
+
+
 def test_even_extension_builds_only_the_half_field(monkeypatch):
     """An even-kj count constructs F_{p^(kj/2)} and builds its table, Zech
     logarithms only: no F_{p^(kj)}, no exp and no log."""

@@ -227,7 +227,7 @@ def test_hyperelliptic_count_peak_memory_per_element(monkeypatch):
     """One count over F_{3^12} from fresh tables stays under 12 bytes per
     element of F_{3^12} under tracemalloc.  kj = 12 is even, so the count
     builds only the table of F_{3^6} (729 elements) and its (c, a) grid, and
-    peaks at about 2 bytes per element of F_{3^12}."""
+    peaks at about 2.5 bytes per element of F_{3^12}."""
     monkeypatch.setattr(curves, "get_table", FieldTable)
     curve = make_hyperelliptic(construct_field(3, 1), (1, 0, 2, 1, 0, 1))
     tracemalloc.start()
