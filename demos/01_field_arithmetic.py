@@ -1,21 +1,25 @@
 """Tour of the exact finite-field layer.
 
-Builds a prime field and an extension field, exercises scalar arithmetic,
+Builds a prime field and an extension field, names their elements by index,
 and shows the vectorized tables that the point counters run on.
 """
 
-from weilgram.finite_field import construct_field, enumerate_elements
-from weilgram.fppoly import to_string
+import numpy as np
+
+from weilgram.finite_field import construct_field
+from weilgram.fppoly import to_string, trim
 from weilgram.tables import get_table
 
 F5 = construct_field(5, 1)
 F9 = construct_field(3, 2)
 
-print("== scalar arithmetic ==")
+print("== fields and element indices ==")
 print(f"field {F5}: q = {F5.q}, modulus coefficients = {F5.modulus}")
 print(f"field {F9}: q = {F9.q}, modulus coefficients = {F9.modulus}")
 
-names = [to_string(e.coefficients, "t") or "0" for e in enumerate_elements(F9)]
+# index i is the element whose coefficients in 1, t are the base-p digits of i
+digits = [[i // F9.p**j for j in range(F9.k)] for i in range(F9.q)]
+names = [to_string(trim(d, F9.p), "t") for d in digits]
 print(f"elements of {F9}: {', '.join(names)}")
 
 T9 = get_table(F9)
@@ -28,10 +32,10 @@ for a in range(F9.q):
 print()
 print("== squares ==")
 for field, T in ((F5, get_table(F5)), (F9, T9)):
-    sq = sorted({int(v) for v in T.mul(list(range(field.q)), list(range(field.q)))})
-    counts = [int(T.sqrt_count()[s]) for s in sq]
+    roots = np.bincount(T.mul(np.arange(field.q), np.arange(field.q)), minlength=field.q)
+    sq = np.flatnonzero(roots).tolist()
     print(f"{field}: squares {sq}")
-    print(f"{field}: sqrt counts of those squares {counts}")
+    print(f"{field}: sqrt counts of those squares {roots[sq].tolist()}")
 
 print()
 print("== vectorized polynomial evaluation ==")

@@ -32,8 +32,7 @@ _EXPORTS = (
     ("feasibility", None),
     ("FeasibilityProblem FeasibilityResult IharaClosedForm feasible_counts "
      "ihara_closed_form max_n1", "feasibility"),
-    ("FieldElement FieldSpec construct_field enumerate_elements extension_of "
-     "is_square", "finite_field"),
+    ("FieldSpec construct_field extension_of", "finite_field"),
     ("GramMatrix PSDVerdict combined_vector_gram gram_absolute gram_diagram "
      "gram_relative int_det is_psd psd_check schwarz_margin", "gram"),
     ("LPolynomial check_functional_equation check_riemann_hypothesis extrapolate "

@@ -42,14 +42,6 @@ class InvalidDegree(WeilgramError):
         self.k = k
 
 
-class FieldMismatch(WeilgramError):
-    """Operands belong to different fields."""
-
-
-class DivisionByZero(WeilgramError, ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
 class EvenCharacteristic(WeilgramError):
     """Operation requires odd characteristic."""
 

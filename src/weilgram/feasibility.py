@@ -18,8 +18,10 @@ keep it PSD form an interval, computed exactly by `psd_corner_interval`.
 Every scan range is that interval, intersected, when toggled, with the
 place-count constraints.  For N_1 the Gram matrix is the 2x2 one of order 1,
 so its corner interval is exactly N_1's Weil interval; for j >= 2 the corner
-interval already lies inside N_j's.  Every candidate still passes through
-`feasible_counts`, and no floating-point value enters the search.
+interval already lies inside N_j's.  So every vector the scan reaches is
+feasible, the first complete one is the witness, and only the witness passes
+through `feasible_counts`, as a check.  No floating-point value enters the
+search.
 """
 
 from __future__ import annotations
@@ -91,10 +93,11 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     order-(m-1) Gram is a leading principal submatrix of the order-m one).
     Each N_j ranges over the exact interval that keeps the Gram matrix PSD
     (see the module docstring), so skipped values are exactly those that
-    `feasible_counts` would reject.  The first feasible vector found is the
-    witness; `scanned` counts the vectors passed to `feasible_counts`.
-    Always terminates with a result: (q+1, q^2+1, q^3+1) is feasible for
-    every genus.
+    `feasible_counts` would reject, and a prefix whose interval for the next
+    count is empty has no completion.  The first complete vector reached is
+    the witness; `scanned` counts the vectors visited, prefixes and the
+    witness.  Always terminates with a result: (q+1, q^2+1, q^3+1) is
+    feasible for every genus.
     """
     q, g, m, toggles = problem.q, problem.g, problem.m, problem.toggles
     scanned = 0
@@ -110,8 +113,6 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     def completions(prefix):
         nonlocal scanned
         scanned += 1
-        if not feasible_counts(q, g, prefix, toggles):
-            return None
         j = len(prefix) + 1
         if j > m:
             return prefix
@@ -131,6 +132,8 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     for n1 in range(hi1, lo1 - 1, -1):
         witness = completions((n1,))
         if witness is not None:
+            if not feasible_counts(q, g, witness, toggles):
+                raise AssertionError(f"scan reached the infeasible vector {witness}")
             return FeasibilityResult(max_n1=n1, witness=witness, scanned=scanned)
     raise AssertionError("scan exhausted; (q^j+1) vector should be feasible")
 

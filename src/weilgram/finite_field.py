@@ -9,10 +9,8 @@ gcd(x^(p^i) - x, f) = 1 for every i <= k/2, since a reducible f has an
 irreducible factor of some degree i <= k/2, and that factor divides
 x^(p^i) - x.  The test takes at most k/2 p-th powers mod f, about
 k log2(p) products of degree < k, and one gcd per power; most reducible
-candidates have a small factor and stop after a few.  Elements carry
-their coefficient vector and a reference to the owning field; all
-operations are pure and exact, and powers and inverses (a^(q-2)) are one
-modular power of the representative.
+candidates have a small factor and stop after a few.  Arithmetic on
+the elements of a field runs on whole index arrays, in the tables module.
 
 Extensions F_{q^j} of F_q = F_{p^k} are built as fresh fields of degree k*j
 over the prime field.  Constants from F_p embed by the constant embedding,
@@ -28,9 +26,7 @@ from itertools import product
 
 from . import fppoly
 from .errors import (
-    DivisionByZero,
     EvenCharacteristic,
-    FieldMismatch,
     InvalidDegree,
     NotPrime,
     NotPrimePower,
@@ -107,114 +103,8 @@ class FieldSpec:
     modulus: tuple
     q: int
 
-    def zero(self) -> "FieldElement":
-        return FieldElement((0,) * self.k, self)
-
-    def one(self) -> "FieldElement":
-        return self.scalar(1)
-
-    def scalar(self, c: int) -> "FieldElement":
-        """Embed an integer (i.e. an element of the prime field) as a constant."""
-        return FieldElement((c % self.p,) + (0,) * (self.k - 1), self)
-
-    def element(self, coeffs) -> "FieldElement":
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return FieldElement(coeffs, self)
-
-    def generator(self) -> "FieldElement":
-        """The residue class of t (equals the scalar 0+1*t for k >= 2)."""
-        if self.k == 1:
-            return self.scalar(1)
-        return FieldElement((0, 1) + (0,) * (self.k - 2), self)
-
     def __repr__(self):
         return f"F_{self.q}" if self.k == 1 else f"F_{self.q} (= F_{self.p}^{self.k})"
-
-
-class FieldElement:
-    """Element of a FieldSpec, stored as k residues mod p, ascending degree."""
-
-    __slots__ = ("coefficients", "owner")
-
-    def __init__(self, coefficients: tuple, owner: FieldSpec):
-        self.coefficients = coefficients
-        self.owner = owner
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.owner != self.owner:
-            raise FieldMismatch(f"{self.owner!r} vs {other.owner!r}")
-
-    def __add__(self, other):
-        self._check(other)
-        p = self.owner.p
-        return FieldElement(
-            tuple((a + b) % p for a, b in zip(self.coefficients, other.coefficients)),
-            self.owner,
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        p = self.owner.p
-        return FieldElement(
-            tuple((a - b) % p for a, b in zip(self.coefficients, other.coefficients)),
-            self.owner,
-        )
-
-    def __neg__(self):
-        p = self.owner.p
-        return FieldElement(tuple((-a) % p for a in self.coefficients), self.owner)
-
-    def __mul__(self, other):
-        self._check(other)
-        spec = self.owner
-        return _from_poly(fppoly.mul(fppoly.trim(self.coefficients, spec.p),
-                                     fppoly.trim(other.coefficients, spec.p), spec.p), spec)
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse a^(q-2)."""
-        if self.is_zero():
-            raise DivisionByZero("cannot invert zero")
-        return self ** (self.owner.q - 2)
-
-    def __pow__(self, n: int) -> "FieldElement":
-        """One modular power of the representative; 0**0 is defined as 1."""
-        spec = self.owner
-        base = self.inverse() if n < 0 else self
-        return _from_poly(fppoly.powmod(fppoly.trim(base.coefficients, spec.p), abs(n),
-                                        spec.modulus, spec.p), spec)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coefficients)
-
-    def index(self) -> int:
-        """Position of this element in enumeration order (little-endian base p)."""
-        idx = 0
-        for c in reversed(self.coefficients):
-            idx = idx * self.owner.p + c
-        return idx
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.owner == other.owner
-            and self.coefficients == other.coefficients
-        )
-
-    def __hash__(self):
-        return hash((self.coefficients, self.owner.p, self.owner.modulus))
-
-    def __repr__(self):
-        return f"{fppoly.to_string(fppoly.trim(self.coefficients, self.owner.p), 't')} in {self.owner!r}"
-
-
-def _from_poly(f: tuple, spec: FieldSpec) -> FieldElement:
-    """The element of `spec` represented by the polynomial f, reduced."""
-    red = fppoly.mod(f, spec.modulus, spec.p)
-    return FieldElement(red + (0,) * (spec.k - len(red)), spec)
 
 
 def _prime_factors(n: int) -> list:
@@ -273,40 +163,9 @@ def extension_of(field: FieldSpec, j: int) -> FieldSpec:
     return construct_field(field.p, field.k * j)
 
 
-def enumerate_elements(field: FieldSpec):
-    """All q elements once, coefficient tuples counted little-endian, 0 first."""
-    p, k = field.p, field.k
-    coeffs = [0] * k
-    for _ in range(field.q):
-        yield FieldElement(tuple(coeffs), field)
-        for i in range(k):
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-
-
-def element_from_index(field: FieldSpec, idx: int) -> FieldElement:
-    """Inverse of FieldElement.index()."""
-    p = field.p
-    coeffs = []
-    for _ in range(field.k):
-        coeffs.append(idx % p)
-        idx //= p
-    return FieldElement(tuple(coeffs), field)
-
-
-def is_square(a: FieldElement) -> bool:
-    """Euler criterion a^((q-1)/2) = 1; odd characteristic, a != 0 only."""
-    if a.owner.p == 2:
-        raise EvenCharacteristic("square test needs odd characteristic")
-    if a.is_zero():
-        raise ZeroInput("square test is undefined at zero")
-    return (a ** ((a.owner.q - 1) // 2)) == a.owner.one()
-
-
 def scalar_is_square_in(c: int, field: FieldSpec) -> bool:
-    """is_square for a prime-field constant embedded in `field`, via Euler in F_p.
+    """Whether a prime-field constant c is a square in `field`: Euler's
+    criterion c^((q-1)/2) = 1, computed in F_p.
 
     Since c^(p-1) = 1, the exponent (q-1)/2 reduces mod p-1.
     """

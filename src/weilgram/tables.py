@@ -1,11 +1,10 @@
 """Vectorized bulk arithmetic over a whole finite field at once.
 
-Elements of F_{p^K} are addressed by their enumeration index (little-endian
-base-p digit vector, matching finite_field.enumerate_elements).  A FieldTable
-implements elementwise field operations on whole numpy index arrays.  This is
-what makes brute-force point counting over fields with a million elements take
-seconds instead of hours; results are bit-identical to the scalar FieldElement
-arithmetic, which the test suite checks.
+Elements of F_{p^K} are addressed by their index: the coefficients of the
+element in the basis 1, t, .., t^(K-1), read as little-endian base-p digits.
+A FieldTable implements elementwise field operations on whole numpy index
+arrays.  This is what makes brute-force point counting over fields with a
+million elements take seconds instead of hours.
 
 Multiplication runs in log space over a primitive element g (the lookup-table
 idiom of the galois package): for nonzero a and b,
@@ -42,9 +41,9 @@ among the odd logs, with the orbit's size.
 
 Tables are built once per field from one linear recurring sequence, in
 O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
-first element, in enumeration order, with g^((q-1)/r) != 1 for every prime
-r dividing q-1, found with scalar arithmetic (through the norm to F_p for
-r | p-1); one K x K solve mod p gives
+first element, in index order, with g^((q-1)/r) != 1 for every prime r
+dividing q-1, found with fppoly powers modulo the field's modulus (through
+the norm to F_p for r | p-1); one K x K solve mod p gives
 g^K = sum c_j g^j, its minimal polynomial.  Let s_m be the first coordinate
 of g^m in the basis 1, g, ..., g^(K-1); then s_(m+K) = sum c_j s_(m+j).
 Row k of R holds the coordinates of g^k, so s_(m+k) = R[k] . (s_m, ...,
@@ -90,12 +89,13 @@ there the log sums, at most 6(q-1), still fit 32 bits.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from itertools import islice, product
 
 import numpy as np
 
 from . import fppoly
 from .errors import TooLarge
-from .finite_field import FieldSpec, _prime_factors, element_from_index
+from .finite_field import FieldSpec, _prime_factors
 
 MAX_Q = 1 << 26
 CHUNK = 1 << 16  # elements per slice of a bounded-memory pass
@@ -161,10 +161,12 @@ class FieldTable:
         self._sqrt_count = None
         self._pow_cache = {}  # always empty; perfbench sums its values
         self._progressions = {}  # m -> m i mod (q-1) for i < CHUNK, for eval_logs
-        g, power, g_powers = self._primitive_element(), spec.one(), []
+        i = self._primitive_element()
+        g = fppoly.trim([i // self.p**j for j in range(self.K)], self.p)
+        power, g_powers = (1,), []
         for _ in range(self.K + 1):
-            g_powers.append(power.coefficients)
-            power = power * g
+            g_powers.append(power + (0,) * (self.K - len(power)))
+            power = fppoly.mod(fppoly.mul(power, g, self.p), spec.modulus, self.p)
         # g^K = sum c_j g^j: one K x K solve, the digits of g^j as columns
         self._rows = self._baby_steps(
             _solve_mod(list(zip(*g_powers[:self.K])), g_powers[self.K], self.p))
@@ -173,22 +175,26 @@ class FieldTable:
         # and zech[q-1] = 0
         self.zech, self.prime_logs = self._zech_logs()
 
-    def _primitive_element(self):
-        """The first element, in enumeration order, with g^((q-1)/r) != 1
-        for every prime r | q-1.  For r | p-1 that power is N(g)^((p-1)/r),
-        N(g) = g^((q-1)/(p-1)) = Res(modulus, g) the norm to F_p, so only
-        the primes r not dividing p-1 need a power in the field."""
-        n, p, one = self.q - 1, self.p, self.spec.one()
+    def _primitive_element(self) -> int:
+        """The index of the first element g, in index order, with
+        g^((q-1)/r) != 1 for every prime r | q-1.  For r | p-1 that power is
+        N(g)^((p-1)/r), N(g) = g^((q-1)/(p-1)) = Res(modulus, g) the norm to
+        F_p, so only the primes r not dividing p-1 need a power in the
+        field, one fppoly.powmod."""
+        n, p, modulus = self.q - 1, self.p, self.spec.modulus
         primes = _prime_factors(n)
         in_base = [(p - 1) // r for r in primes if (p - 1) % r == 0]
         in_field = [n // r for r in primes if (p - 1) % r]
         # a prime-field scalar has order dividing p-1, so for K > 1 start at t
-        for i in range(p if self.K > 1 else 1, self.q):
-            g = element_from_index(self.spec, i)
-            norm = fppoly.resultant(self.spec.modulus, fppoly.trim(g.coefficients, p), p)
+        start = p if self.K > 1 else 1
+        # product runs over the digits in index order, most significant first
+        digits = islice(product(range(p), repeat=self.K), start, None)
+        for i, big_endian in enumerate(digits, start):
+            g = fppoly.trim(big_endian[::-1], p)
+            norm = fppoly.resultant(modulus, g, p)
             if all(pow(norm, e, p) != 1 for e in in_base) and \
-                    all(g**e != one for e in in_field):
-                return g
+                    all(fppoly.powmod(g, e, modulus, p) != (1,) for e in in_field):
+                return i
         raise AssertionError(f"no primitive element in {self.spec!r}")  # unreachable
 
     def _baby_steps(self, c: list) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Slow, independent re-implementations used to cross-check the library.
 
-Everything here deliberately avoids the library's fast paths: counting walks
-scalar field elements in pure Python loops instead of vectorized tables,
-determinants run rational Gaussian elimination or cofactor expansion instead
-of fraction-free integer elimination, the feasibility search tries every
-count of each Weil interval instead of the exact PSD intervals, power sums
-come from numpy root finding instead of integer recurrences, primality comes
-from trial division instead of Miller-Rabin, irreducibility from trial
-division by every monic polynomial instead of Ben-Or's test, singular points
-come from a scan of every point or line instead of elimination or a rank, and
-the Riemann hypothesis in genus <= 2 comes from a closed form in integers
-instead of the positivity of a Gram matrix.
+Everything here deliberately avoids the library's fast paths: field elements
+are a scalar class whose products, reductions and powers are schoolbook
+loops of its own instead of vectorized tables or `fppoly`, counting walks
+those elements in pure Python loops, determinants run rational Gaussian
+elimination or cofactor expansion instead of fraction-free integer
+elimination, the feasibility search tries every count of each Weil interval
+instead of the exact PSD intervals, power sums come from numpy root finding
+instead of integer recurrences, primality comes from trial division instead
+of Miller-Rabin, irreducibility from trial division by every monic
+polynomial instead of Ben-Or's test, singular points come from a scan of
+every point or line instead of elimination or a rank, and the Riemann
+hypothesis in genus <= 2 comes from a closed form in integers instead of the
+positivity of a Gram matrix.  From the library this file takes only the
+field models: `FieldSpec`, `construct_field` and `extension_of`.
 Agreement between the two routes is the point.
 """
 
@@ -23,16 +26,151 @@ from itertools import combinations, product
 
 import numpy as np
 
-from weilgram.finite_field import FieldSpec, construct_field, enumerate_elements, extension_of
+from weilgram.finite_field import FieldSpec, construct_field, extension_of
+
+
+class FieldElement:
+    """Element of a FieldSpec, stored as k residues mod p, ascending degree.
+    A product is a convolution reduced by long division by the monic
+    modulus, and a power is square-and-multiply over such products."""
+
+    __slots__ = ("coefficients", "owner")
+
+    def __init__(self, coefficients: tuple, owner: FieldSpec):
+        self.coefficients = coefficients
+        self.owner = owner
+
+    def _check(self, other):
+        if not isinstance(other, FieldElement):
+            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
+        if other.owner != self.owner:
+            raise ValueError(f"operands in different fields: {self.owner!r} vs {other.owner!r}")
+
+    def __add__(self, other):
+        self._check(other)
+        p = self.owner.p
+        return FieldElement(
+            tuple((a + b) % p for a, b in zip(self.coefficients, other.coefficients)),
+            self.owner,
+        )
+
+    def __sub__(self, other):
+        self._check(other)
+        p = self.owner.p
+        return FieldElement(
+            tuple((a - b) % p for a, b in zip(self.coefficients, other.coefficients)),
+            self.owner,
+        )
+
+    def __neg__(self):
+        p = self.owner.p
+        return FieldElement(tuple((-a) % p for a in self.coefficients), self.owner)
+
+    def __mul__(self, other):
+        self._check(other)
+        field = self.owner
+        p, k = field.p, field.k
+        prod = [0] * (2 * k - 1)
+        for i, a in enumerate(self.coefficients):
+            if a:
+                for j, b in enumerate(other.coefficients):
+                    prod[i + j] += a * b
+        # t^k = -(the lower terms of the monic modulus), from the top down
+        lower = [(i, m) for i, m in enumerate(field.modulus[:k]) if m]
+        for top in range(2 * k - 2, k - 1, -1):
+            c = prod[top] % p
+            if c:
+                for i, m in lower:
+                    prod[top - k + i] -= c * m
+        return FieldElement(tuple(c % p for c in prod[:k]), field)
+
+    def inverse(self) -> "FieldElement":
+        """Multiplicative inverse a^(q-2)."""
+        if self.is_zero():
+            raise ZeroDivisionError("cannot invert zero")
+        return self ** (self.owner.q - 2)
+
+    def __pow__(self, n: int) -> "FieldElement":
+        """Square-and-multiply; 0**0 is defined as 1."""
+        base = self.inverse() if n < 0 else self
+        result, n = one(self.owner), abs(n)
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coefficients)
+
+    def index(self) -> int:
+        """Position of this element in enumeration order (little-endian base p)."""
+        idx = 0
+        for c in reversed(self.coefficients):
+            idx = idx * self.owner.p + c
+        return idx
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FieldElement)
+            and self.owner == other.owner
+            and self.coefficients == other.coefficients
+        )
+
+    def __hash__(self):
+        return hash((self.coefficients, self.owner.p, self.owner.modulus))
+
+    def __repr__(self):
+        return f"{self.coefficients} in {self.owner!r}"
+
+
+def scalar(field: FieldSpec, c: int) -> FieldElement:
+    """Embed an integer (an element of the prime field) as a constant."""
+    return FieldElement((c % field.p,) + (0,) * (field.k - 1), field)
+
+
+def zero(field: FieldSpec) -> FieldElement:
+    return scalar(field, 0)
+
+
+def one(field: FieldSpec) -> FieldElement:
+    return scalar(field, 1)
+
+
+def generator(field: FieldSpec) -> FieldElement:
+    """The residue class of t (the scalar 1 when k = 1)."""
+    if field.k == 1:
+        return one(field)
+    return FieldElement((0, 1) + (0,) * (field.k - 2), field)
+
+
+def element_from_index(field: FieldSpec, idx: int) -> FieldElement:
+    """Inverse of FieldElement.index()."""
+    coeffs = []
+    for _ in range(field.k):
+        idx, c = divmod(idx, field.p)
+        coeffs.append(c)
+    return FieldElement(tuple(coeffs), field)
+
+
+def enumerate_elements(field: FieldSpec):
+    """All q elements once, in index order, 0 first."""
+    return (element_from_index(field, i) for i in range(field.q))
+
+
+def is_square(a: FieldElement) -> bool:
+    """Euler's criterion a^((q-1)/2) = 1, for a != 0 in odd characteristic."""
+    return a ** ((a.owner.q - 1) // 2) == one(a.owner)
 
 
 def poly_value(coeffs, x):
     """Horner evaluation of a prime-field-coefficient polynomial at a field
     element, using only scalar element arithmetic."""
     field = x.owner
-    acc = field.zero()
+    acc = zero(field)
     for c in reversed(coeffs):
-        acc = acc * x + field.scalar(c)
+        acc = acc * x + scalar(field, c)
     return acc
 
 
@@ -42,7 +180,7 @@ def square_counts(field: FieldSpec) -> Counter:
 
 
 def leading_is_square(coeffs, field: FieldSpec) -> bool:
-    target = field.scalar(coeffs[-1])
+    target = scalar(field, coeffs[-1])
     return any(y * y == target for y in enumerate_elements(field))
 
 
@@ -68,9 +206,9 @@ def count_biquadratic_slow(curve, j: int) -> int:
 
 def monomials_value(monomials, x, y, z):
     field = x.owner
-    acc = field.zero()
+    acc = zero(field)
     for a, b, c, co in monomials:
-        acc = acc + field.scalar(co) * x**a * y**b * z**c
+        acc = acc + scalar(field, co) * x**a * y**b * z**c
     return acc
 
 
@@ -78,16 +216,16 @@ def count_plane_slow(curve, j: int) -> int:
     """All projective representatives (1:y:z), (0:1:z), (0:0:1) by scalar
     arithmetic."""
     ext = extension_of(curve.base, j)
-    one, zero = ext.one(), ext.zero()
+    e0, e1 = zero(ext), one(ext)
     total = 0
     for y in enumerate_elements(ext):
         for z in enumerate_elements(ext):
-            if monomials_value(curve.monomials, one, y, z).is_zero():
+            if monomials_value(curve.monomials, e1, y, z).is_zero():
                 total += 1
     for z in enumerate_elements(ext):
-        if monomials_value(curve.monomials, zero, one, z).is_zero():
+        if monomials_value(curve.monomials, e0, e1, z).is_zero():
             total += 1
-    if monomials_value(curve.monomials, zero, zero, one).is_zero():
+    if monomials_value(curve.monomials, e0, e0, e1).is_zero():
         total += 1
     return total
 
@@ -173,10 +311,10 @@ def _common_zero_on_line(forms, y, field: FieldSpec, x: int = 1) -> bool:
     on the line, or the nonzero ones restricted to it share a factor in z."""
     restricted = []
     for form in forms:
-        coeffs = [field.zero()] * (max(c for _, _, c, _ in form) + 1 if form else 0)
+        coeffs = [zero(field)] * (max(c for _, _, c, _ in form) + 1 if form else 0)
         for a, b, c, co in form:
             if x or not a:
-                coeffs[c] = coeffs[c] + field.scalar(co) * y**b
+                coeffs[c] = coeffs[c] + scalar(field, co) * y**b
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         if coeffs:
@@ -200,7 +338,7 @@ def singular_point_exists(monomials, p: int, d: int) -> bool:
     if all(sum(co for a, b, _, co in f if a == b == 0) % p == 0 for f in forms):
         return True  # (0 : 0 : 1)
     base = construct_field(p, 1)
-    if _common_zero_on_line(forms, base.one(), base, x=0):
+    if _common_zero_on_line(forms, one(base), base, x=0):
         return True
     for j in range(1, d * (d - 1) // 2 + 1):
         field = construct_field(p, j)

@@ -19,7 +19,7 @@ ERROR_TYPES = [obj for obj in vars(errors).values()
 
 
 def test_every_error_class_is_covered():
-    assert WeilgramError in ERROR_TYPES and errors.DivisionByZero in ERROR_TYPES
+    assert WeilgramError in ERROR_TYPES and errors.NotPrimePower in ERROR_TYPES
     assert set(ARGS) <= set(ERROR_TYPES)
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from weilgram import gram
 from weilgram.bounds import weil_interval
 from weilgram.curves import count_points
 from weilgram.errors import (
@@ -110,6 +111,26 @@ def test_max_n1_result_invariants():
         assert feasible_counts(q, g, res.witness)
         assert res.max_n1 <= weil_interval(q, g, 1)[1]
         assert res.scanned > 0
+
+
+def test_max_n1_eliminates_each_prefix_gram_once(monkeypatch):
+    """The corner interval of each visited prefix's next count eliminates
+    the prefix's Gram (bordered by two columns), and nothing eliminates it
+    again.  Every complete vector the scan reaches is feasible, so the
+    witness is the only one visited, and `feasible_counts` checks it with
+    one elimination of its Gram.  With N_1's range that is scanned + 1."""
+    borders = []
+
+    def counted(B, n, eliminate=gram._eliminate):
+        borders.append(len(B) - n)
+        return eliminate(B, n)
+
+    monkeypatch.setattr(gram, "_eliminate", counted)
+    res = max_n1(FeasibilityProblem(q=3, g=8, m=3))
+    assert res.scanned == 27
+    assert borders.count(0) == 1  # the witness
+    assert borders.count(2) == res.scanned  # N_1's range and the scanned - 1 prefixes
+    assert len(borders) == res.scanned + 1
 
 
 def test_max_n1_scan_budget():

@@ -1,4 +1,5 @@
-"""Field construction and scalar arithmetic, checked against first principles."""
+"""Field construction, and the scalar element arithmetic of the oracles,
+checked against first principles."""
 
 import time
 from itertools import product
@@ -7,29 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilgram.errors import (
-    DivisionByZero,
-    EvenCharacteristic,
-    FieldMismatch,
-    NotPrime,
-    TooLarge,
-    ZeroInput,
-)
+from weilgram.errors import EvenCharacteristic, NotPrime, TooLarge, ZeroInput
 from weilgram.curves import count_points, parse_manifest
 from weilgram.finite_field import (
     MR_LIMIT,
     _is_irreducible,
     construct_field,
-    element_from_index,
-    enumerate_elements,
     extension_of,
     is_prime,
-    is_square,
     prime_power_decomposition,
     scalar_is_square_in,
 )
 
-from oracles import is_irreducible_trial, is_prime_trial, prime_power_trial
+from oracles import (
+    element_from_index,
+    enumerate_elements,
+    generator,
+    is_irreducible_trial,
+    is_prime_trial,
+    is_square,
+    one,
+    prime_power_trial,
+    scalar,
+    zero,
+)
 
 SMALL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3)]
 
@@ -143,13 +145,13 @@ def test_field_axioms_exhaustive(p, k):
     field = construct_field(p, k)
     elements = list(enumerate_elements(field))
     assert len(elements) == p**k
-    zero, one = field.zero(), field.one()
+    e0, e1 = zero(field), one(field)
     for a in elements:
-        assert a + zero == a
-        assert a * one == a
-        assert a - a == zero
+        assert a + e0 == a
+        assert a * e1 == a
+        assert a - a == e0
         if not a.is_zero():
-            assert a * a.inverse() == one
+            assert a * a.inverse() == e1
     for a in elements:
         for b in elements:
             assert a + b == b + a
@@ -166,19 +168,19 @@ def test_field_axioms_exhaustive(p, k):
 def test_multiplicative_order_divides_group_order(p, k):
     field = construct_field(p, k)
     q = p**k
-    one = field.one()
+    e1 = one(field)
     for a in enumerate_elements(field):
         if not a.is_zero():
-            assert a ** (q - 1) == one
+            assert a ** (q - 1) == e1
 
 
 def test_generator_has_full_order():
     for p, k in [(3, 2), (2, 3), (5, 2)]:
         field = construct_field(p, k)
-        g = field.generator()
+        g = generator(field)
         q = p**k
         seen = set()
-        x = field.one()
+        x = one(field)
         for _ in range(q - 1):
             x = x * g
             seen.add(x.index())
@@ -188,13 +190,13 @@ def test_generator_has_full_order():
 
 def test_pow_edge_cases():
     field = construct_field(5, 1)
-    a = field.scalar(3)
-    assert a**0 == field.one()
-    assert field.zero() ** 0 == field.one()
+    a = scalar(field, 3)
+    assert a**0 == one(field)
+    assert zero(field) ** 0 == one(field)
     assert a**-1 == a.inverse()
     assert a**-2 == (a * a).inverse()
-    with pytest.raises(DivisionByZero):
-        field.zero().inverse()
+    with pytest.raises(ZeroDivisionError):
+        zero(field).inverse()
 
 
 def test_index_round_trip():
@@ -205,9 +207,9 @@ def test_index_round_trip():
 
 
 def test_field_mismatch_raises():
-    a = construct_field(3, 1).one()
-    b = construct_field(5, 1).one()
-    with pytest.raises(FieldMismatch):
+    a = one(construct_field(3, 1))
+    b = one(construct_field(5, 1))
+    with pytest.raises(ValueError):
         a + b
 
 
@@ -226,7 +228,7 @@ def test_is_square_matches_exhaustive_squares(p, k):
     for a in enumerate_elements(field):
         if a.is_zero():
             with pytest.raises(ZeroInput):
-                is_square(a)
+                scalar_is_square_in(0, field)
         else:
             assert is_square(a) == (a.index() in squares)
 
@@ -234,14 +236,14 @@ def test_is_square_matches_exhaustive_squares(p, k):
 def test_is_square_rejects_characteristic_two():
     field = construct_field(2, 2)
     with pytest.raises(EvenCharacteristic):
-        is_square(field.one())
+        scalar_is_square_in(1, field)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (7, 1), (3, 3)])
 def test_scalar_square_agrees_with_element_route(p, k):
     field = construct_field(p, k)
     for c in range(1, p):
-        assert scalar_is_square_in(c, field) == is_square(field.scalar(c))
+        assert scalar_is_square_in(c, field) == is_square(scalar(field, c))
 
 
 def test_half_of_units_are_squares():

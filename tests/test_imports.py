@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since the test session itself has
 long since imported every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -34,8 +35,7 @@ PUBLIC = [
     "feasibility",
     "FeasibilityProblem", "FeasibilityResult", "IharaClosedForm", "feasible_counts",
     "ihara_closed_form", "max_n1",
-    "FieldElement", "FieldSpec", "construct_field", "enumerate_elements",
-    "extension_of", "is_square",
+    "FieldSpec", "construct_field", "extension_of",
     "GramMatrix", "PSDVerdict", "combined_vector_gram", "gram_absolute",
     "gram_diagram", "gram_relative", "int_det", "is_psd", "psd_check",
     "schwarz_margin",
@@ -145,3 +145,22 @@ def test_unknown_attribute_raises_attribute_error():
     import weilgram
     assert not hasattr(weilgram, "no_such_name")
     assert weilgram.__version__ == "0.1.0"
+
+
+def test_oracles_take_only_the_field_models_from_the_library():
+    """The brute-force oracles share no code with the paths they check: from
+    weilgram they import FieldSpec, construct_field and extension_of only,
+    and nothing from tables, fppoly or curves."""
+    tree = ast.parse((Path(__file__).resolve().parent / "oracles.py").read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    from_library = [(module, name) for module, name in imported
+                    if module.split(".")[0] == "weilgram"]
+    assert from_library
+    assert {name for _, name in from_library} <= {"FieldSpec", "construct_field", "extension_of"}
+    forbidden = {"weilgram.tables", "weilgram.fppoly", "weilgram.curves"}
+    assert not {module for module, _ in from_library} & forbidden
