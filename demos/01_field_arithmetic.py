@@ -39,6 +39,10 @@ for field, T in ((F5, get_table(F5)), (F9, T9)):
 
 print()
 print("== vectorized polynomial evaluation ==")
-# f(x) = x^3 + x over F_5, evaluated at every element at once
-values = get_table(F5).eval_poly((0, 1, 0, 1))
+# f(x) = x^3 + x over F_5, evaluated at every element at once: eval_logs
+# gives log f(x) for x = g^i in order i (x = 0 last), and exp turns both
+# the points and the values back into element indices
+T5 = get_table(F5)
+values = np.empty(F5.q, dtype=np.int32)
+values[T5.exp] = T5.exp.take(T5.eval_logs((0, 1, 0, 1)), mode="clip")
 print(f"x^3 + x on F_5: {[int(v) for v in values]}")

@@ -41,14 +41,15 @@ even-degree model adds 2.
 Plane curves are counted by lines, never point by point.  On the line
 y = c of the chart (1:y:z) the points are the roots in F_Q (Q = q^j) of
 F1(c, z) = F(1, c, z), so there are deg gcd(F1(c, z), z^Q - z) of them, or
-Q when F1(c, .) vanishes identically.  The coefficients of F1(c, .) come
-from one log-space Horner pass per power of z over all Q lines; z^Q mod
-F1(c, .) takes about log2 Q squarings vectorized over blocks of at most
-CHUNK lines of one degree in z (the degree drops where the leading
-coefficient vanishes at c), and a Euclid masked per line gives the gcd.
-The chart (0:1:z) is the same gcd for F(0, 1, z), in F_p[z], and (0:0:1)
-is one coefficient.  So a count is O(Q) work and memory, and it is charged
-Q like every other family.
+Q when F1(c, .) vanishes identically.  The logs of the coefficients of
+F1(c, .) come from one eval_logs pass per power of z over all Q lines, and
+all that follows runs on logs too; z^Q mod F1(c, .) takes about log2 Q
+squarings vectorized over blocks of at most CHUNK lines of one degree in z
+(the degree drops where the leading coefficient vanishes at c), and a
+Euclid masked per line gives the gcd.  The chart (0:1:z) is the same gcd
+for F(0, 1, z), in F_p[z], and (0:0:1) is one coefficient.  So a count
+builds no exp or log, is O(Q) work and memory, and is charged Q like every
+other family.
 
 A plane is smooth exactly when the Macaulay matrix of F and its three
 partials in degree 3d - 4 has full column rank over F_p (`_is_smooth`), so
@@ -62,8 +63,9 @@ the y-lines through those roots (on every y-line when elimination says
 nothing: both partials of F1 vanish, or the resultant does identically,
 which only very non-generic curves allow).  Horner's rule in y gives each
 line's polynomials in z, Horner's rule in z finds the zeros of F on blocks
-of about CHUNK points, and the partials are evaluated only there.  The
-chart (0:1:z) is a gcd in F_p[z] and (0:0:1) three coefficients.
+of about CHUNK points, and the partials are evaluated only there, all by
+horner_logs on the logs of table indices, as witnesses go in index order.
+The chart (0:1:z) is a gcd in F_p[z] and (0:0:1) three coefficients.
 """
 
 from __future__ import annotations
@@ -172,15 +174,14 @@ class PointCountSeries:
     counts: tuple
 
     def validate(self, genus: int) -> None:
-        """Divisibility monotonicity and the exact Weil inequality."""
-        n = self.counts
-        for j in range(1, len(n) + 1):
-            for d in range(1, j):
-                if j % d == 0 and n[j - 1] < n[d - 1]:
-                    raise InconsistentCounts(
-                        f"N_{j}={n[j-1]} < N_{d}={n[d-1]} with {d} | {j}")
-            if (n[j - 1] - self.q**j - 1) ** 2 > 4 * genus**2 * self.q**j:
-                raise InconsistentCounts(f"N_{j}={n[j-1]} violates the Weil inequality")
+        """Every place count a_j a nonnegative integer (zeta.place_counts),
+        which implies N_j >= N_d for d | j, and the exact Weil inequality."""
+        from .zeta import place_counts  # here, so that counting loads no zeta or gram
+        for j, (n, a) in enumerate(zip(self.counts, place_counts(self.counts)), 1):
+            if a < 0 or a.denominator != 1:
+                raise InconsistentCounts(f"N_1..N_{j} give a_{j}={a} places of degree {j}")
+            if (n - self.q**j - 1) ** 2 > 4 * genus**2 * self.q**j:
+                raise InconsistentCounts(f"N_{j}={n} violates the Weil inequality")
 
     def __len__(self):
         return len(self.counts)
@@ -425,15 +426,6 @@ def _is_smooth(monomials: tuple, p: int, d: int) -> bool:
     return True
 
 
-def _horner(T: FieldTable, coeffs, x) -> np.ndarray:
-    """sum coeffs[i] x^i by Horner's rule in index space; each coeffs[i]
-    broadcasts against x, and the result has their common shape."""
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = T.add(T.mul(acc, x), c)
-    return np.broadcast_to(acc, np.broadcast_shapes(np.shape(coeffs[0]), np.shape(x)))
-
-
 def _at_x0(monomials: tuple, p: int) -> tuple:
     """F(0, 1, z) in F_p[z]: the x-free monomials, by their power of z."""
     out = [0] * (max((c for _, _, c, _ in monomials), default=-1) + 1)
@@ -441,6 +433,12 @@ def _at_x0(monomials: tuple, p: int) -> tuple:
         if a == 0:
             out[c] += co
     return fppoly.trim(out, p)
+
+
+def _roots(T: FieldTable, f) -> np.ndarray:
+    """The roots in F_q (q = T.q) of f in F_p[x], as table indices in
+    ascending order."""
+    return np.sort(T.exp.take(np.flatnonzero(T.eval_logs(f) >= T.q - 1)))
 
 
 def _plane_singular_witness(field: FieldSpec, monomials: tuple, j: int, cand):
@@ -458,28 +456,31 @@ def _plane_singular_witness(field: FieldSpec, monomials: tuple, j: int, cand):
     the roots of their gcd in F_p[z]."""
     p = field.p
     T = get_table(extension_of(field, j))
-    ys = np.arange(T.q) if cand is None else np.flatnonzero(T.eval_poly(cand) == 0)
+    ys = np.arange(T.q) if cand is None else _roots(T, cand)
     partials = [_partial(monomials, axis, p) for axis in range(3)]
     # rows: the y-polynomials of the z-coefficients of F, then F_y, then F_z
     rows = [_chart_a_zpolys(f, p) or [()] for f in (monomials, *partials[1:])]
     ends = np.cumsum([len(r) for r in rows])
     rows = [P for r in rows for P in r]
     width = max(len(P) for P in rows)
-    by_y = np.array([P + (0,) * (width - len(P)) for P in rows]).T[:, :, None]
+    by_y = T.prime_logs.take([P + (0,) * (width - len(P)) for P in rows]).T[:, :, None]
     lines = max(1, CHUNK // T.q)
     for lo in range(0, len(ys), lines):
         Y = ys[lo:lo + lines]
-        F, Fy, Fz = np.split(_horner(T, by_y, Y), ends[:2])
-        for Z in (np.arange(s, min(s + CHUNK, T.q)) for s in range(0, T.q, CHUNK)):
-            y, z = np.nonzero(_horner(T, F[:, :, None], Z) == 0)
-            singular = (_horner(T, Fy[:, y], Z[z]) == 0) & (_horner(T, Fz[:, y], Z[z]) == 0)
+        on_lines = np.broadcast_to(T.horner_logs(by_y, T.log.take(Y)), (len(rows), len(Y)))
+        F, Fy, Fz = np.split(on_lines, ends[:2])
+        for s in range(0, T.q, CHUNK):
+            Z = T.log[s:s + CHUNK]
+            on_F = np.broadcast_to(T.horner_logs(F[:, :, None], Z), (len(Y), len(Z)))
+            y, z = np.nonzero(on_F >= T.q - 1)
+            singular = np.all([T.horner_logs(G[:, y], Z[z]) >= T.q - 1 for G in (Fy, Fz)], axis=0)
             if singular.any():
                 k = np.argmax(singular)
-                return (1, int(Y[y[k]]), int(Z[z[k]]))
+                return (1, int(Y[y[k]]), s + int(z[k]))
     g = ()
     for f in (monomials, *partials):
         g = fppoly.gcd(g, _at_x0(f, p), p)
-    roots = np.flatnonzero(T.eval_poly(g) == 0)
+    roots = _roots(T, g)
     if len(roots):
         return (0, 1, int(roots[0]))
     d = sum(monomials[0][:3])  # F, F_x, F_y vanish at (0:0:1), and with them F_z
@@ -677,48 +678,50 @@ def _norm_count(T: FieldTable, polys) -> int:
 
 def _roots_in_field(T: FieldTable, h: list) -> int:
     """Sum over lines of deg gcd(h, z^Q - z), the number of distinct roots in
-    F_Q (Q = T.q) of h = sum h_i z^i; h is a list of index arrays, one entry
-    per line, of exact degree D = len(h) - 1 >= 2 on every line.
+    F_Q (Q = T.q) of h = sum h_i z^i; h is a list of uint32 log arrays, one
+    entry per line, of exact degree D = len(h) - 1 >= 2 on every line.
 
     z^Q mod h comes from about log2 Q squarings (and times z for the one bits
     of Q), each reduced with z^D = sum nh_i z^i; then a Euclid masked per
     line, since the remainders drop degree at different steps."""
-    D, minus_one = len(h) - 1, T.p - 1
-    neg_inv_lead = T.div(minus_one, h[D])
-    nh = [T.mul(c, neg_inv_lead) for c in h[:D]]
+    D, n = len(h) - 1, T.q - 1
+    minus_one, two = T.prime_logs[T.p - 1], T.prime_logs[2 % T.p]
+    neg_inv_lead = minus_one + n - h[D]  # -1 / h_D, reduced with each product
+    nh = [T.reduce_logs(c + neg_inv_lead) for c in h[:D]]
 
     def reduce(u):
         for k in range(len(u) - 1, D - 1, -1):
             for i in range(D):
-                u[k - D + i] = T.add(u[k - D + i], T.mul(u[k], nh[i]))
+                u[k - D + i] = T.add_logs(u[k - D + i], T.reduce_logs(u[k] + nh[i]))
         return u[:D]
 
-    zero = np.zeros_like(h[0])
-    r = [zero, zero + 1] + [zero] * (D - 2)  # z mod h
+    zero, one = np.full_like(h[0], 3 * n), np.zeros_like(h[0])
+    r = [zero, one] + [zero] * (D - 2)  # z mod h
     for bit in bin(T.q)[3:]:
         u = [zero] * (2 * D - 1)
         for i in range(D):
-            u[2 * i] = T.mul(r[i], r[i])
+            u[2 * i] = T.reduce_logs(2 * r[i])
         if T.p != 2:  # cross terms 2 r_i r_j vanish in characteristic 2
-            twice = [T.mul(c, 2) for c in r]
             for i in range(D):
                 for j in range(i + 1, D):
-                    u[i + j] = T.add(u[i + j], T.mul(r[i], twice[j]))
+                    u[i + j] = T.add_logs(u[i + j], T.reduce_logs(r[i] + r[j] + two))
         r = reduce(u)
         if bit == "1":
             r = reduce([zero] + r)
-    r[1] = T.add_scalar(r[1], -1)  # z^Q - z mod h
+    r[1] = T.add_logs(r[1], minus_one)  # z^Q - z mod h
     return int(_gcd_degrees(T, np.array(h), np.array(r + [zero])).sum())
 
 
 def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """deg gcd(A, B) per line for two polynomials in z stored as (rows, lines)
-    index arrays, row i the coefficient of z^i; A must be nonzero on every
+    log arrays, row i the coefficient of z^i; A must be nonzero on every
     line.  Each step cancels the leading term of the higher-degree one."""
+    n = T.q - 1
     rows, cols = np.arange(len(A))[:, None], np.arange(A.shape[1])
+    minus_one = T.prime_logs[T.p - 1]
 
     def degrees(M):
-        nonzero = M != 0
+        nonzero = M < n
         return np.where(nonzero.any(axis=0), len(M) - 1 - np.argmax(nonzero[::-1], axis=0), -1)
 
     dA, dB = degrees(A), degrees(B)
@@ -726,13 +729,14 @@ def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         swap = dA < dB
         A, B = np.where(swap, B, A), np.where(swap, A, B)
         dA, dB = np.where(swap, dB, dA), np.where(swap, dA, dB)
-        live = dB >= 0
-        if not live.any():
+        if not (dB >= 0).any():
             return dA
-        factor = T.mul(T.div(A[dA, cols], B[np.maximum(dB, 0), cols]), T.p - 1)
+        # -lead A / lead B; where B = 0 the log is garbage, but every shifted
+        # entry there is the sentinel, so the product is zero all the same
+        factor = T.reduce_logs(A[dA, cols] + minus_one + n - B[np.maximum(dB, 0), cols])
         src = rows - (dA - dB)  # the row of B that lands on each row of A
-        shifted = np.where(src >= 0, B[np.maximum(src, 0), cols], 0)
-        A = T.add(A, T.mul(shifted, np.where(live, factor, 0)))
+        shifted = np.where(src >= 0, B[np.maximum(src, 0), cols], 3 * n)
+        A = T.add_logs(A, T.reduce_logs(shifted + factor))
         dA = degrees(A)
 
 
@@ -740,14 +744,15 @@ def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
     """Points of F = 0 in P^2(F_Q), Q = T.q, by lines (module docstring):
     lines of degree 0 and 1 in z are read off, the others go to
     _roots_in_field in blocks of CHUNK lines, grouped by degree."""
-    Q = T.q
-    coeffs = [T.eval_poly(P) for P in _chart_a_zpolys(monomials, p)]  # z^c on each line
+    Q, n = T.q, T.q - 1
+    coeffs = [np.where(logs < n, logs, np.uint32(3 * n))  # log z^c coefficient, 0 -> sentinel
+              for logs in map(T.eval_logs, _chart_a_zpolys(monomials, p))]
     total = 0
     for lo in range(0, Q, CHUNK):
         block = [a[lo:lo + CHUNK] for a in coeffs]
         deg = np.full(len(block[0]), -1)
         for c, a in enumerate(block):
-            deg[a != 0] = c
+            deg[a < n] = c
         total += Q * int(np.count_nonzero(deg < 0)) + int(np.count_nonzero(deg == 1))
         for D in range(2, len(block)):
             lines = np.nonzero(deg == D)[0]
@@ -776,11 +781,13 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     min(n + 1, 2q') rows of q' uint32 per polynomial of degree n) and one
     block of about CHUNK (c, a) pairs: over F_{3^12}, from tables not yet
     built, it peaks at about 2.5 bytes per element of F_{3^12} under
-    tracemalloc.  With kj odd it walks
-    the table of F_{q^j}: over F_{3^13} it peaks at about 10.5 bytes per
-    element (8 of them the table build's two uint32 permutations), and the
-    cached table keeps 4, its Zech logarithms, plus about 64 KB (see the
-    tables module)."""
+    tracemalloc.  With kj odd it walks the table of F_{q^j}: over F_{3^13}
+    it peaks at about 10.5 bytes per element (8 of them the table build's
+    two uint32 permutations), and the cached table keeps 4, its Zech
+    logarithms, plus about 64 KB (see the tables module).  A plane count
+    holds 4(d + 1) bytes per element of z-coefficient logs, and the gcds of
+    one block of CHUNK lines: the Fermat quartic over F_5 at j = 8 peaks at
+    about 97 bytes per element (36 MiB) under tracemalloc."""
     if j < 1:
         raise InvalidDegree(j)
     if j >= budget.bit_length():  # q^j >= 2^j > budget: too large to compute

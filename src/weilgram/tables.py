@@ -2,42 +2,36 @@
 
 Elements of F_{p^K} are addressed by their index: the coefficients of the
 element in the basis 1, t, .., t^(K-1), read as little-endian base-p digits.
-A FieldTable implements elementwise field operations on whole numpy index
-arrays.  This is what makes brute-force point counting over fields with a
-million elements take seconds instead of hours.
+A FieldTable computes elementwise on whole numpy arrays in log space over a
+primitive element g (the lookup-table idiom of the galois package): g^i is
+held as i < q-1, and zero as the sentinel 3(q-1).  This is what makes
+brute-force point counting over fields with a million elements take seconds
+instead of hours.
 
-Multiplication runs in log space over a primitive element g (the lookup-table
-idiom of the galois package): for nonzero a and b,
-a*b = exp[(log a + log b) mod (q-1)], two gathers around one add and one
-wrap.  Zero needs no mask: log[0] = 3(q-1) is a sentinel whose sums land past
-the end of exp, even after two wraps, and are clipped onto its last slot,
-which holds 0.  A power e^n is one gather exp[(n log e) mod (q-1)], and the
-number of square roots of v is 1 + chi(v), with the quadratic character chi
-read from the parity of log v (every element has one square root when p = 2).
+A product adds logs, a quotient by a nonzero b adds (q-1) - log b, and
+reduce_logs reduces a sum of at most three logs by one gather of a residue
+table, t mod (q-1) for t < 3(q-1), every larger t clipped onto the
+sentinel, so zero needs no mask.  A sum runs through the Zech logarithm
+Z[t] = log(1 + g^t): log(a + b) = log a + Z[log b - log a].  Z[q-1] = 0 =
+log(1 + 0), and Z[t] is the sentinel where 1 + g^t = 0.  add_logs takes one
+such step from the smaller log, then reduce_logs: a zero operand makes the
+difference exceed q-1, so the clipped gather reads Z[q-1] = 0.  The number
+of square roots of v is 1 + chi(v), chi read from the parity of log v
+(every element has one square root when p = 2).
 
-Addition runs in log space too, through the Zech logarithm
-Z[t] = log(1 + g^t): a + b = a (1 + b/a), so log(a + b) = log a + Z[log b -
-log a].  Z[q-1] = 0 = log(1 + 0), so a gather clipped at q-1 adds 1 to zero,
-and Z[t] is the sentinel where 1 + g^t = 0.  Horner's rule for a polynomial
-with prime-field coefficients keeps the running value v as log(v / c), c the
-last coefficient added, and the next nonzero coefficient c' at a gap of m
-degrees adds v x^m + c' = c' (1 + (v / c) x^m (c / c')): two adds (of
-log x^m and of the constant log(c / c')), two unsigned wraps and one Z
-gather.  x runs over g^i in CHUNK slices, so log x^m = m i mod (q-1) is a
-CHUNK-long table plus a constant per slice, which joins the constant add;
-each such progression is built once per table and gap m, and kept.  Zero
-values and zero coefficients need no mask, and f(0) is the constant term.
-
-horner_logs is Horner's rule in log space where coefficients and points
-vary per entry and any of them may be zero (the counts through the norm,
-see the curves module): a step v x + c adds log v and log x and reduces
-the sum by one gather of a residue table, t mod (q-1) for t < 3(q-1) with
-every larger t sent to the sentinel, then adds c by Zech between the
-smaller and the larger log; a zero operand makes their difference exceed
-q-1, so the clipped gather reads Z[q-1] = 0.  reduce_logs is that gather
-alone, the log of a product of up to three factors.  frobenius_orbits
-lists one non-square per orbit of c -> c^p, the least log of its orbit
-among the odd logs, with the orbit's size.
+Horner's rule for a polynomial with prime-field coefficients (eval_logs)
+keeps the running value v as log(v / c), c the last coefficient added, and
+the next nonzero coefficient c' at a gap of m degrees adds
+v x^m + c' = c' (1 + (v / c) x^m (c / c')): two adds (of log x^m and of the
+constant log(c / c')), two unsigned wraps and one Z gather.  x runs over
+g^i in CHUNK slices, so log x^m = m i mod (q-1) is a CHUNK-long table plus
+a constant per slice, which joins the constant add; each such progression
+is built once per table and gap m, and kept.  horner_logs is Horner's rule
+where coefficients and points vary per entry (the counts through the norm,
+see the curves module): a step is reduce_logs of log v + log x, then the
+Zech step of add_logs, its reduction left to the next step.
+frobenius_orbits lists one non-square per orbit of c -> c^p, the least log
+of its orbit among the odd logs, with the orbit's size.
 
 Tables are built once per field from one linear recurring sequence, in
 O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
@@ -60,11 +54,12 @@ Z = L[E + 1].  A prime-field constant c has window c e_0, index c, so its
 log is L[c] (prime_logs).  eval_logs and horner_logs read only Z and these
 p logs, so a hyperelliptic or biquadratic count builds nothing else.
 
-exp and log are built on first use, for the index-space callers: mul,
-div, add, eval_poly and sqrt_count.  Each digit of g^m in the polynomial
-basis is a linear recurring sequence with the same recurrence, so exp runs
-the same blocks, started from the digits of g^0..g^(K-1), and log is its
-inverse permutation.  The library reads neither digits nor powers.
+exp and log map logs to indices and back, built on first use: in the
+library only the plane witness search reads them.  mul, powers and
+sqrt_count, on index arrays, are kept for the demos, tests and perfbench.
+Each digit of g^m is a linear recurring sequence with the same recurrence,
+so exp runs the same blocks, started from the digits of g^0..g^(K-1), and
+log is its inverse permutation.
 
 Memory per element: a table that only counts holds 4 bytes, its Zech
 logarithms (uint32), plus R, kept so that exp needs no second doubling:
@@ -140,7 +135,7 @@ def _inverse_permutation(perm: np.ndarray, q: int) -> np.ndarray:
 
 
 class FieldTable:
-    """Index-space arithmetic tables for one FieldSpec."""
+    """Log-space arithmetic tables for one FieldSpec."""
 
     def __init__(self, spec: FieldSpec):
         if spec.q > MAX_Q:
@@ -290,23 +285,10 @@ class FieldTable:
         return np.minimum(s, s - (self.q - 1), out=s)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two index arrays (broadcast to equal shape)."""
+        """Elementwise product of two index arrays (broadcast to equal shape).
+        Kept for the demos, the tests and perfbench, as nothing in the
+        library calls it."""
         s = self.log.take(a) + self.log.take(b)  # take: no slow path for int32 indices
-        return self.exp.take(self._wrap(s), mode="clip")
-
-    def div(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise a / b of two index arrays; b must be nonzero."""
-        s = self.log.take(a) + (self.q - 1 - self.log.take(b))
-        return self.exp.take(self._wrap(s), mode="clip")
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise sum of two index arrays: log(a + b) = lo + Z[hi - lo]
-        with lo, hi the smaller and larger of log a, log b.  A zero operand
-        has the larger log, so hi - lo >= q-1 and the clipped gather reads
-        Z[q-1] = 0; two zeros stay at the sentinel."""
-        la, lb = self.log.take(a), self.log.take(b)
-        lo = np.minimum(la, lb)
-        s = lo + self.zech.take(np.maximum(la, lb) - lo, mode="clip")
         return self.exp.take(self._wrap(s), mode="clip")
 
     def add_scalar(self, a: np.ndarray, c: int) -> np.ndarray:
@@ -380,17 +362,19 @@ class FieldTable:
         sentinel when a factor is zero."""
         return self._residues.take(t, mode="clip")
 
+    def add_logs(self, a, b) -> np.ndarray:
+        """log(u + v) from uint32 logs a = log u and b = log v that broadcast
+        together, each below q-1 or the sentinel: one Zech step from the
+        smaller log, then reduce_logs (module docstring)."""
+        lo = np.minimum(a, b)
+        return self.reduce_logs(lo + self.zech.take(np.maximum(a, b) - lo, mode="clip"))
+
     def horner_logs(self, coeffs, x) -> np.ndarray:
         """log sum coeffs[i] x^i by Horner's rule in log space, for uint32 log
         arrays that broadcast together: each coeffs[i] and x is a log below
         q-1 or the sentinel 3(q-1) for zero.  The result has the same form.
-
-        A step v x + c is one add and one gather of the residue table, which
-        reduces a sum of two logs and sends a sum with a sentinel to the
-        sentinel, then log(u + c) = lo + Z[hi - lo] with lo, hi the smaller
-        and larger of log u and log c: when one of them is zero, hi - lo >
-        q-1 and the clipped gather reads Z[q-1] = 0, so the sum is the other;
-        when both are, lo and the sum stay at or above the sentinel."""
+        A step v x + c is reduce_logs(log v + log x), then the Zech step of
+        add_logs with log c, whose reduction waits for the next step's."""
         zech = self.zech
         v = coeffs[-1]
         for c in coeffs[-2::-1]:
@@ -415,15 +399,6 @@ class FieldTable:
         sizes = np.bincount(least)
         leaders = np.flatnonzero(sizes)
         return leaders.astype(np.uint32), sizes[leaders]
-
-    def eval_poly(self, f) -> np.ndarray:
-        """Horner evaluation of a prime-field polynomial at every field
-        element: an int32 index array in index order, scattered in CHUNK
-        slices (a scatter converts its int32 indices to int64)."""
-        logs, out = self.eval_logs(f), np.empty(self.q, dtype=np.int32)
-        for lo in range(0, self.q, CHUNK):
-            out[self.exp[lo:lo + CHUNK]] = self.exp.take(logs[lo:lo + CHUNK], mode="clip")
-        return out
 
     def powers(self, n: int) -> np.ndarray:
         """Index array (int32) of e^n over all elements e (n >= 0); e^0 = 1

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import CountLengthMismatch, NonIntegerCoefficient
-from .finite_field import check_prime_power
+from .finite_field import _prime_factors, check_prime_power
 from .gram import gram_absolute, is_psd
 
 
@@ -105,6 +106,17 @@ def power_sums(L: LPolynomial, m: int) -> list:
             acc += c[i] * t[n - i - 1]
         t.append(-acc)
     return t
+
+
+def place_counts(counts) -> list:
+    """a_1..a_m from N_1..N_m, as Fractions: a_d = (1/d) sum_{e | d} mu(d/e)
+    N_e inverts N_j = sum_{d | j} d a_d.  For a curve a_d is its number of
+    places of degree d, a nonnegative integer."""
+    def mu(n):
+        primes = _prime_factors(n)
+        return (-1) ** len(primes) if prod(primes) == n else 0
+    return [Fraction(sum(mu(d // e) * counts[e - 1] for e in range(1, d + 1) if d % e == 0), d)
+            for d in range(1, len(counts) + 1)]
 
 
 def extrapolate(L: LPolynomial, j: int) -> int:

@@ -833,7 +833,8 @@ def test_point_count_series_validation():
 
 
 def test_inconsistent_counts_raise_a_typed_error():
-    for counts in ((4, 3), (8,)):
+    # (4, 5) gives a_2 = 1/2 places of degree 2, (4, 10, 29) a_3 = 25/3
+    for counts in ((4, 3), (8,), (4, 5), (4, 10, 29)):
         with pytest.raises(InconsistentCounts):
             PointCountSeries(q=3, counts=counts).validate(1)
 

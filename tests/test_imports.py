@@ -1,4 +1,5 @@
-"""The package namespace loads lazily, and table-free paths never load numpy.
+"""The package namespace loads lazily, table-free paths never load numpy, and
+the curve families share one field arithmetic.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long since imported every module.
@@ -164,3 +165,23 @@ def test_oracles_take_only_the_field_models_from_the_library():
     assert {name for _, name in from_library} <= {"FieldSpec", "construct_field", "extension_of"}
     forbidden = {"weilgram.tables", "weilgram.fppoly", "weilgram.curves"}
     assert not {module for module, _ in from_library} & forbidden
+
+
+def test_curves_use_only_log_space_table_arithmetic():
+    """One field arithmetic in the library: `curves` calls no index-space
+    `mul`, `div`, `add` or `eval_poly` on a table (the `fppoly` functions
+    of those names work on polynomials and stay), and `FieldTable` defines
+    none of `div`, `add` and `eval_poly`."""
+    package = Path(SRC) / "weilgram"
+    index_space = {"mul", "div", "add", "eval_poly"}
+    calls = [node.func for node in ast.walk(ast.parse((package / "curves.py").read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    table_calls = [(func.lineno, func.attr) for func in calls if func.attr in index_space
+                   and not (isinstance(func.value, ast.Name) and func.value.id == "fppoly")]
+    assert table_calls == []
+    tree = ast.parse((package / "tables.py").read_text())
+    table_class = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "FieldTable")
+    methods = {node.name for node in table_class.body if isinstance(node, ast.FunctionDef)}
+    assert "eval_logs" in methods
+    assert not methods & {"div", "add", "eval_poly"}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from weilgram import curves
-from weilgram.curves import count_points, make_biquadratic, make_hyperelliptic
+from weilgram.curves import count_points, make_biquadratic, make_hyperelliptic, make_smooth_plane
 from weilgram.errors import TooLarge
 from weilgram.finite_field import _prime_factors, construct_field
 from weilgram.tables import MAX_Q, FieldTable, get_table
@@ -39,9 +39,10 @@ def test_mul_matches_scalar(p, k):
         ea = element_from_index(field, a)
         want = [(ea * element_from_index(field, b)).index() for b in range(q)]
         assert got.tolist() == want
-        quotients = T.div(np.full(q - 1, a, dtype=np.int64), idx[1:])
+        # in log space a / b adds (q-1) - log b, for b != 0 and a = 0 too
+        quotients = T.reduce_logs(T.log[a] + (q - 1) - T.log[1:])
         want = [(ea * element_from_index(field, b).inverse()).index() for b in range(1, q)]
-        assert quotients.tolist() == want
+        assert quotients.tolist() == T.log[want].tolist()
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -55,11 +56,12 @@ def test_add_and_scale_match_scalar(p, k):
         want = [(scalar(field, c) + element_from_index(field, b)).index()
                 for b in range(q)]
         assert got.tolist() == want
-    # Zech addition, zero operands and sums that vanish included
+    # Zech addition in log space, zero operands and sums that vanish included
     for a in range(q):
-        got = T.add(np.full(q, a, dtype=np.int64), idx)
+        got = T.add_logs(np.full(q, T.log[a]), T.log)
         ea = element_from_index(field, a)
-        assert got.tolist() == [(ea + element_from_index(field, b)).index() for b in range(q)]
+        want = [(ea + element_from_index(field, b)).index() for b in range(q)]
+        assert got.tolist() == T.log[want].tolist()
 
 
 @pytest.mark.parametrize("p,k", FIELDS)
@@ -72,12 +74,31 @@ def test_sqrt_count_matches_scalar(p, k):
         assert counts[v.index()] == want
 
 
+def _scalar_horner(field, coeffs, x):
+    acc = zero(field)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _check_eval_logs(T, field, coeffs, got, entries):
+    """Entry i of eval_logs is f(x) at x = exp[i]: at or past q-1 exactly
+    where f(x) = 0, and the log of f(x) elsewhere."""
+    coeffs = [scalar(field, c) for c in coeffs]
+    for i in entries:
+        want = _scalar_horner(field, coeffs, element_from_index(field, int(T.exp[i])))
+        if want.is_zero():
+            assert got[i] >= T.q - 1, (i, got[i])
+        else:
+            assert T.exp[got[i]] == want.index(), (i, got[i])
+
+
 @pytest.mark.parametrize("p,k", FIELDS)
 def test_eval_poly_matches_scalar_horner(p, k):
-    """Log-space Horner against scalar Horner, on polynomials that vanish at
-    x = 0 and elsewhere in the field, with runs of zero coefficients, and on
-    x^q - x and x^(q-1) - 1, which vanish on the whole field or all of it
-    but 0."""
+    """eval_logs, log-space Horner, against scalar Horner, on polynomials
+    that vanish at x = 0 and elsewhere in the field, with runs of zero
+    coefficients, and on x^q - x and x^(q-1) - 1, which vanish on the whole
+    field or all of it but 0."""
     field = construct_field(p, k)
     T = get_table(field)
     q = field.q
@@ -91,12 +112,9 @@ def test_eval_poly_matches_scalar_horner(p, k):
         (), (0, 0), (p + 1,),
     ]
     for coeffs in polys:
-        got = T.eval_poly(coeffs)
-        for x in enumerate_elements(field):
-            acc = zero(field)
-            for c in reversed(coeffs):
-                acc = acc * x + scalar(field, c)
-            assert got[x.index()] == acc.index(), (coeffs, x.index())
+        got = T.eval_logs(coeffs)
+        assert got.dtype == np.uint32 and len(got) == q
+        _check_eval_logs(T, field, coeffs, got, range(q))
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (2, 3), (13, 1)])
@@ -131,14 +149,10 @@ def test_chunking_consistency_large_field():
         assert int(prod[i]) == (ea * eb).index()
     # commutativity on the full arrays
     assert np.array_equal(prod, T.mul(b, a))
-    # Horner over nine CHUNK slices of the nonzero elements
+    # log-space Horner over nine CHUNK slices of the nonzero elements
     coeffs = (1, 2, 0, 1, 0, 0, 2, 1)
-    values = T.eval_poly(coeffs)
-    for i in list(range(0, field.q, 9001)) + [field.q - 1]:
-        x, acc = element_from_index(field, i), zero(field)
-        for c in reversed(coeffs):
-            acc = acc * x + scalar(field, c)
-        assert int(values[i]) == acc.index()
+    values = T.eval_logs(coeffs)
+    _check_eval_logs(T, field, coeffs, values, list(range(0, field.q, 9001)) + [field.q - 1])
 
 
 def test_products_powers_and_roots_match_scalar_at_5_9():
@@ -203,8 +217,8 @@ def test_primitive_element_is_the_first_of_full_order(p, k):
 
 
 def test_counts_build_no_index_space_arrays(monkeypatch):
-    """A hyperelliptic or biquadratic count reads only the Zech table and
-    the prime-field logs: exp, log and digits are never built."""
+    """A hyperelliptic, biquadratic or plane count reads only the Zech table
+    and the prime-field logs: exp, log and digits are never built."""
     built = []
 
     def fresh_table(spec):
@@ -215,7 +229,9 @@ def test_counts_build_no_index_space_arrays(monkeypatch):
     F3 = construct_field(3, 1)
     count_points(make_hyperelliptic(F3, (1, 0, 2, 1, 0, 1)), 6)
     count_points(make_biquadratic(F3, (1, 2, 0, 1), (1, 0, 1)).X, 5)
-    assert len(built) == 2
+    quartic = [(4, 0, 0, 1), (0, 4, 0, 1), (0, 0, 4, 1)]
+    assert count_points(make_smooth_plane(construct_field(5, 1), quartic, 4), 2) == 44
+    assert len(built) == 3
     for T in built:
         assert not {"exp", "log", "digits"} & vars(T).keys()
 
@@ -257,19 +273,41 @@ def test_odd_extension_count_peak_memory_per_element(monkeypatch):
 @pytest.mark.parametrize("p,k", [(3, 4), (5, 2), (7, 1), (3, 1)])
 def test_horner_logs_matches_index_space_horner(p, k):
     """Coefficients and points that vary per entry, zero among them, through
-    the log-space Horner and through mul and add."""
-    T = get_table(construct_field(p, k))
+    the log-space Horner and through scalar Horner on the oracle's
+    elements."""
+    field = construct_field(p, k)
+    T = get_table(field)
     rng = np.random.default_rng(p * k)
     coeffs = [rng.integers(0, T.q, size=(7, 1)) for _ in range(5)]
     coeffs[2][:3] = 0
     coeffs[-1][0] = 0
     x = np.append(rng.integers(0, T.q, size=9), 0)
-    expected = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        expected = T.add(T.mul(expected, x), c)
     got = T.horner_logs([T.log.take(c) for c in coeffs], T.log.take(x))
-    assert np.array_equal(T.exp.take(got, mode="clip"), np.broadcast_to(expected, got.shape))
+    assert got.shape == (7, 10)
+    for r in range(7):
+        row = [element_from_index(field, int(c[r, 0])) for c in coeffs]
+        for s, xs in enumerate(x.tolist()):
+            want = _scalar_horner(field, row, element_from_index(field, xs))
+            assert got[r, s] == T.log[want.index()], (r, s)
     assert got.max() <= 3 * (T.q - 1) and np.all((got < T.q - 1) | (got == 3 * (T.q - 1)))
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (5, 3), (13, 1)])
+def test_add_logs_matches_scalar_on_zeros_and_vanishing_sums(p, k):
+    """Every pair of operands, broadcast as a column against a row: sums
+    with a zero operand are the other operand, and 0 + 0 and a + (-a) land
+    exactly on the sentinel 3(q-1)."""
+    field = construct_field(p, k)
+    T = get_table(field)
+    n = field.q - 1
+    elements = list(enumerate_elements(field))
+    got = T.add_logs(T.log[:, None], T.log[None, :])
+    assert got.shape == (field.q, field.q) and got.dtype == np.uint32
+    want = [[T.log[(a + b).index()] for b in elements] for a in elements]
+    assert got.tolist() == [[int(v) for v in row] for row in want]
+    assert np.all(got[0] == T.log) and np.all(got[:, 0] == T.log)
+    negatives = [(-a).index() for a in elements]
+    assert np.all(got[np.arange(field.q), negatives] == 3 * n)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 4), (5, 3), (7, 2), (3, 6)])
