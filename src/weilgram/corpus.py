@@ -425,14 +425,18 @@ def _evaluate_manifest(payload) -> dict:
 
 def run_corpus(spec: CorpusSpec, jobs: int = 1, budget: int = DEFAULT_BUDGET) -> dict:
     """Generate, evaluate, and aggregate.  `jobs > 1` fans evaluation out to
-    a process pool; records keep corpus order either way."""
+    a process pool; records keep corpus order either way.  A pool chunk
+    holds at most one field's records (sum(spec.mix), consecutive in corpus
+    order), so that a field's tables are built in one worker, and at most
+    an even share of them, so that no worker idles on a one-field spec."""
     manifests = generate_corpus(spec)
     payloads = [(man, budget) for man in manifests]
     if jobs <= 1:
         records = [_evaluate_manifest(p) for p in payloads]
     else:
+        chunksize = max(1, min(sum(spec.mix), -(-len(payloads) // jobs)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_evaluate_manifest, payloads))
+            records = list(pool.map(_evaluate_manifest, payloads, chunksize=chunksize))
     passed = sum(r["checks_passed"] for r in records)
     total = sum(r["checks_total"] for r in records)
     return {

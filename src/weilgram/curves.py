@@ -19,11 +19,16 @@ constant embedding.  All counts are exact; the heavy lifting is done by the
 vectorized tables module.
 
 Hyperelliptic and biquadratic models are counted by a parity rule on
-K = kj, Q = p^K.  Where K is odd, f is evaluated at every x of the table of
-F_Q.  Where K is even, Q = q'^2 with q' = p^(K/2), and the count runs on
-the table of F_q' alone, through the norm to F_q' (Lidl & Niederreiter,
-Finite Fields, ch. 2 and 6); F_Q is neither constructed nor tabled.  Write
-x = a + b theta with a, b in F_q' and theta^2 = d a non-square of F_q'.
+K = kj, Q = p^K.  Where K is odd, the count runs on the table of F_Q, once
+per Frobenius orbit of x: f has coefficients in F_p, so f(x^p) = f(x)^p,
+which is a square exactly when f(x) is, and #{y : y^2 = f(x)} is the same
+on the orbit of x under x -> x^p.  f is evaluated at the least log of each
+orbit (FieldTable.frobenius_orbits, about Q / K of them), each term is
+weighted by its orbit's size, and x = 0 is added.  Where K is even,
+Q = q'^2 with q' = p^(K/2), and the count runs on the table of F_q' alone,
+through the norm to F_q' (Lidl & Niederreiter, Finite Fields, ch. 2 and 6);
+F_Q is neither constructed nor tabled.  Write x = a + b theta with a, b
+in F_q' and theta^2 = d a non-square of F_q'.
 With f(a + t) = sum_k F_k(a) t^k (the F_k in F_p[a] are the Hasse
 derivatives of f) and c = d b^2, f(a + b theta) = A + b theta B where
 A = sum_s F_2s(a) c^s and B = sum_s F_2s+1(a) c^s, so its norm to F_q' is
@@ -586,15 +591,30 @@ def make_biquadratic(field: FieldSpec, f, g) -> DiagramData:
 
 # --- point counting --------------------------------------------------------
 
-def _square_roots(T: FieldTable, f) -> np.ndarray:
-    """#{y : y^2 = f(x)} at every x, in exp order (p odd, so q - 1 is even):
-    1 where f(x) = 0, else 2 or 0 as log f(x) is even or odd."""
-    logs = T.eval_logs(f)
-    roots = np.bitwise_and(logs, 1, out=np.empty(T.q, dtype=np.int8), casting="unsafe")
-    roots *= -2
-    roots += 2
-    roots[logs >= T.q - 1] = 1
-    return roots
+def _sqrt_counts(logs: np.ndarray, n: int) -> np.ndarray:
+    """#{y : y^2 = v} from log v, n = q - 1 even (p odd): 1 where v = 0 (a
+    log >= n), else 2 or 0 as log v is even or odd."""
+    counts = np.bitwise_and(logs, 1, out=np.empty(logs.shape, dtype=np.int8),
+                            casting="unsafe")
+    counts *= -2
+    counts += 2
+    counts[logs >= n] = 1
+    return counts
+
+
+def _orbit_count(T: FieldTable, polys) -> int:
+    """Sum over x in F_Q of the product over f in polys of #{y : y^2 =
+    f(x)}, for Q = T.q = p^K, K odd, on the table of F_Q (module docstring):
+    f(x^p) = f(x)^p, so the term is the same on each Frobenius orbit of x,
+    and each orbit leader's term is weighted by its orbit's size; x = 0 is
+    an orbit of its own."""
+    n = T.q - 1
+    leaders, sizes = T.frobenius_orbits
+    at_zero = _sqrt_counts(T.prime_logs.take([f[0] % T.p for f in polys]), n)  # at f(0)
+    terms = 1
+    for f in polys:
+        terms = terms * _sqrt_counts(T.eval_logs(f, leaders), n)
+    return int((terms * sizes).sum(dtype=np.int64)) + int(at_zero.prod())
 
 
 def _fold(coeffs: np.ndarray, q: int) -> np.ndarray:
@@ -659,9 +679,11 @@ def _norm_count(T: FieldTable, polys) -> int:
     n = T.q - 1
     hasse = [_hasse_logs(T, f) for f in polys]
     leaders, sizes = T.frobenius_orbits
+    odd = leaders % 2 == 1  # p is odd, so an orbit keeps the parity of its logs
+    leaders, sizes = leaders[odd], sizes[odd]
     c_logs = np.append(leaders, np.uint32(3 * n))[:, None]
     minus_c = np.append((leaders + n // 2) % n, np.uint32(3 * n))[:, None]  # log -c
-    weights = np.append(2 * sizes, 1)
+    weights = np.append(2 * sizes.astype(np.int64), 1)
     roots = np.zeros(n + 1, dtype=np.int8)  # by log: 2 at a square, 0 at a non-square
     roots[0:n:2], roots[n] = 2, 1  # and 1 at the sentinel, zero
     total, rows = 0, max(1, CHUNK // T.q)
@@ -781,10 +803,11 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     min(n + 1, 2q') rows of q' uint32 per polynomial of degree n) and one
     block of about CHUNK (c, a) pairs: over F_{3^12}, from tables not yet
     built, it peaks at about 2.5 bytes per element of F_{3^12} under
-    tracemalloc.  With kj odd it walks the table of F_{q^j}: over F_{3^13}
-    it peaks at about 10.5 bytes per element (8 of them the table build's
-    two uint32 permutations), and the cached table keeps 4, its Zech
-    logarithms, plus about 64 KB (see the tables module).  A plane count
+    tracemalloc.  With kj odd it builds the table of F_{q^j} and evaluates
+    f at the orbit leaders alone: over F_{3^13} it peaks at about 9.7 bytes
+    per element (8 of them the table build's two uint32 permutations), and
+    the cached table keeps 4, its Zech logarithms, plus about 5/kj for the
+    orbit leaders and sizes and about 64 KB (see the tables module).  A plane count
     holds 4(d + 1) bytes per element of z-coefficient logs, and the gcds of
     one block of CHUNK lines: the Fermat quartic over F_5 at j = 8 peaks at
     about 97 bytes per element (36 MiB) under tracemalloc."""
@@ -805,12 +828,12 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     ext = extension_of(curve.base, j)
     T = get_table(ext)
     if curve.kind == HYPERELLIPTIC:
-        affine = int(_square_roots(T, curve.f).sum())
+        affine = _orbit_count(T, (curve.f,))
         if fppoly.degree(curve.f) % 2 == 1:
             return affine + 1
         return affine + (2 if scalar_is_square_in(curve.f[-1], ext) else 0)
     if curve.kind == BIQUADRATIC:
-        affine = int((_square_roots(T, curve.f) * _square_roots(T, curve.g)).sum())
+        affine = _orbit_count(T, (curve.f, curve.g))
         return affine + (2 if scalar_is_square_in(curve.g[-1], ext) else 0)
     if curve.kind == SMOOTH_PLANE:
         return _count_plane(T, curve.monomials, curve.base.p)

@@ -181,12 +181,20 @@ def int_det(rows) -> int:
 
 def principal_minors(M):
     """Yield (subset, det) for every principal minor of M, the index subsets
-    as sorted tuples in lexicographic order."""
+    as sorted tuples in lexicographic order.  Orders 1 and 2 are the closed
+    forms a and a d - b c; int_det takes order 3 and up."""
     entries = _entries_of(M)
     n = len(entries)
     subsets = sorted(s for size in range(1, n + 1) for s in combinations(range(n), size))
     for subset in subsets:
-        yield subset, int_det([[entries[r][c] for c in subset] for r in subset])
+        if len(subset) == 1:
+            (r,) = subset
+            yield subset, entries[r][r]
+        elif len(subset) == 2:
+            r, c = subset
+            yield subset, entries[r][r] * entries[c][c] - entries[r][c] * entries[c][r]
+        else:
+            yield subset, int_det([[entries[r][c] for c in subset] for r in subset])
 
 
 def _eliminate(B, n: int) -> Optional[list]:

@@ -26,12 +26,24 @@ v x^m + c' = c' (1 + (v / c) x^m (c / c')): two adds (of log x^m and of the
 constant log(c / c')), two unsigned wraps and one Z gather.  x runs over
 g^i in CHUNK slices, so log x^m = m i mod (q-1) is a CHUNK-long table plus
 a constant per slice, which joins the constant add; each such progression
-is built once per table and gap m, and kept.  horner_logs is Horner's rule
-where coefficients and points vary per entry (the counts through the norm,
-see the curves module): a step is reduce_logs of log v + log x, then the
-Zech step of add_logs, its reduction left to the next step.
-frobenius_orbits lists one non-square per orbit of c -> c^p, the least log
-of its orbit among the odd logs, with the orbit's size.
+is built once per table and gap m, and kept.  Given the logs i of the
+points instead (the orbit leaders below), log x^m = m i mod (q-1) is taken
+per CHUNK slice by doubling and adding along the bits of m, one unsigned
+wrap a step, and the Horner steps are the same.  horner_logs is Horner's
+rule where coefficients and points vary per entry (the counts through the
+norm, see the curves module): a step is reduce_logs of log v + log x, then
+the Zech step of add_logs, its reduction left to the next step.
+
+frobenius_orbits lists every orbit of c -> c^p on F_q^*, i -> p i mod
+(q-1) in logs, by its least log and its size, which divides K (MacWilliams
+& Sloane, ch. 7, cyclotomic cosets).  As q - 1 = p^K - 1, times p rotates
+the K base-p digits of i, so a leader's top digit is its least digit: the
+candidates are made with that property alone, a block of the a low digits
+(p^a <= CHUNK, as many as fit) added to each prefix of high digits none
+below its top digit, and each is dropped at its first rotation that is
+smaller, all in uint32 (a rotation x p^d - (q-1) floor(x / p^(K-d)) is
+exact modulo 2^32).  With p odd an orbit keeps the parity of i, so the odd
+leaders stand for the non-squares.
 
 Tables are built once per field from one linear recurring sequence, in
 O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
@@ -70,15 +82,17 @@ O(CHUNK) slices, as both inverse permutations are scattered in CHUNK
 slices.  On first use, exp (int32) and log (uint32) add 4 bytes each,
 digits K bytes of the smallest unsigned type that holds p-1, and
 sqrt_count 1 byte.  eval_logs keeps one progression per gap m it has
-met, min(CHUNK, q-1) uint32 (256 KB from q > CHUNK on).  The tables that
-counts through the norm run on also keep the residue table (12 bytes per
-element) and the orbit leaders and sizes (12 bytes per leader, about
-q / 2K leaders); as those tables have sqrt(Q) elements for a count over
-F_Q, this is O(sqrt(Q)).  No per-exponent power array is kept (powers
-returns a new int32 array, computed in CHUNK slices), and operation
-temporaries are proportional to the operands (eval_logs holds its q-entry
-result and O(CHUNK) more).  Tables stop at q = 2^26 (TooLarge above):
-there the log sums, at most 6(q-1), still fit 32 bits.
+met, min(CHUNK, q-1) uint32 (256 KB from q > CHUNK on).  frobenius_orbits
+keeps 5 bytes per leader (uint32 and uint8), and there are about q / K
+leaders, so about 5/K bytes per element; the counts over odd K read it.
+The tables that counts through the norm run on also keep the residue
+table (12 bytes per element); as those tables have sqrt(Q) elements for a
+count over F_Q, this is O(sqrt(Q)).  No per-exponent power array is kept
+(powers returns a new int32 array, computed in CHUNK slices), and
+operation temporaries are proportional to the operands (eval_logs holds
+its result, one entry per point, and O(CHUNK) more).  Tables stop at
+q = 2^26 (TooLarge above): there the log sums, at most 6(q-1), still fit
+32 bits.
 """
 
 from __future__ import annotations
@@ -300,32 +314,43 @@ class FieldTable:
         shift = np.where(np.arange(self.p) < self.p - c, c, c - self.p).astype(a.dtype)
         return a + shift.take(a % self.p)
 
+    def _times(self, i: np.ndarray, m: int) -> np.ndarray:
+        """m i mod (q-1) for uint32 logs i < q-1, by doubling and adding
+        along the bits of m mod (q-1): every sum is below 2(q-1), so one
+        unsigned wrap reduces it."""
+        bits = bin(m % (self.q - 1))[2:]
+        s = i.copy() if bits[0] == "1" else np.zeros_like(i)
+        for bit in bits[1:]:
+            s += s
+            self._wrap(s)
+            if bit == "1":
+                s += i
+                self._wrap(s)
+        return s
+
     def _progression(self, m: int) -> np.ndarray:
-        """m i mod (q-1) for i < min(CHUNK, q-1), built by doubling on first
-        use and kept."""
+        """m i mod (q-1) for i < min(CHUNK, q-1), built on first use and
+        kept."""
         table = self._progressions.get(m)
         if table is None:
-            n = self.q - 1
-            table = np.zeros(min(CHUNK, n), dtype=np.uint32)
-            width = 1
-            while width < len(table):
-                s = table[width:2 * width]
-                self._wrap(np.add(table[:len(s)], m * width % n, out=s))
-                width *= 2
-            self._progressions[m] = table
+            i = np.arange(min(CHUNK, self.q - 1), dtype=np.uint32)
+            table = self._progressions[m] = self._times(i, m)
         return table
 
-    def eval_logs(self, f) -> np.ndarray:
-        """log f(x) for a prime-field polynomial f at every x, in exp order
-        (entry i is x = exp[i], so the last entry is x = 0); an entry >= q-1
+    def eval_logs(self, f, at=None) -> np.ndarray:
+        """log f(x) for a prime-field polynomial f: at every x, in exp order
+        (entry i is x = exp[i], so the last entry is x = 0), or, given the
+        logs `at` of nonzero x, at those x in their order; an entry >= q-1
         means f(x) = 0.  Horner's rule in log space over CHUNK slices of the
         nonzero x = g^i; see the module docstring."""
         n, log = self.q - 1, self.prime_logs
+        size = self.q if at is None else len(at)
         terms = [(k, int(log[c % self.p])) for k, c in enumerate(f) if c % self.p]
         if not terms:
-            return np.full(self.q, log[0], dtype=np.uint32)
-        out = np.empty(self.q, dtype=np.uint32)
-        out[n] = terms[0][1] if terms[0][0] == 0 else log[0]  # f(0)
+            return np.full(size, log[0], dtype=np.uint32)
+        out = np.empty(size, dtype=np.uint32)
+        if at is None:
+            out[n] = terms[0][1] if terms[0][0] == 0 else log[0]  # f(0)
         # (m, d): times x^m and g^d, then (but for the last) add 1 by Zech;
         # the running value is log(v / c) for the last coefficient c added
         k, lc = terms.pop()
@@ -335,16 +360,23 @@ class FieldTable:
             k, lc = k_next, lc_next
         steps.append((k, lc))
 
-        zech, x_logs = self.zech, {m: self._progression(m) for m, _ in steps}
-        for lo in range(0, n, CHUNK):
-            s = np.zeros(min(CHUNK, n - lo), dtype=np.uint32)
-            for i, (m, d) in enumerate(steps):
-                s = s + x_logs[m][:len(s)]
-                s += (m * lo + d) % n
+        zech, end = self.zech, n if at is None else size
+        for lo in range(0, end, CHUNK):
+            hi = min(lo + CHUNK, end)
+            if at is None:  # i = lo .. hi-1: log x^m = m lo + a kept progression
+                x_logs = {m: (self._progression(m)[:hi - lo], m * lo) for m, _ in steps}
+            else:
+                i = at[lo:hi].astype(np.uint32, copy=False)
+                x_logs = {m: (self._times(i, m), 0) for m, _ in steps}
+            s = np.zeros(hi - lo, dtype=np.uint32)
+            for step, (m, d) in enumerate(steps):
+                x_m, shift = x_logs[m]
+                s = s + x_m
+                s += (shift + d) % n
                 self._wrap(self._wrap(s))
-                if i < len(steps) - 1:
+                if step < len(steps) - 1:
                     s = zech.take(s, mode="clip")
-            out[lo:lo + len(s)] = s
+            out[lo:hi] = s
         return out
 
     @cached_property
@@ -387,18 +419,44 @@ class FieldTable:
 
     @cached_property
     def frobenius_orbits(self) -> tuple:
-        """(leaders, sizes) of the orbits of c -> c^p on the non-squares
-        (p odd): in logs the non-squares are the odd i < q-1 and the map is
-        i -> p i mod (q-1); each leader is the least log of its orbit."""
-        n = self.q - 1
-        odd = np.arange(1, n, 2, dtype=np.int64)
-        least, i = odd.copy(), odd
-        for _ in range(self.K - 1):
-            i = i * self.p % n
-            np.minimum(least, i, out=least)
-        sizes = np.bincount(least)
-        leaders = np.flatnonzero(sizes)
-        return leaders.astype(np.uint32), sizes[leaders]
+        """(leaders, sizes) of every orbit of i -> p i mod (q-1), the map
+        c -> c^p on the logs of F_q^*: the least log of each orbit, in
+        increasing order (uint32), and the orbit's size (uint8, a divisor of
+        K).  As q - 1 = p^K - 1, times p rotates the K base-p digits of i,
+        so a leader's top digit is its least: only such candidates are made,
+        and each is dropped at its first smaller rotation (module
+        docstring)."""
+        n, p, K, u = self.q - 1, self.p, self.K, np.uint32
+
+        def rotate(x, d):  # x p^d mod (q-1), exact through uint32 wrap-around
+            return x * u(p**d) - x // u(p**(K - d)) * u(n)
+
+        def least_digit(x, digits):  # of the low `digits` digits of x; p if none
+            least = np.full(len(x), p, dtype=np.uint32)
+            for _ in range(digits):
+                np.minimum(least, x % u(p), out=least)
+                x = x // u(p)
+            return least
+
+        a = next(a for a in range(K - 1, -1, -1) if p**a <= CHUNK)
+        low = np.arange(p**a, dtype=np.uint32)  # the a low digits of a candidate
+        low_least, rows, leaders = least_digit(low, a), max(1, CHUNK // p**a), []
+        for lo in range(0, p**(K - a), rows):  # prefix = the K - a high digits
+            prefix = np.arange(lo, min(lo + rows, p**(K - a)), dtype=np.uint32)
+            top = prefix // u(p**(K - a - 1))
+            # top = p - 1 leaves only i = q - 1, the log 0 again
+            keep = (top <= least_digit(prefix, K - a - 1)) & (top < p - 1)
+            i = (prefix[keep] * u(p**a))[:, None] + low
+            i = i[low_least >= top[keep, None]]
+            for k in range(1, K):
+                i = i[rotate(i, k) >= i]
+            leaders.append(i)
+        leaders = np.concatenate(leaders)
+        sizes = np.full(len(leaders), K, dtype=np.uint8)
+        for d in range(K - 1, 0, -1):  # the least d | K with rotate(i, d) = i
+            if K % d == 0:
+                sizes[rotate(leaders, d) == leaders] = d
+        return leaders, sizes
 
     def powers(self, n: int) -> np.ndarray:
         """Index array (int32) of e^n over all elements e (n >= 0); e^0 = 1

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from weilgram import curves, fppoly
@@ -568,6 +569,43 @@ def test_biquadratic_counts_match_pair_scan():
 
 
 F7 = construct_field(7, 1)
+F27 = construct_field(3, 3)
+
+
+@pytest.mark.parametrize("field,f,js", [
+    (F3, (0, 1, 0, 1), (3, 5, 7)),                # f(0) = 0: x = 0 has one root
+    (F3, (1, 2, 0, 1), (3, 5)),                   # f(0) = 1 a square: two roots
+    (F3, (1, 0, 1, 0, 2), (3, 5)),                # even degree, lc 2 a non-square
+    (F5, (1, 1, 0, 1), (3, 5)),
+    (F5, (1, 0, 3), (3,)),                        # even degree, lc 3 a non-square
+    (F7, (0, 1, 0, 0, 0, 0, 0, 1), (3,)),
+    (F27, (1, 2, 0, 1), (1,)),                    # K = 3 at j = 1
+    (F27, (0, 1, 0, 0, 0, 0, 1), (1,)),          # even degree, f(0) = 0
+])
+def test_odd_extension_counts_by_frobenius_orbits_match_the_scan(field, f, js):
+    """Where kj is odd the count evaluates f at one x per Frobenius orbit,
+    weighted by the orbit's size, and adds x = 0; the scan walks every x.
+    Orbits of sizes 1 and K, and a root of f at x = 0 (or a square f(0)),
+    make a count that weighs every orbit 1 or drops x = 0 differ."""
+    X = make_hyperelliptic(field, f)
+    for j in js:
+        assert (field.k * j) % 2 == 1
+        assert count_points(X, j) == count_slow(X, j), j
+
+
+@pytest.mark.parametrize("field,f,g,js", [
+    (F3, (0, 1, 0, 1), (2, 1, 1), (3, 5)),
+    (F3, (1, 2, 0, 1), (1, 0, 1, 0, 2), (3,)),
+    (F5, (0, 1, 0, 1), (2, 0, 1), (3,)),
+    (F27, (1, 2, 0, 1), (2, 1, 1), (1,)),
+])
+def test_odd_extension_biquadratic_counts_by_frobenius_orbits_match_the_scan(field, f, g, js):
+    D = make_biquadratic(field, f, g)
+    for j in js:
+        assert (field.k * j) % 2 == 1
+        assert count_points(D.X, j) == count_slow(D.X, j), j
+
+
 # y^2 = x^7+x^6+2x^4+x+1 over F_9, genus 3: counted to F_{9^8} = F_{3^16}
 F9_RECORD = (1, 1, 0, 0, 2, 0, 1, 1)
 
@@ -646,9 +684,16 @@ def test_even_extension_count_of_high_degree_is_no_slower_than_the_scan():
         return n, min(times)
 
     T = curves.get_table(curves.extension_of(F3, 2))
+
+    def scan_count():
+        """f at every x of F_9, then 1 root where f(x) = 0, else 2 or 0 as
+        log f(x) is even or odd; two points at infinity, as the degree is
+        even and lc = 1 a square."""
+        logs = T.eval_logs(f).astype(np.int64)
+        return int(np.where(logs < T.q - 1, 2 - 2 * (logs % 2), 1).sum()) + 2
+
     norm, norm_s = best_of_three(lambda: count_points(X, 2))
-    # two points at infinity: the degree is even and lc = 1 a square
-    scan, scan_s = best_of_three(lambda: int(curves._square_roots(T, f).sum()) + 2)
+    scan, scan_s = best_of_three(scan_count)
     assert norm == scan
     assert norm_s <= scan_s
 

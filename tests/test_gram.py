@@ -1,6 +1,7 @@
 """Exact Gram matrices, PSD verdicts, and congruence transforms."""
 
 import dataclasses
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,19 @@ def test_principal_minors_order_and_values():
     assert list(principal_minors([])) == []
     # no order cap here: an order-9 matrix has 2^9 - 1 minors
     assert sum(1 for _ in principal_minors([[0] * 9 for _ in range(9)])) == 511
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_principal_minors_match_the_int_det_enumeration(rows):
+    """The closed forms for orders 1 and 2 give the subsets, order and values
+    of int_det on every principal submatrix, symmetric or not."""
+    n = len(rows)
+    subsets = sorted(s for size in range(1, n + 1) for s in combinations(range(n), size))
+    want = [(s, int_det([[rows[r][c] for c in s] for r in s])) for s in subsets]
+    assert list(principal_minors(rows)) == want
 
 
 def test_psd_order_limit():

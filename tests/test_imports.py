@@ -171,10 +171,16 @@ def test_curves_use_only_log_space_table_arithmetic():
     """One field arithmetic in the library: `curves` calls no index-space
     `mul`, `div`, `add` or `eval_poly` on a table (the `fppoly` functions
     of those names work on polynomials and stay), and `FieldTable` defines
-    none of `div`, `add` and `eval_poly`."""
+    none of `div`, `add` and `eval_poly`.  One evaluator and one orbit
+    routine: `curves` defines no `_square_roots` (a count reads f through
+    `eval_logs`, at every x or at the orbit leaders), and `frobenius_orbits`
+    is the one `FieldTable` member about orbits."""
     package = Path(SRC) / "weilgram"
     index_space = {"mul", "div", "add", "eval_poly"}
-    calls = [node.func for node in ast.walk(ast.parse((package / "curves.py").read_text()))
+    curves_tree = ast.parse((package / "curves.py").read_text())
+    assert "_square_roots" not in {node.name for node in curves_tree.body
+                                   if isinstance(node, ast.FunctionDef)}
+    calls = [node.func for node in ast.walk(curves_tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
     table_calls = [(func.lineno, func.attr) for func in calls if func.attr in index_space
                    and not (isinstance(func.value, ast.Name) and func.value.id == "fppoly")]
@@ -185,3 +191,4 @@ def test_curves_use_only_log_space_table_arithmetic():
     methods = {node.name for node in table_class.body if isinstance(node, ast.FunctionDef)}
     assert "eval_logs" in methods
     assert not methods & {"div", "add", "eval_poly"}
+    assert {name for name in methods if "orbit" in name} == {"frobenius_orbits"}

@@ -111,10 +111,13 @@ def test_eval_poly_matches_scalar_horner(p, k):
         (p - 1,) + (0,) * (q - 2) + (1,),    # x^(q-1) - 1
         (), (0, 0), (p + 1,),
     ]
+    at = np.arange(q - 2, -1, -1, dtype=np.uint32)  # every nonzero x, last log first
     for coeffs in polys:
         got = T.eval_logs(coeffs)
         assert got.dtype == np.uint32 and len(got) == q
         _check_eval_logs(T, field, coeffs, got, range(q))
+        at_logs = T.eval_logs(coeffs, at)
+        assert at_logs.dtype == np.uint32 and np.array_equal(at_logs, got[at])
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2), (2, 1), (2, 2), (2, 3), (13, 1)])
@@ -153,6 +156,9 @@ def test_chunking_consistency_large_field():
     coeffs = (1, 2, 0, 1, 0, 0, 2, 1)
     values = T.eval_logs(coeffs)
     _check_eval_logs(T, field, coeffs, values, list(range(0, field.q, 9001)) + [field.q - 1])
+    # and at given logs, in an order no slice of which is a progression
+    at = rng.permutation(field.q - 1)[:200_000].astype(np.uint32)
+    assert np.array_equal(T.eval_logs(coeffs, at), values[at])
 
 
 def test_products_powers_and_roots_match_scalar_at_5_9():
@@ -255,9 +261,9 @@ def test_hyperelliptic_count_peak_memory_per_element(monkeypatch):
 
 def test_odd_extension_count_peak_memory_per_element(monkeypatch):
     """kj = 13 is odd, so the count builds the table of F_{3^13} itself and
-    peaks at about 10.5 bytes per element under tracemalloc: the build's E
-    and L (4 bytes each), then the Zech table and eval_logs' result, plus
-    CHUNK slices."""
+    peaks at about 9.7 bytes per element under tracemalloc: the build's E
+    and L (4 bytes each), then the Zech table, the orbit leaders and f at
+    them (about 9/13 bytes), plus CHUNK slices."""
     monkeypatch.setattr(curves, "get_table", FieldTable)
     curve = make_hyperelliptic(construct_field(3, 1), (1, 0, 2, 1, 0, 1))
     tracemalloc.start()
@@ -310,16 +316,33 @@ def test_add_logs_matches_scalar_on_zeros_and_vanishing_sums(p, k):
     assert np.all(got[np.arange(field.q), negatives] == 3 * n)
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (3, 4), (5, 3), (7, 2), (3, 6)])
+def _odd_prime_powers(limit: int) -> list:
+    primes = [p for p in range(3, limit + 1, 2) if _prime_factors(p) == [p]]
+    return [(p, k) for p in primes for k in range(1, limit.bit_length()) if p**k <= limit]
+
+
+@pytest.mark.parametrize("p,k", _odd_prime_powers(1 << 12))
 def test_frobenius_orbits_partition_the_non_squares(p, k):
+    """Every orbit of i -> p i mod (q-1), against the orbits listed by brute
+    force: each leader the least log of its orbit, in increasing order, and
+    each size its orbit's, a divisor of k; the sizes sum to q - 1, and the
+    odd leaders' orbits are the non-squares, the odd logs."""
     T = get_table(construct_field(p, k))
     n = T.q - 1
     leaders, sizes = T.frobenius_orbits
+    assert leaders.dtype == np.uint32 and sizes.dtype == np.uint8
+    orbits = {}
+    for i in range(n):
+        orbit = {i * p**r % n for r in range(k)}
+        orbits[min(orbit)] = len(orbit)
+    assert leaders.tolist() == sorted(orbits)
+    assert sizes.tolist() == [orbits[leader] for leader in sorted(orbits)]
+    assert all(k % size == 0 for size in sizes.tolist())
+    assert int(sizes.sum(dtype=np.int64)) == n
     seen = set()
     for leader, size in zip(leaders.tolist(), sizes.tolist()):
-        orbit = {leader * p**r % n for r in range(k)}
-        assert leader % 2 == 1 and leader == min(orbit) and size == len(orbit)
-        seen |= orbit
+        if leader % 2:
+            seen |= {leader * p**r % n for r in range(size)}
     assert seen == set(range(1, n, 2))
 
 
