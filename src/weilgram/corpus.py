@@ -35,7 +35,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -434,6 +433,8 @@ def run_corpus(spec: CorpusSpec, jobs: int = 1, budget: int = DEFAULT_BUDGET) ->
     if jobs <= 1:
         records = [_evaluate_manifest(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool starts
+
         chunksize = max(1, min(sum(spec.mix), -(-len(payloads) // jobs)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_evaluate_manifest, payloads, chunksize=chunksize))

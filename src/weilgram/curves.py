@@ -46,15 +46,18 @@ even-degree model adds 2.
 Plane curves are counted by lines, never point by point.  On the line
 y = c of the chart (1:y:z) the points are the roots in F_Q (Q = q^j) of
 F1(c, z) = F(1, c, z), so there are deg gcd(F1(c, z), z^Q - z) of them, or
-Q when F1(c, .) vanishes identically.  The logs of the coefficients of
-F1(c, .) come from one eval_logs pass per power of z over all Q lines, and
-all that follows runs on logs too; z^Q mod F1(c, .) takes about log2 Q
-squarings vectorized over blocks of at most CHUNK lines of one degree in z
-(the degree drops where the leading coefficient vanishes at c), and a
-Euclid masked per line gives the gcd.  The chart (0:1:z) is the same gcd
-for F(0, 1, z), in F_p[z], and (0:0:1) is one coefficient.  So a count
-builds no exp or log, is O(Q) work and memory, and is charged Q like every
-other family.
+Q when F1(c, .) vanishes identically.  F1 has coefficients in F_p, so
+z -> z^p maps the roots of F1(c, .) onto those of F1(c^p, .): one line per
+Frobenius orbit of c (the leaders of FieldTable.frobenius_orbits, about
+Q / K of them, K = kj) is weighted by its orbit's size, and the line
+c = 0 is added once.  The logs of the coefficients of F1(c, .) come from
+one eval_logs pass per power of z at the leaders, and all that follows
+runs on logs too; z^Q mod F1(c, .) takes about log2 Q squarings vectorized
+over blocks of at most CHUNK lines of one degree in z (the degree drops
+where the leading coefficient vanishes at c), and a Euclid masked per line
+gives the gcd.  The chart (0:1:z) is the same gcd for F(0, 1, z), in
+F_p[z], and (0:0:1) is one coefficient.  So a count builds no exp or log,
+walks about Q / K lines, and is charged Q like every other family.
 
 A plane is smooth exactly when the Macaulay matrix of F and its three
 partials in degree 3d - 4 has full column rank over F_p (`_is_smooth`), so
@@ -698,9 +701,9 @@ def _norm_count(T: FieldTable, polys) -> int:
     return total
 
 
-def _roots_in_field(T: FieldTable, h: list) -> int:
-    """Sum over lines of deg gcd(h, z^Q - z), the number of distinct roots in
-    F_Q (Q = T.q) of h = sum h_i z^i; h is a list of uint32 log arrays, one
+def _roots_in_field(T: FieldTable, h: list) -> np.ndarray:
+    """deg gcd(h, z^Q - z) per line, the number of distinct roots in F_Q
+    (Q = T.q) of h = sum h_i z^i; h is a list of uint32 log arrays, one
     entry per line, of exact degree D = len(h) - 1 >= 2 on every line.
 
     z^Q mod h comes from about log2 Q squarings (and times z for the one bits
@@ -731,7 +734,7 @@ def _roots_in_field(T: FieldTable, h: list) -> int:
         if bit == "1":
             r = reduce([zero] + r)
     r[1] = T.add_logs(r[1], minus_one)  # z^Q - z mod h
-    return int(_gcd_degrees(T, np.array(h), np.array(r + [zero])).sum())
+    return _gcd_degrees(T, np.array(h), np.array(r + [zero]))
 
 
 def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -764,22 +767,31 @@ def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
     """Points of F = 0 in P^2(F_Q), Q = T.q, by lines (module docstring):
-    lines of degree 0 and 1 in z are read off, the others go to
+    one line y = c per Frobenius orbit, c = 0 last, weighted by the orbit's
+    size; lines of degree 0 and 1 in z are read off, the others go to
     _roots_in_field in blocks of CHUNK lines, grouped by degree."""
     Q, n = T.q, T.q - 1
-    coeffs = [np.where(logs < n, logs, np.uint32(3 * n))  # log z^c coefficient, 0 -> sentinel
-              for logs in map(T.eval_logs, _chart_a_zpolys(monomials, p))]
+    leaders, sizes = T.frobenius_orbits
+    zpolys = _chart_a_zpolys(monomials, p)
+    # row i: the log of the z^i coefficient of F1(c, .) on each line, 0 -> sentinel
+    coeffs = np.empty((len(zpolys), len(leaders) + 1), dtype=np.uint32)
+    for row, P in zip(coeffs, zpolys):
+        row[:-1] = T.eval_logs(P, leaders)
+        row[-1] = T.prime_logs[P[0] if P else 0]  # at c = 0
+        np.putmask(row, row >= n, 3 * n)
     total = 0
-    for lo in range(0, Q, CHUNK):
-        block = [a[lo:lo + CHUNK] for a in coeffs]
-        deg = np.full(len(block[0]), -1)
+    for lo in range(0, coeffs.shape[1], CHUNK):
+        block = coeffs[:, lo:lo + CHUNK]
+        deg = np.full(block.shape[1], -1)
         for c, a in enumerate(block):
             deg[a < n] = c
-        total += Q * int(np.count_nonzero(deg < 0)) + int(np.count_nonzero(deg == 1))
+        points = np.where(deg < 0, Q, deg == 1)  # F1(c, .) = 0: all Q points
         for D in range(2, len(block)):
-            lines = np.nonzero(deg == D)[0]
+            lines = np.flatnonzero(deg == D)
             if len(lines):
-                total += _roots_in_field(T, [a.take(lines) for a in block[:D + 1]])
+                points[lines] = _roots_in_field(T, list(block[:D + 1, lines]))
+        weights = sizes[lo:lo + CHUNK]  # and 1 for the line c = 0, the last
+        total += int(points[:len(weights)] @ weights) + int(points[len(weights):].sum())
     f = _at_x0(monomials, p)  # its z^d coefficient is F(0, 0, 1)
     if not f:
         return total + Q + 1
@@ -808,9 +820,10 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     per element (8 of them the table build's two uint32 permutations), and
     the cached table keeps 4, its Zech logarithms, plus about 5/kj for the
     orbit leaders and sizes and about 64 KB (see the tables module).  A plane count
-    holds 4(d + 1) bytes per element of z-coefficient logs, and the gcds of
-    one block of CHUNK lines: the Fermat quartic over F_5 at j = 8 peaks at
-    about 97 bytes per element (36 MiB) under tracemalloc."""
+    holds 4(d + 1) bytes per orbit leader of z-coefficient logs, and the
+    gcds of one block of CHUNK lines: the Fermat quartic over F_5 at j = 8,
+    from tables not yet built, peaks at about 65 bytes per element (24 MiB)
+    under tracemalloc, most of it one block's gcd."""
     if j < 1:
         raise InvalidDegree(j)
     if j >= budget.bit_length():  # q^j >= 2^j > budget: too large to compute

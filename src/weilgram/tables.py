@@ -23,16 +23,14 @@ Horner's rule for a polynomial with prime-field coefficients (eval_logs)
 keeps the running value v as log(v / c), c the last coefficient added, and
 the next nonzero coefficient c' at a gap of m degrees adds
 v x^m + c' = c' (1 + (v / c) x^m (c / c')): two adds (of log x^m and of the
-constant log(c / c')), two unsigned wraps and one Z gather.  x runs over
-g^i in CHUNK slices, so log x^m = m i mod (q-1) is a CHUNK-long table plus
-a constant per slice, which joins the constant add; each such progression
-is built once per table and gap m, and kept.  Given the logs i of the
-points instead (the orbit leaders below), log x^m = m i mod (q-1) is taken
-per CHUNK slice by doubling and adding along the bits of m, one unsigned
-wrap a step, and the Horner steps are the same.  horner_logs is Horner's
-rule where coefficients and points vary per entry (the counts through the
-norm, see the curves module): a step is reduce_logs of log v + log x, then
-the Zech step of add_logs, its reduction left to the next step.
+constant log(c / c')), two unsigned wraps and one Z gather.  x = g^i runs
+over the given logs i (the orbit leaders below), or over every i < q-1, in
+CHUNK slices, and log x^m = m i mod (q-1) is taken per slice by doubling
+and adding along the bits of m, one unsigned wrap a step.  horner_logs is
+Horner's rule where coefficients and points vary per entry (the counts
+through the norm, see the curves module): a step is reduce_logs of
+log v + log x, then the Zech step of add_logs, its reduction left to the
+next step.
 
 frobenius_orbits lists every orbit of c -> c^p on F_q^*, i -> p i mod
 (q-1) in logs, by its least log and its size, which divides K (MacWilliams
@@ -81,10 +79,9 @@ CHUNK bytes in all up to p = 256.  The build peaks at 8 bytes, E and L
 O(CHUNK) slices, as both inverse permutations are scattered in CHUNK
 slices.  On first use, exp (int32) and log (uint32) add 4 bytes each,
 digits K bytes of the smallest unsigned type that holds p-1, and
-sqrt_count 1 byte.  eval_logs keeps one progression per gap m it has
-met, min(CHUNK, q-1) uint32 (256 KB from q > CHUNK on).  frobenius_orbits
-keeps 5 bytes per leader (uint32 and uint8), and there are about q / K
-leaders, so about 5/K bytes per element; the counts over odd K read it.
+sqrt_count 1 byte.  frobenius_orbits keeps 5 bytes per leader (uint32 and
+uint8), and there are about q / K leaders, so about 5/K bytes per element;
+plane counts and the counts over odd K read it.
 The tables that counts through the norm run on also keep the residue
 table (12 bytes per element); as those tables have sqrt(Q) elements for a
 count over F_Q, this is O(sqrt(Q)).  No per-exponent power array is kept
@@ -169,7 +166,6 @@ class FieldTable:
         self._pvec = np.array([self.p**i for i in range(self.K)], dtype=np.int64)
         self._sqrt_count = None
         self._pow_cache = {}  # always empty; perfbench sums its values
-        self._progressions = {}  # m -> m i mod (q-1) for i < CHUNK, for eval_logs
         i = self._primitive_element()
         g = fppoly.trim([i // self.p**j for j in range(self.K)], self.p)
         power, g_powers = (1,), []
@@ -256,7 +252,8 @@ class FieldTable:
         L = _inverse_permutation(E, self.q)
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
-            E[lo:hi] = L.take(self.add_scalar(E[lo:hi], 1))
+            e = E[lo:hi]  # + 1 moves digit 0 only, p - 1 wrapping to 0
+            E[lo:hi] = L.take(np.where(e % p == p - 1, e - (p - 1), e + 1))
         E[n] = 0
         return E, L[:p].copy()
 
@@ -305,15 +302,6 @@ class FieldTable:
         s = self.log.take(a) + self.log.take(b)  # take: no slow path for int32 indices
         return self.exp.take(self._wrap(s), mode="clip")
 
-    def add_scalar(self, a: np.ndarray, c: int) -> np.ndarray:
-        """Add a prime-field constant: only the degree-0 digit moves."""
-        c %= self.p
-        a = np.asarray(a)
-        if c == 0:
-            return a
-        shift = np.where(np.arange(self.p) < self.p - c, c, c - self.p).astype(a.dtype)
-        return a + shift.take(a % self.p)
-
     def _times(self, i: np.ndarray, m: int) -> np.ndarray:
         """m i mod (q-1) for uint32 logs i < q-1, by doubling and adding
         along the bits of m mod (q-1): every sum is below 2(q-1), so one
@@ -328,21 +316,13 @@ class FieldTable:
                 self._wrap(s)
         return s
 
-    def _progression(self, m: int) -> np.ndarray:
-        """m i mod (q-1) for i < min(CHUNK, q-1), built on first use and
-        kept."""
-        table = self._progressions.get(m)
-        if table is None:
-            i = np.arange(min(CHUNK, self.q - 1), dtype=np.uint32)
-            table = self._progressions[m] = self._times(i, m)
-        return table
-
     def eval_logs(self, f, at=None) -> np.ndarray:
         """log f(x) for a prime-field polynomial f: at every x, in exp order
         (entry i is x = exp[i], so the last entry is x = 0), or, given the
         logs `at` of nonzero x, at those x in their order; an entry >= q-1
         means f(x) = 0.  Horner's rule in log space over CHUNK slices of the
-        nonzero x = g^i; see the module docstring."""
+        logs i of nonzero x = g^i, every i < q-1 when `at` is None; see the
+        module docstring."""
         n, log = self.q - 1, self.prime_logs
         size = self.q if at is None else len(at)
         terms = [(k, int(log[c % self.p])) for k, c in enumerate(f) if c % self.p]
@@ -356,23 +336,20 @@ class FieldTable:
         k, lc = terms.pop()
         steps = []
         for k_next, lc_next in reversed(terms):
-            steps.append((k - k_next, lc - lc_next))
+            steps.append((k - k_next, (lc - lc_next) % n))
             k, lc = k_next, lc_next
         steps.append((k, lc))
 
         zech, end = self.zech, n if at is None else size
         for lo in range(0, end, CHUNK):
             hi = min(lo + CHUNK, end)
-            if at is None:  # i = lo .. hi-1: log x^m = m lo + a kept progression
-                x_logs = {m: (self._progression(m)[:hi - lo], m * lo) for m, _ in steps}
-            else:
-                i = at[lo:hi].astype(np.uint32, copy=False)
-                x_logs = {m: (self._times(i, m), 0) for m, _ in steps}
+            i = np.arange(lo, hi, dtype=np.uint32) if at is None else \
+                at[lo:hi].astype(np.uint32, copy=False)
+            x_logs = {m: self._times(i, m) for m, _ in steps}
             s = np.zeros(hi - lo, dtype=np.uint32)
             for step, (m, d) in enumerate(steps):
-                x_m, shift = x_logs[m]
-                s = s + x_m
-                s += (shift + d) % n
+                s = s + x_logs[m]
+                s += d
                 self._wrap(self._wrap(s))
                 if step < len(steps) - 1:
                     s = zech.take(s, mode="clip")

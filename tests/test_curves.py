@@ -763,12 +763,18 @@ def _extension_test_planes():
 
 
 def test_plane_counts_by_lines_match_slow_scan_over_extensions():
-    """Counts by lines over F_4, F_8, F_9 and F_25 equal the scalar scan of
-    every point of P^2, in characteristic 2 and odd characteristic."""
+    """Counts by lines over F_4, F_8, F_16, F_9, F_27 and F_25 equal the
+    scalar scan of every point of P^2, in characteristic 2 and odd
+    characteristic, from prime bases and from the bases F_4, F_8, F_9,
+    F_25 and F_27: with kj >= 2 the lines y = c come one per Frobenius
+    orbit, weighted by its size, and the line c = 0 once."""
+    bases = {2: [(1, (2, 3)), (2, (1, 2)), (3, (1,))], 3: [(1, (2,)), (2, (1,)), (3, (1,))],
+             5: [(1, (2,)), (2, (1,))]}  # p: (k, js)
     for p, d, monomials in _extension_test_planes():
-        X = _raw_plane(construct_field(p, 1), monomials, d)
-        for j in ((2, 3) if p == 2 else (2,)):
-            assert count_points(X, j) == count_slow(X, j), (p, monomials, j)
+        for k, js in bases[p]:
+            X = _raw_plane(construct_field(p, k), monomials, d)
+            for j in js:
+                assert count_points(X, j) == count_slow(X, j), (p, k, monomials, j)
 
 
 def test_counts_exact_for_large_primes():

@@ -103,6 +103,13 @@ def test_manifest_commands_still_load_numpy(tmp_path):
     assert (result.stdout, result.stderr) == ("N_2=10\n", "True\n")
 
 
+def test_corpus_loads_the_process_pool_only_when_a_pool_starts():
+    result = run_python("import sys, weilgram.corpus\n"
+                        "print('concurrent.futures.process' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_public_names_resolve_to_their_home_objects():
     """Each submodule name is the submodule; each class or function is the
     object its defining module holds; `DEFAULT_BUDGET` is the one in
@@ -173,13 +180,18 @@ def test_curves_use_only_log_space_table_arithmetic():
     of those names work on polynomials and stay), and `FieldTable` defines
     none of `div`, `add` and `eval_poly`.  One evaluator and one orbit
     routine: `curves` defines no `_square_roots` (a count reads f through
-    `eval_logs`, at every x or at the orbit leaders), and `frobenius_orbits`
-    is the one `FieldTable` member about orbits."""
+    `eval_logs`, at every x or at the orbit leaders), `FieldTable` defines
+    no `_progression` (one Horner path) and no `add_scalar`,
+    `frobenius_orbits` is the one `FieldTable` member about orbits, and
+    `_count_plane` reads it."""
     package = Path(SRC) / "weilgram"
     index_space = {"mul", "div", "add", "eval_poly"}
     curves_tree = ast.parse((package / "curves.py").read_text())
-    assert "_square_roots" not in {node.name for node in curves_tree.body
-                                   if isinstance(node, ast.FunctionDef)}
+    functions = {node.name: node for node in curves_tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    assert "_square_roots" not in functions
+    assert "frobenius_orbits" in {node.attr for node in ast.walk(functions["_count_plane"])
+                                  if isinstance(node, ast.Attribute)}
     calls = [node.func for node in ast.walk(curves_tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
     table_calls = [(func.lineno, func.attr) for func in calls if func.attr in index_space
@@ -190,5 +202,5 @@ def test_curves_use_only_log_space_table_arithmetic():
                        if isinstance(node, ast.ClassDef) and node.name == "FieldTable")
     methods = {node.name for node in table_class.body if isinstance(node, ast.FunctionDef)}
     assert "eval_logs" in methods
-    assert not methods & {"div", "add", "eval_poly"}
+    assert not methods & {"div", "add", "eval_poly", "_progression", "add_scalar"}
     assert {name for name in methods if "orbit" in name} == {"frobenius_orbits"}

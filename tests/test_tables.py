@@ -50,12 +50,6 @@ def test_add_and_scale_match_scalar(p, k):
     field = construct_field(p, k)
     T = get_table(field)
     q = p**k
-    idx = np.arange(q, dtype=np.int64)
-    for c in range(p):
-        got = T.add_scalar(idx, c)
-        want = [(scalar(field, c) + element_from_index(field, b)).index()
-                for b in range(q)]
-        assert got.tolist() == want
     # Zech addition in log space, zero operands and sums that vanish included
     for a in range(q):
         got = T.add_logs(np.full(q, T.log[a]), T.log)
@@ -321,12 +315,13 @@ def _odd_prime_powers(limit: int) -> list:
     return [(p, k) for p in primes for k in range(1, limit.bit_length()) if p**k <= limit]
 
 
-@pytest.mark.parametrize("p,k", _odd_prime_powers(1 << 12))
+@pytest.mark.parametrize("p,k", _odd_prime_powers(1 << 12) + [(2, k) for k in range(1, 13)])
 def test_frobenius_orbits_partition_the_non_squares(p, k):
     """Every orbit of i -> p i mod (q-1), against the orbits listed by brute
     force: each leader the least log of its orbit, in increasing order, and
-    each size its orbit's, a divisor of k; the sizes sum to q - 1, and the
-    odd leaders' orbits are the non-squares, the odd logs."""
+    each size its orbit's, a divisor of k; the sizes sum to q - 1, and for
+    odd p the odd leaders' orbits are the non-squares, the odd logs.  Plane
+    counts read the leaders over every field, F_{2^k} included."""
     T = get_table(construct_field(p, k))
     n = T.q - 1
     leaders, sizes = T.frobenius_orbits
@@ -339,17 +334,10 @@ def test_frobenius_orbits_partition_the_non_squares(p, k):
     assert sizes.tolist() == [orbits[leader] for leader in sorted(orbits)]
     assert all(k % size == 0 for size in sizes.tolist())
     assert int(sizes.sum(dtype=np.int64)) == n
+    if p == 2:
+        return
     seen = set()
     for leader, size in zip(leaders.tolist(), sizes.tolist()):
         if leader % 2:
             seen |= {leader * p**r % n for r in range(size)}
     assert seen == set(range(1, n, 2))
-
-
-def test_eval_logs_builds_each_progression_once():
-    T = FieldTable(construct_field(3, 11))  # 177,147 elements: three CHUNK slices
-    first = T.eval_logs((1, 0, 2, 1, 0, 1))
-    kept = dict(T._progressions)
-    assert sorted(kept) == [0, 1, 2]  # the gaps 2, 1, 2 of x^5 + x^3 + 2x^2 + 1, then x^0
-    assert np.array_equal(T.eval_logs((1, 0, 2, 1, 0, 1)), first)
-    assert all(T._progressions[m] is a for m, a in kept.items())
