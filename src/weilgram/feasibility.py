@@ -1,12 +1,9 @@
 """Maximize N_1 over integer count vectors under exact PSD and place constraints.
 
 A count vector (N_1, .., N_m) is *feasible* when the absolute Gram matrix it
-induces is positive semidefinite and, optionally, when the place counts of
-degree 1, 2 and 3 it implies are nonnegative integers:
-
-    N_1 >= 0                            (degree-1 places)
-    N_2 >= N_1 and N_2 == N_1 (mod 2)   (degree-2 places)
-    N_3 >= N_1 and N_3 == N_1 (mod 3)   (degree-3 places)
+induces is positive semidefinite and, optionally, when the place counts a_d
+it implies (N_j = sum_{d | j} d a_d) are nonnegative integers.  That rule is
+`zeta`'s (`place_counts`, `place_floor`); this module has no copy of it.
 
 Each N_j also lies in its Weil interval, because the 2x2 principal minor
 indexed {0, j} is exactly the Weil inequality; no separate test is needed.
@@ -15,9 +12,9 @@ The search is an exact integer interval scan.  In the Gram matrix of a prefix
 (N_1, .., N_j), the count N_j enters only through t_j = q^j + 1 - N_j at the
 corner (0, j), so given a PSD prefix of length j - 1 the values of N_j that
 keep it PSD form an interval, computed exactly by `psd_corner_interval`.
-Every scan range is that interval, intersected, when toggled, with the
-place-count constraints.  For N_1 the Gram matrix is the 2x2 one of order 1,
-so its corner interval is exactly N_1's Weil interval; for j >= 2 the corner
+Every scan range is that interval, stepped when toggled by the place-count
+rule (see `max_n1`).  For N_1 the Gram matrix is the 2x2 one of order 1, so
+its corner interval is exactly N_1's Weil interval; for j >= 2 the corner
 interval already lies inside N_j's.  So every vector the scan reaches is
 feasible, the first complete one is the witness, and only the witness passes
 through `feasible_counts`, as a check.  No floating-point value enters the
@@ -33,6 +30,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded, NegativeGenus, TooLarge, ZeroGenus
 from .finite_field import check_prime_power
 from .gram import gram_absolute, is_psd, psd_corner_interval
+from .zeta import place_counts, place_floor
 
 MAX_ORDER = 3
 MAX_Q = 64
@@ -68,20 +66,16 @@ class FeasibilityResult:
 
 def feasible_counts(q: int, g: int, counts, toggles: bool = True) -> bool:
     """True iff the induced absolute Gram is PSD (`gram.is_psd`, one
-    elimination) and, when toggled, the place-count constraints all hold.
-    The Weil intervals need no test of their own: the {0, j} principal minor
-    is exactly the Weil inequality."""
+    elimination) and, when toggled, every place count `zeta.place_counts`
+    implies is a nonnegative integer.  The Weil intervals need no test of
+    their own: the {0, j} principal minor is exactly the Weil inequality."""
     _check_genus(g)
     counts = tuple(counts)
     m = len(counts)
     if m > MAX_ORDER:
         raise TooLarge(f"count vector length {m} exceeds {MAX_ORDER}")
-    if toggles:
-        if m >= 1 and counts[0] < 0:
-            return False
-        for j in range(2, m + 1):
-            if counts[j - 1] < counts[0] or (counts[j - 1] - counts[0]) % j != 0:
-                return False
+    if toggles and not all(a.denominator == 1 and a.numerator >= 0 for a in place_counts(counts)):
+        return False
     return is_psd(gram_absolute(q, g, counts, m))
 
 
@@ -91,13 +85,14 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     Scans N_1 descending from the Weil upper end; completions ascend
     lexicographically, pruned on infeasible prefixes (sound because the
     order-(m-1) Gram is a leading principal submatrix of the order-m one).
-    Each N_j ranges over the exact interval that keeps the Gram matrix PSD
-    (see the module docstring), so skipped values are exactly those that
-    `feasible_counts` would reject, and a prefix whose interval for the next
-    count is empty has no completion.  The first complete vector reached is
-    the witness; `scanned` counts the vectors visited, prefixes and the
-    witness.  Always terminates with a result: (q+1, q^2+1, q^3+1) is
-    feasible for every genus.
+    Each N_j ranges over the exact interval that keeps the Gram matrix PSD,
+    stepped when toggled by j from b_j (`zeta.place_floor` of the e a_e the
+    prefix carries), so a_j = (N_j - b_j)/j is a nonnegative integer.  So
+    skipped values are exactly those that `feasible_counts` would reject,
+    and a prefix whose range for the next count is empty has no completion.
+    The first complete vector reached is the witness; `scanned` counts the
+    vectors visited, prefixes and the witness.  Always terminates with a
+    result: (q+1, q^2+1, q^3+1) is feasible for every genus.
     """
     q, g, m, toggles = problem.q, problem.g, problem.m, problem.toggles
     scanned = 0
@@ -110,27 +105,26 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
         # N_j = q^j + 1 - t_j; an empty t leaves lo > hi
         return q**j + 2 - t.stop, q**j + 1 - t.start
 
-    def completions(prefix):
+    def completions(prefix, exact):
         nonlocal scanned
         scanned += 1
         j = len(prefix) + 1
         if j > m:
             return prefix
         lo, hi = scan_range(prefix)
-        step = 1
+        b, step = lo, 1  # untoggled, `exact` is carried but never read
         if toggles:
-            # N_j >= N_1 and N_j == N_1 (mod j) for j = 2, 3 (j <= MAX_ORDER)
-            lo, step = max(lo, prefix[0]), j
-            lo += (prefix[0] - lo) % j
+            b, step = place_floor(exact, j), j  # exact[e - 1] = e a_e
+            lo = b + j * max(0, (lo - b + j - 1) // j)
         for nj in range(lo, hi + 1, step):
-            found = completions(prefix + (nj,))
+            found = completions(prefix + (nj,), exact + (nj - b,))
             if found is not None:
                 return found
         return None
 
     lo1, hi1 = scan_range(())
     for n1 in range(hi1, lo1 - 1, -1):
-        witness = completions((n1,))
+        witness = completions((n1,), (n1,))
         if witness is not None:
             if not feasible_counts(q, g, witness, toggles):
                 raise AssertionError(f"scan reached the infeasible vector {witness}")

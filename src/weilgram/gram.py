@@ -80,7 +80,7 @@ def _toeplitz(q: int, c: int, t, m: int) -> tuple:
         entries[i][i] = 2 * c * qi
         for j in range(1, size - i):
             entries[i][i + j] = entries[i + j][i] = qi * t[j - 1]
-    return tuple(tuple(row) for row in entries)
+    return tuple(map(tuple, entries))
 
 
 @lru_cache(maxsize=64)
@@ -215,17 +215,25 @@ def _eliminate(B, n: int) -> Optional[list]:
     rest = list(range(n))
     tail = list(range(n, len(B)))
     prev = 1
-    while (k := next((i for i in rest if B[i][i] > 0), None)) is not None:
+    while True:
+        for k in rest:  # the first positive pivot, without a generator: this is hot
+            if B[k][k] > 0:
+                break
+        else:
+            return None if rest and any(B[i][j] for i in rest for j in rest) else rest
         rest.remove(k)
         row_k = B[k]
         p = row_k[k]
-        for rows, cols in ((rest, rest + tail), (tail, tail)):
-            for i in rows:
-                row_i, bik = B[i], row_k[i]
-                for j in cols:
-                    row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
+        cols = rest + tail
+        for i in rest:
+            row_i, bik = B[i], row_k[i]
+            for j in cols:
+                row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
+        for i in tail:
+            row_i, bik = B[i], row_k[i]
+            for j in tail:
+                row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
         prev = p
-    return None if any(B[i][j] for i in rest for j in rest) else rest
 
 
 def is_psd(M) -> bool:
@@ -272,7 +280,7 @@ def psd_corner_interval(M) -> range:
     n = len(entries) - 1
     if n < 1:
         raise DimensionMismatch(f"a corner entry needs order >= 2, got {n + 1}")
-    B = [list(row) + [0] for row in entries] + [[0] * (n + 2)]
+    B = [[*row, 0] for row in entries] + [[0] * (n + 2)]
     B[0][n] = B[n][0] = 0
     B[0][n + 1] = B[n + 1][0] = 1
     rest = _eliminate(B, n)
@@ -281,7 +289,8 @@ def psd_corner_interval(M) -> range:
         return empty
     c, b, a = B[n][n], 2 * B[n][n + 1], B[n + 1][n + 1]
     pin = None
-    for v, u in (B[i][n:] for i in rest):
+    for i in rest:
+        v, u = B[i][n:]
         if (u, v) == (0, 0):
             continue
         if u == 0 or v % u or pin not in (None, -v // u):

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .errors import CountLengthMismatch, NonIntegerCoefficient
-from .finite_field import _prime_factors, check_prime_power
+from .finite_field import check_prime_power
 from .gram import gram_absolute, is_psd
 
 
@@ -108,15 +107,21 @@ def power_sums(L: LPolynomial, m: int) -> list:
     return t
 
 
+def place_floor(exact, j: int) -> int:
+    """b_j = sum_{e | j, e < j} e a_e from exact[e - 1] = e a_e, the points of
+    exact degree e.  They are the points over F_{q^j} in smaller fields; the
+    N_j - b_j others make the a_j places of degree j, so N_j = b_j + j a_j."""
+    return sum(exact[e - 1] for e in range(1, j // 2 + 1) if j % e == 0)
+
+
 def place_counts(counts) -> list:
-    """a_1..a_m from N_1..N_m, as Fractions: a_d = (1/d) sum_{e | d} mu(d/e)
-    N_e inverts N_j = sum_{d | j} d a_d.  For a curve a_d is its number of
+    """a_1..a_m from N_1..N_m, as Fractions, one degree at a time:
+    a_j = (N_j - b_j)/j (`place_floor`).  For a curve a_d is its number of
     places of degree d, a nonnegative integer."""
-    def mu(n):
-        primes = _prime_factors(n)
-        return (-1) ** len(primes) if prod(primes) == n else 0
-    return [Fraction(sum(mu(d // e) * counts[e - 1] for e in range(1, d + 1) if d % e == 0), d)
-            for d in range(1, len(counts) + 1)]
+    exact = []
+    for j, n in enumerate(counts, 1):
+        exact.append(n - place_floor(exact, j))
+    return [Fraction(c, j) for j, c in enumerate(exact, 1)]
 
 
 def extrapolate(L: LPolynomial, j: int) -> int:

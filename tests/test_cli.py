@@ -73,6 +73,17 @@ def test_count_invalid_inputs(manifest, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("doc,err", [
+    ({"kind": "line", "p": 2, "k": 53}, "extension degree k=53 exceeds 52"),
+    ({"kind": "hyperelliptic", "p": 3, "k": 1, "f": [1] * 1026}, "deg f = 1025 exceeds 1024"),
+    ({"kind": "biquadratic", "p": 3, "k": 1, "f": [1] * 1024, "g": [1] * 3},
+     "deg f + deg g = 1025 exceeds 1024"),
+], ids=["k", "deg_f", "deg_f_plus_deg_g"])
+def test_manifests_above_a_cap_exit_2(manifest, capsys, doc, err):
+    assert main(["count", manifest(doc)]) == 2
+    assert capsys.readouterr().err == f"error: TooLarge: {err}\n"
+
+
 def test_count_budget_exit_code(manifest, capsys):
     assert main(["--budget", "2", "count", manifest(ELLIPTIC)]) == 3
     # 3^10000 is refused before it is computed, and the message prints

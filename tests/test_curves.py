@@ -11,6 +11,7 @@ import pytest
 from weilgram import curves, fppoly
 from weilgram.curves import (
     CHUNK,
+    MAX_F_DEGREE,
     SMOOTH_PLANE,
     CoverData,
     CurveModel,
@@ -522,6 +523,52 @@ def test_biquadratic_squarefree_checked_before_coprimality():
     # f = x^3 is not squarefree; that error wins over NotCoprime with g = x(x+1)
     with pytest.raises(NotSquarefree):
         make_biquadratic(F3, (0, 0, 0, 1), (0, 1, 1))
+
+
+def _squarefree_f(rng, n, p=3, coprime_to=None):
+    """A monic squarefree f of degree n over F_p, coprime to `coprime_to`."""
+    while True:
+        f = tuple(rng.randrange(p) for _ in range(n)) + (1,)
+        if fppoly.is_squarefree(f, p) and (
+                coprime_to is None or fppoly.degree(fppoly.gcd(f, coprime_to, p)) == 0):
+            return f
+
+
+def _no_squarefree_test(f, p):
+    raise AssertionError("is_squarefree ran above the cap")
+
+
+def test_deg_f_is_capped_before_the_squarefree_test(monkeypatch):
+    """deg f = MAX_F_DEGREE passes to the O(n^2) Euclid of is_squarefree
+    (0.07-0.1 s over F_3); one degree more raises TooLarge before it runs."""
+    f = _squarefree_f(random.Random(24), MAX_F_DEGREE)
+    start = time.perf_counter()
+    assert make_hyperelliptic(F3, f).genus == MAX_F_DEGREE // 2 - 1
+    assert time.perf_counter() - start < 10
+    monkeypatch.setattr(fppoly, "is_squarefree", _no_squarefree_test)
+    start = time.perf_counter()
+    for n in (MAX_F_DEGREE + 1, 10**5):
+        with pytest.raises(TooLarge, match=f"deg f = {n} exceeds {MAX_F_DEGREE}"):
+            make_hyperelliptic(F3, (1,) * n + (1,))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_deg_f_plus_deg_g_is_capped_before_the_squarefree_tests(monkeypatch):
+    """A biquadratic's y3 is y^2 = f g, so deg f + deg g is capped: 1023,
+    the largest sum of an odd and an even degree under the cap, passes, and
+    MAX_F_DEGREE + 1 raises TooLarge before any squarefree test or parity
+    check."""
+    g = (1, 0, 1)  # x^2 + 1, irreducible over F_3
+    f = _squarefree_f(random.Random(24), MAX_F_DEGREE - 3, coprime_to=g)
+    start = time.perf_counter()
+    assert make_biquadratic(F3, f, g).y3.genus == (MAX_F_DEGREE - 2) // 2
+    assert time.perf_counter() - start < 10
+    monkeypatch.setattr(fppoly, "is_squarefree", _no_squarefree_test)
+    start = time.perf_counter()
+    for n, m in ((MAX_F_DEGREE - 1, 2), (2, MAX_F_DEGREE - 1), (10**5, 10**5)):
+        with pytest.raises(TooLarge, match=f"deg f \\+ deg g = {n + m} exceeds"):
+            make_biquadratic(F3, (1,) * n + (1,), (1,) * m + (1,))
+    assert time.perf_counter() - start < 0.5
 
 
 # --- point counting --------------------------------------------------------

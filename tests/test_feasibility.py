@@ -1,6 +1,7 @@
 """Count-vector feasibility scans and the closed-form order-2 bound."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -30,6 +31,13 @@ from oracles import max_n1_exhaustive
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
 def test_feasible_counts_examples():
     assert feasible_counts(3, 1, (7, 7))
     assert not feasible_counts(3, 1, (8, 8))
@@ -53,6 +61,40 @@ def test_negative_point_counts_are_infeasible(q, g, counts):
     Gram and the Weil interval alone allow these vectors."""
     assert feasible_counts(q, g, counts, toggles=False)
     assert not feasible_counts(q, g, counts)
+
+
+def _old_feasible_counts(q, g, counts, toggles):
+    """`feasible_counts` as it was when it kept its own copy of the place
+    rule, for the degrees 1, 2 and 3 only."""
+    if toggles:
+        if counts[0] < 0:
+            return False
+        for j in range(2, len(counts) + 1):
+            if counts[j - 1] < counts[0] or (counts[j - 1] - counts[0]) % j != 0:
+                return False
+    return gram.is_psd(gram.gram_absolute(q, g, counts, len(counts)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_feasible_counts_keeps_the_order_three_rule_on_weil_boxes(q):
+    """The place rule read from `zeta` gives the old verdict on every vector
+    whose N_j all lie in their Weil intervals, toggles on and off, for every
+    g <= 3 and m <= 3 whose box holds at most 15,000 vectors: every box at
+    m <= 2, and at m = 3 every g at q = 2, g <= 2 at q = 3, g <= 1 at q = 4
+    and 5, and g = 0 above (69,886 vectors in all; the m = 3 box of q = 9,
+    g = 3 alone holds 1.3 million)."""
+    checked = 0
+    for g in range(4):
+        for m in (1, 2, 3):
+            box = [range(lo, hi + 1) for lo, hi in (weil_interval(q, g, j) for j in range(1, m + 1))]
+            if math.prod(map(len, box)) > 15_000:
+                continue
+            for counts in itertools.product(*box):
+                for toggles in (True, False):
+                    assert (feasible_counts(q, g, counts, toggles)
+                            == _old_feasible_counts(q, g, counts, toggles)), (g, counts, toggles)
+                checked += 1
+    assert checked > 1000
 
 
 def test_feasible_counts_length_limit():
@@ -150,6 +192,23 @@ def test_max_n1_matches_exhaustive_oracle(q):
                 assert (res.max_n1, res.witness) == expected, (g, m, toggles)
 
 
+@pytest.mark.parametrize("problems,digest", [
+    ([(q, g, 3) for q in range(2, 65) if _is_prime_power(q) for g in range(1, 9)],
+     "e0f288639c51cbbbeae8b01c00ac796b5a992d4b95d219297736dd052c14f5ea"),
+    ([(q, g, m) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 64) for g in range(1, 9) for m in (1, 2, 3)],
+     "b914a0d80907431b6e8b5694d27a8fa84c29cdda7e9bd64036a0ab08605ab882"),
+], ids=["feasibility_grid_216", "order_three_240"])
+def test_max_n1_keeps_its_answers_under_the_shared_place_rule(problems, digest):
+    """max_n1, witness and `scanned` of the benchmark's 216 problems and of
+    a 240-problem set (q in {2, .., 64}, g = 1..8, m = 1..3), hashed as they
+    were when `max_n1` stepped by its own j = 2, 3 rule."""
+    rows = []
+    for q, g, m in problems:
+        res = max_n1(FeasibilityProblem(q=q, g=g, m=m))
+        rows.append([q, g, m, res.max_n1, list(res.witness), res.scanned])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+
 def test_max_n1_order_one_is_weil_upper_end():
     for q in (3, 4, 5, 7, 9):
         for g in range(5):
@@ -225,9 +284,3 @@ def test_max_n1_grid_is_frozen():
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "3a88b2178a003e31cb75b0691749c2562e23c0650a082ec6b42ef38df1d9fe42"
 
-
-def _is_prime_power(q):
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1

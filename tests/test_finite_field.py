@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from weilgram.errors import EvenCharacteristic, NotPrime, TooLarge, ZeroInput
 from weilgram.curves import count_points, parse_manifest
+from weilgram.tables import MAX_Q
 from weilgram.finite_field import (
+    MAX_DEGREE,
     MR_LIMIT,
     _is_irreducible,
     construct_field,
@@ -137,6 +139,30 @@ def test_large_prime_moduli_are_pinned_and_fast(p, k, modulus):
     field = construct_field.__wrapped__(p, k)  # bypass the cache
     assert time.perf_counter() - start < 10
     assert field.modulus == modulus and field.q == p**k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_extension_degree_is_capped_before_the_modulus_search(p):
+    """k = MAX_DEGREE is searched (0.01-0.15 s for these p), k one above it
+    raises TooLarge at once: k = 200 over F_5 took 13.5 s or more before."""
+    start = time.perf_counter()
+    field = construct_field.__wrapped__(p, MAX_DEGREE)  # bypass the cache
+    assert time.perf_counter() - start < 10
+    assert field.k == MAX_DEGREE and field.modulus[-1] == 1
+    start = time.perf_counter()
+    for k in (MAX_DEGREE + 1, 200, 10**6):
+        with pytest.raises(TooLarge, match=f"k={k} exceeds {MAX_DEGREE}"):
+            construct_field(p, k)
+    with pytest.raises(TooLarge):
+        extension_of(construct_field(p, 4), MAX_DEGREE // 4 + 1)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_extension_degree_cap_keeps_every_table_backed_field():
+    """A table stops at MAX_Q elements, and the norm path counts F_Q on the
+    table of sqrt(Q), so a count reaches fields of at most MAX_Q^2 elements.
+    F_2 has the largest such k, and it is MAX_DEGREE."""
+    assert max(k for k in range(1, 100) if 2**k <= MAX_Q**2) == MAX_DEGREE
 
 
 @pytest.mark.parametrize("p,k", SMALL_FIELDS)

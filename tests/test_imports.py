@@ -204,3 +204,28 @@ def test_curves_use_only_log_space_table_arithmetic():
     assert "eval_logs" in methods
     assert not methods & {"div", "add", "eval_poly", "_progression", "add_scalar"}
     assert {name for name in methods if "orbit" in name} == {"frobenius_orbits"}
+
+
+def test_feasibility_reads_the_place_rule_from_zeta():
+    """One place-count rule: `feasibility` takes no residue (no `%`, no
+    `divmod`) and imports `place_counts` and `place_floor` from `zeta`;
+    `feasible_counts` reads the first and `max_n1` the second.  `zeta`
+    inverts N_j = sum_{d | j} d a_d by that recursion, so it defines no
+    Moebius function and imports no factorization."""
+    package = Path(SRC) / "weilgram"
+    tree = ast.parse((package / "feasibility.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+    assert "divmod" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {("zeta", "place_counts"), ("zeta", "place_floor")} <= imported
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, reads in (("feasible_counts", "place_counts"), ("max_n1", "place_floor")):
+        assert reads in {node.id for node in ast.walk(functions[name])
+                         if isinstance(node, ast.Name)}, name
+    zeta_tree = ast.parse((package / "zeta.py").read_text())
+    defined = {node.name for node in ast.walk(zeta_tree) if isinstance(node, ast.FunctionDef)}
+    assert not {name for name in defined if name.lower().lstrip("_") in {"mu", "mobius", "moebius"}}
+    assert "_prime_factors" not in {alias.name for node in ast.walk(zeta_tree)
+                                    if isinstance(node, ast.ImportFrom) for alias in node.names}

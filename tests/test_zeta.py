@@ -1,5 +1,7 @@
 """L-polynomial reconstruction, extrapolation, and the RH check."""
 
+from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -17,6 +19,8 @@ from weilgram.zeta import (
     extrapolate,
     infer_genus,
     l_from_counts,
+    place_counts,
+    place_floor,
     power_sums,
 )
 
@@ -248,3 +252,36 @@ def test_functional_equation_holds_whenever_construction_succeeds(q, g, data):
     # extrapolation inverts the construction on the first g counts
     for j in range(1, g + 1):
         assert extrapolate(L, j) == counts[j - 1]
+
+
+def test_place_counts_invert_the_divisor_sums():
+    """The recursion a_j = (N_j - b_j)/j gives the Moebius inversion
+    a_d = (1/d) sum_{e | d} mu(d/e) N_e on every vector with entries in
+    -1..1 up to length 6, and sum_{d | j} d a_d gives each N_j back."""
+    def mu(n):
+        out, d = 1, 2
+        while n > 1:
+            if n % d == 0:
+                n //= d
+                if n % d == 0:
+                    return 0
+                out = -out
+            d += 1
+        return out
+
+    for m in range(1, 7):
+        for counts in product(range(-1, 2), repeat=m):
+            places = place_counts(counts)
+            assert all(type(a) is Fraction for a in places)
+            assert places == [Fraction(sum(mu(d // e) * counts[e - 1]
+                                           for e in range(1, d + 1) if d % e == 0), d)
+                              for d in range(1, m + 1)]
+            assert [sum(d * places[d - 1] for d in range(1, j + 1) if j % d == 0)
+                    for j in range(1, m + 1)] == list(counts)
+
+
+def test_place_floor_sums_the_points_of_smaller_fields():
+    """b_j from exact[e - 1] = e a_e: over F_{q^6} the points of F_q, F_{q^2}
+    and F_{q^3} of exact degree 1, 2 and 3, not those of degree 4 or 5."""
+    exact = (1, 10, 100, 1000, 10000)
+    assert [place_floor(exact, j) for j in range(1, 7)] == [0, 1, 1, 11, 1, 111]
