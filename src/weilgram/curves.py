@@ -66,13 +66,14 @@ refused with TooLarge.  Only a curve the rank proves singular is searched
 for its witness, over F_{q^j} for j = 1, 2, ..., with the line algebra of a
 count.  z is eliminated once per curve: a singular chart point (1:y0:z0)
 forces y0 to be a root of Res_z(F1, dF1) * lc * lc, computed exactly in
-F_p[y] by fraction-free elimination, so chart (1:y:z) is searched only on
-the y-lines through those roots (on every y-line when elimination says
-nothing: both partials of F1 vanish, or the resultant does identically,
-which only very non-generic curves allow).  Horner's rule in y gives each
-line's polynomials in z, Horner's rule in z finds the zeros of F on blocks
-of about CHUNK points, and the partials are evaluated only there, all by
-horner_logs on the logs of table indices, as witnesses go in index order.
+F_p[y] by the subresultant remainder sequence in z, so chart (1:y:z) is
+searched only on the y-lines through those roots (on every y-line when
+elimination says nothing: both partials of F1 vanish, or a remainder of the
+sequence does, a common factor in z, which only very non-generic curves
+allow).  Horner's rule in y gives each line's polynomials in z, Horner's
+rule in z finds the zeros of F on blocks of about CHUNK points, and the
+partials are evaluated only there, all by horner_logs on the logs of table
+indices, as witnesses go in index order.
 The chart (0:1:z) is a gcd in F_p[z] and (0:0:1) three coefficients.
 """
 
@@ -281,79 +282,50 @@ def _chart_a_zpolys(monomials: tuple, p: int) -> list:
     return out
 
 
-def _poly_det(M: list, p: int) -> tuple:
-    """Exact determinant of a matrix of F_p[y] polynomials by fraction-free
-    (Bareiss) elimination; divisions are exact in the polynomial ring."""
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    denom = (1,)
-    for k in range(n - 1):
-        piv = next((r for r in range(k, n) if M[r][k]), None)
-        if piv is None:
-            return ()
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = fppoly.sub(
-                    fppoly.mul(M[i][j], M[k][k], p),
-                    fppoly.mul(M[i][k], M[k][j], p), p,
-                )
-                quo, rem = fppoly.divmod_poly(num, denom, p)
-                assert not rem, "Bareiss division must be exact"
-                M[i][j] = quo
-            M[i][k] = ()
-        denom = M[k][k]
-    det = M[n - 1][n - 1]
-    return det if sign == 1 else fppoly.scale(det, -1, p)
+def _resultant_z(A: list, B: list, p: int):
+    """Res_z(A, B) for polynomials in z with F_p[y] coefficients and nonzero
+    leading entries, with the sign of the Sylvester determinant that has A's
+    rows first; None when A and B share a factor of positive degree in z,
+    which is exactly when that determinant vanishes identically.
 
+    The subresultant remainder sequence (Collins; Cohen, A Course in
+    Computational Algebraic Number Theory, alg. 3.3.7): Euclid on the
+    pseudo-remainders lc(B)^(delta+1) A mod B, delta = deg A - deg B, each
+    divided exactly by g h^delta, with g the previous lc(B) and
+    h = h^(1-delta) g^delta, so that their y-degrees stay those of the
+    subresultants.  A zero remainder is a common factor; otherwise the
+    sequence ends at a B constant in z, and Res = +-h^(1-n) lc(B)^n for
+    n = deg A."""
+    def power(f, e):
+        out = (1,)
+        for _ in range(e):
+            out = fppoly.mul(out, f, p)
+        return out
 
-def _resultant_z(A: list, B: list, p: int) -> tuple:
-    """Res_z of two polynomials in z with F_p[y] coefficients (Sylvester
-    determinant).  A and B must have nonzero leading entries, and deg A >= 1;
-    deg B = 0 makes the matrix diagonal, with determinant B_0^deg A."""
-    da, db = len(A) - 1, len(B) - 1
-    n = da + db
-    rows = []
-    for i in range(db):
-        row = [()] * n
-        for t, P in enumerate(reversed(A)):
-            row[i + t] = P
-        rows.append(row)
-    for i in range(da):
-        row = [()] * n
-        for t, P in enumerate(reversed(B)):
-            row[i + t] = P
-        rows.append(row)
-    return _poly_det(rows, p)
+    def step(h, lead, e):  # h^(1 - e) lead^e, an exact quotient for e >= 0
+        return fppoly.divmod_poly(fppoly.mul(h, power(lead, e), p), power(h, e), p)[0]
 
-
-def _share_a_factor_in_z(A: list, B: list, p: int) -> bool:
-    """Whether A and B, polynomials in z with F_p[y] coefficients and nonzero
-    leading entries, have a common factor of positive degree in z, which is
-    when Res_z(A, B) vanishes identically.  Euclid in F_p(y)[z] on
-    pseudo-remainders, each divided by its content (the gcd of its
-    coefficients) so that their degrees in y stay small."""
-    if len(A) < len(B):
+    sign, g, h = 1, (1,), (1,)
+    if len(A) < len(B):  # Res(A, B) = (-1)^(deg A deg B) Res(B, A)
         A, B = B, A
+        sign = (-1) ** ((len(A) - 1) * (len(B) - 1))
     while len(B) > 1:
-        R = A
-        while len(R) >= len(B):  # R = lc(B) R - lead(R) z^shift B, its top cancelled
-            lead, shift = R[-1], len(R) - len(B)
+        delta = len(A) - len(B)
+        sign *= (-1) ** ((len(A) - 1) * (len(B) - 1))
+        R = list(A)
+        for shift in range(delta, -1, -1):  # R = lc(B) R - lead(R) z^shift B
+            lead = R.pop()
             R = [fppoly.sub(fppoly.mul(r, B[-1], p),
                             fppoly.mul(lead, B[i - shift], p) if i >= shift else (), p)
-                 for i, r in enumerate(R[:-1])]
-            while R and not R[-1]:
-                R.pop()
+                 for i, r in enumerate(R)]
+        while R and not R[-1]:
+            R.pop()
         if not R:
-            return True
-        content = ()
-        for r in R:
-            content = fppoly.gcd(content, r, p)
-        A, B = B, [fppoly.divmod_poly(r, content, p)[0] for r in R]
-    return False
+            return None
+        divisor = fppoly.mul(g, power(h, delta), p)
+        A, B, g = B, [fppoly.divmod_poly(r, divisor, p)[0] for r in R], B[-1]
+        h = step(h, g, delta)
+    return fppoly.scale(step(h, B[0], len(A) - 1), sign, p)
 
 
 def _chart_a_elimination(monomials: tuple, p: int):
@@ -365,16 +337,15 @@ def _chart_a_elimination(monomials: tuple, p: int):
     elimination says nothing, and then every y is a candidate: when both
     partials are zero, or when F1 and D share a factor of positive degree in
     z (a square G^2 dividing F1 does), so that the resultant vanishes
-    identically.  Euclid in z decides that before any determinant."""
+    identically.  One subresultant sequence in z (`_resultant_z`) decides
+    that and gives the resultant."""
     zpolys = _chart_a_zpolys(monomials, p)
     if len(zpolys) == 1:
         return zpolys[0]
     D = _chart_a_zpolys(_partial(monomials, 2, p), p) or \
         _chart_a_zpolys(_partial(monomials, 1, p), p)
-    if not D or _share_a_factor_in_z(zpolys, D, p):
-        return None
-    res = _resultant_z(zpolys, D, p)
-    return fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p)
+    res = _resultant_z(zpolys, D, p) if D else None
+    return None if res is None else fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p)
 
 
 def _monomials_of_degree(n: int) -> list:
@@ -511,7 +482,8 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
     F_p (`_is_smooth`), which builds no table and raises TooLarge above
     MACAULAY_MAX_ENTRIES.  A curve that rank proves singular raises
     SingularCurve with its first singular point: construction eliminates z
-    once, then searches every extension j = 1, 2, .. (see
+    once, by one subresultant sequence over F_p[y], then searches every
+    extension j = 1, 2, .. (see
     `_chart_a_elimination` and `_plane_singular_witness`): it builds the
     table of F_{q^j} (TooLarge above 2^26 elements) and evaluates F only on
     the candidate y-lines of chart (1:y:z) there, CHUNK points at a time,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from . import fppoly
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
 # the largest extension degree k: every field a table-backed count reaches has
 # p^k <= 2^52 (a table holds at most 2^26 elements, and the norm path counts
 # F_Q on the table of sqrt(Q)), and k <= 52 keeps them all; the modulus search
-# at k = 52 takes 0.01 s over F_2 and 1.2-1.5 s over p = 9999991
+# at k = 52 takes 0.01 s over F_2 and 0.43-0.47 s over p = 9999991
 MAX_DEGREE = 52
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -154,12 +153,14 @@ def construct_field(p: int, k: int) -> FieldSpec:
         raise NotPrime(p)
     if k == 1:
         return FieldSpec(p=p, k=1, modulus=(0, 1), q=p)
-    # irreducibles need nonzero constant term, so c_0 starts at 1
-    for c0 in range(1, p):
-        for tail in product(range(p), repeat=k - 1):
-            cand = (c0,) + tail + (1,)
-            if _is_irreducible(cand, p):
-                return FieldSpec(p=p, k=k, modulus=cand, q=p**k)
+    # candidates c_0 + c_1 t + .. + t^k in lexicographic order, c_0 first: the
+    # base-p digits of a counter, most significant first, walked lazily;
+    # irreducibles need a nonzero constant term, so c_0 starts at 1
+    places = [p**e for e in range(k - 1, -1, -1)]
+    for n in range(places[0], p**k):
+        cand = tuple(n // place % p for place in places) + (1,)
+        if _is_irreducible(cand, p):
+            return FieldSpec(p=p, k=k, modulus=cand, q=p**k)
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 

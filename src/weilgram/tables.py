@@ -95,7 +95,6 @@ q = 2^26 (TooLarge above): there the log sums, at most 6(q-1), still fit
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import islice, product
 
 import numpy as np
 
@@ -192,10 +191,8 @@ class FieldTable:
         in_field = [n // r for r in primes if (p - 1) % r]
         # a prime-field scalar has order dividing p-1, so for K > 1 start at t
         start = p if self.K > 1 else 1
-        # product runs over the digits in index order, most significant first
-        digits = islice(product(range(p), repeat=self.K), start, None)
-        for i, big_endian in enumerate(digits, start):
-            g = fppoly.trim(big_endian[::-1], p)
+        for i in range(start, self.q):  # the digits of i, walked lazily
+            g = fppoly.trim([i // p**j for j in range(self.K)], p)
             norm = fppoly.resultant(modulus, g, p)
             if all(pow(norm, e, p) != 1 for e in in_base) and \
                     all(fppoly.powmod(g, e, modulus, p) != (1,) for e in in_field):

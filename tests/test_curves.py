@@ -260,6 +260,64 @@ def test_plane_sweep_outcomes_are_frozen():
     assert digest == "51da0b3a169f47c4e1e085927e8972e92994a3c7fb15ad3cfbc39eff607ee883"
 
 
+def test_elimination_outputs_are_frozen():
+    """cand itself, not only the witnesses found from it, on every plane of
+    the sweep and of _seeded_planes: None, F1 with no z, or
+    Res_z(F1, D) lc(F1) lc(D).  The digest was recorded with the resultant
+    as a Sylvester determinant over F_p[y]."""
+    planes = [(field.p, d, F) for field, d, F in _sweep_planes()] + list(_seeded_planes())
+    lines = [repr(curves._chart_a_elimination(curves._canonical_monomials(F, p, d), p))
+             for p, d, F in planes]
+    assert len(lines) == 874
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5a01f242e7050f69bd751c5982726d70ef51d6e0f136348c71d5a3e7c7aeb8b8"
+
+
+def _zpoly_product(A, B, p):
+    """The product of two polynomials in z with F_p[y] coefficients."""
+    out = [()] * (len(A) + len(B) - 1)
+    for i, P in enumerate(A):
+        for j, Q in enumerate(B):
+            out[i + j] = fppoly.add(out[i + j], fppoly.mul(P, Q, p), p)
+    return out
+
+
+def test_resultant_z_specializes_to_the_resultant_at_every_y():
+    """At each y0 in F_p where neither leading coefficient vanishes,
+    Res_z(A, B) at y0 is the resultant of A(y0, z) and B(y0, z) in F_p[z],
+    for random A and B of z-degree 1..5 and y-degree 0..4, with deg A < deg B
+    (the swap) and with B of z-degree 0 among them.  A common factor C in z
+    gives None."""
+    rng = random.Random(25)
+
+    def draw(p, dz):
+        while True:
+            P = [fppoly.trim([rng.randrange(p) for _ in range(rng.randint(1, 5))], p)
+                 for _ in range(dz + 1)]
+            if P[-1]:
+                return P
+
+    seen = set()
+    for trial in range(300):
+        p = (3, 5, 7, 13)[trial % 4]
+        A, B = draw(p, rng.randint(1, 5)), draw(p, rng.randint(0, 5) if trial % 3 else 0)
+        if trial % 5 == 0:
+            C = draw(p, rng.randint(1, 2))
+            A, B = _zpoly_product(C, A, p), _zpoly_product(C, B, p)
+            assert curves._resultant_z(A, B, p) is None
+            seen.add("common factor")
+            continue
+        res = curves._resultant_z(A, B, p)
+        seen.add("swap" if len(A) < len(B) else "deg B = 0" if len(B) == 1 else "plain")
+        for y0 in range(p):
+            a, b = ([fppoly.eval_at(P, y0, p) for P in X] for X in (A, B))
+            if a[-1] and b[-1]:
+                expected = fppoly.resultant(a, b, p)
+                got = 0 if res is None else fppoly.eval_at(res, y0, p)
+                assert got == expected, (p, A, B, y0)
+    assert seen == {"swap", "deg B = 0", "plain", "common factor"}
+
+
 def _through_point(rng, p, d, a, b):
     """A random form of degree d that vanishes at (1 : a : b)."""
     while True:

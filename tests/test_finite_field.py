@@ -141,6 +141,15 @@ def test_large_prime_moduli_are_pinned_and_fast(p, k, modulus):
     assert field.modulus == modulus and field.q == p**k
 
 
+def test_modulus_search_over_a_huge_prime_walks_its_candidates_lazily():
+    """The candidates are the base-p digits of a counter, never a tuple of
+    range(p): over p = 2^61 - 1 that tuple raised MemoryError."""
+    start = time.perf_counter()
+    field = construct_field.__wrapped__(2**61 - 1, 2)  # bypass the cache
+    assert time.perf_counter() - start < 1
+    assert field.modulus == (1, 0, 1)  # p = 3 mod 4, so -1 is a non-square
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_extension_degree_is_capped_before_the_modulus_search(p):
     """k = MAX_DEGREE is searched (0.01-0.15 s for these p), k one above it

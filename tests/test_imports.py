@@ -229,3 +229,24 @@ def test_feasibility_reads_the_place_rule_from_zeta():
     assert not {name for name in defined if name.lower().lstrip("_") in {"mu", "mobius", "moebius"}}
     assert "_prime_factors" not in {alias.name for node in ast.walk(zeta_tree)
                                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_one_z_elimination_and_lazy_candidate_walks():
+    """`curves` eliminates z one way: it defines no `_poly_det` and no
+    `_share_a_factor_in_z`, and `_chart_a_elimination` calls `_resultant_z`
+    once.  `finite_field` and `tables` import nothing from `itertools`: their
+    candidate walks are counters, never a tuple of range(p)."""
+    package = Path(SRC) / "weilgram"
+    tree = ast.parse((package / "curves.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_resultant_z" in functions
+    assert not {"_poly_det", "_share_a_factor_in_z"} & functions.keys()
+    calls = [node.func.id for node in ast.walk(functions["_chart_a_elimination"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert calls.count("_resultant_z") == 1
+    for module in ("finite_field", "tables"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert "itertools" not in imported, module

@@ -1,6 +1,7 @@
 """Vectorized field tables against the scalar element arithmetic of the oracles."""
 
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from weilgram.errors import TooLarge
 from weilgram.finite_field import _prime_factors, construct_field
 from weilgram.tables import MAX_Q, FieldTable, get_table
 
-from oracles import element_from_index, enumerate_elements, is_square, one, scalar, zero
+from oracles import (
+    element_from_index,
+    enumerate_elements,
+    is_irreducible_trial,
+    is_square,
+    one,
+    scalar,
+    zero,
+)
 
 # q - 1 = 1 (F_2), prime (F_3, F_4, F_8) and composite (the rest)
 FIELDS = [(2, 1), (3, 1), (5, 1), (3, 2), (2, 3), (7, 1), (3, 3), (5, 2),
@@ -214,6 +223,52 @@ def test_primitive_element_is_the_first_of_full_order(p, k):
     assert all(g**c != e1 for c in cofactors)
     for i in range(p if k > 1 else 1, index):
         assert any(element_from_index(field, i)**c == e1 for c in cofactors), i
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 7), (3, 3), (5, 2), (7, 2), (3, 4), (13, 2)])
+def test_lazy_walks_match_an_enumeration_by_product(p, k):
+    """construct_field and _primitive_element walk their candidates as the
+    digits of a counter.  The order they had, by itertools.product, with
+    irreducibility and order decided by brute force, gives the same modulus
+    and the same g, so the same Zech table: zech[t] = log(1 + g^t), the
+    sentinel 3(q-1) where 1 + g^t = 0, and zech[q-1] = 0."""
+    field = construct_field(p, k)
+    moduli = ((c0,) + tail + (1,) for c0 in range(1, p) for tail in product(range(p), repeat=k - 1))
+    assert field.modulus == next(f for f in moduli if is_irreducible_trial(f, p))
+    n, e1 = field.q - 1, one(field)
+
+    def order(x):
+        y, m = x, 1
+        while y != e1:
+            y, m = y * x, m + 1
+        return m
+
+    digits = product(range(p), repeat=k)  # most significant first
+    candidates = (sum(c * p**i for i, c in enumerate(reversed(big))) for big in digits)
+    index = next(i for i in candidates if i >= (p if k > 1 else 1)
+                 and order(element_from_index(field, i)) == n)
+    g = element_from_index(field, index)
+    powers = [e1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * g)
+    logs = {x: t for t, x in enumerate(powers)}
+    zech = [3 * n if (e1 + x).is_zero() else logs[e1 + x] for x in powers] + [0]
+    assert FieldTable(field).zech.tolist() == zech
+
+
+def test_prime_field_table_build_peak_memory_per_element():
+    """The primitive-element walk of F_1000003 is a counter: the build peaks
+    at about 17 bytes per element under tracemalloc.  A walk by
+    itertools.product held tuple(range(p)) and peaked at 40."""
+    field = construct_field(1000003, 1)
+    tracemalloc.start()
+    try:
+        T = FieldTable(field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.zech[field.q - 1] == 0
+    assert peak < 24 * field.q
 
 
 def test_counts_build_no_index_space_arrays(monkeypatch):
