@@ -312,11 +312,19 @@ def _counts_order(curve: CurveModel) -> int:
     return max(2 * curve.genus + 2, 3)
 
 
-def _second_margin_combined_det_ok(q, M, rel2) -> bool:
-    """det of the Gram of (q*rel^0 + rel^2, rel^1), from the order-2 relative
-    Gram M, must equal 4 q^2 times the cleared second-order margin, exactly."""
-    combined = combined_vector_gram(M, [(q, 0, 1), (0, 1, 0)])
-    return int_det(combined.entries) == 4 * q * q * (rel2.rhs - rel2.lhs)
+def _check_cover(cover, source, target) -> tuple:
+    """`cover_checks` from the count series of a cover's two curves; whether
+    the first margin is the Schwarz margin of the order-2 relative Gram M;
+    and whether det of the Gram of (q rel^0 + rel^2, rel^1) is 4 q^2 times
+    the cleared second margin, exactly (None with no second check)."""
+    X, Y = cover.source, cover.target
+    checks = cover_checks(cover, source, target)
+    M = gram_relative(X.q, X.genus, Y.genus, source.counts, target.counts, 2)
+    det_ok = None
+    if len(checks) == 2:
+        combined = combined_vector_gram(M, [(X.q, 0, 1), (0, 1, 0)])
+        det_ok = int_det(combined.entries) == 4 * X.q**2 * (checks[1].rhs - checks[1].lhs)
+    return checks, schwarz_margin(M, 0, 1) == checks[0].margin, det_ok
 
 
 def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET) -> dict:
@@ -343,18 +351,15 @@ def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET) -> di
              record["extrapolation_exact"]]
     if curve.kind == "hyperelliptic" and curve.genus >= 1:
         cover = hyperelliptic_cover(curve)
-        sX, sY = report.series[0], count_series(cover.target, m, budget)
-        rel, rel2 = cover_checks(cover, sX, sY)
-        M = gram_relative(curve.q, curve.genus, 0, sX.counts, sY.counts, 2)
+        checks, schwarz, det_ok = _check_cover(cover, report.series[0],
+                                               count_series(cover.target, m, budget))
         record["cover"] = {
             "target": cover.target.label,
-            "relative": report_to_dict(BoundReport(cover.source.label, (rel, rel2)))["checks"],
-            "relative_margin_equals_schwarz": schwarz_margin(M, 0, 1) == rel.margin,
-            "second_margin_combined_det": _second_margin_combined_det_ok(curve.q, M, rel2),
+            "relative": report_to_dict(BoundReport(curve.label, tuple(checks)))["checks"],
+            "relative_margin_equals_schwarz": schwarz,
+            "second_margin_combined_det": det_ok,
         }
-        flags += [rel.holds, rel2.holds,
-                  record["cover"]["relative_margin_equals_schwarz"],
-                  record["cover"]["second_margin_combined_det"]]
+        flags += [c.holds for c in checks] + [schwarz, det_ok]
     holds = [c.holds for c in report.checks] + flags
     record["checks_passed"] = sum(bool(h) for h in holds)
     record["checks_total"] = len(holds)
@@ -393,13 +398,9 @@ def evaluate_diagram_record(diagram: DiagramData, budget: int = DEFAULT_BUDGET) 
         zeta_flags = []
     eq = {"relative_margins_equal_schwarz": [], "combined_det": []}
     for edge, (src, dst) in zip(diagram.edges, DIAGRAM_EDGES):
-        rel, *rel2 = cover_checks(edge, series[src], series[dst])
-        M = gram_relative(q, genera[src], genera[dst],
-                          series[src].counts, series[dst].counts, 2)
-        eq["relative_margins_equal_schwarz"].append(
-            bool(schwarz_margin(M, 0, 1) == rel.margin))
-        eq["combined_det"].append(
-            bool(_second_margin_combined_det_ok(q, M, rel2[0])) if rel2 else None)
+        _, schwarz, det_ok = _check_cover(edge, series[src], series[dst])
+        eq["relative_margins_equal_schwarz"].append(schwarz)
+        eq["combined_det"].append(det_ok)
     dia = next(c for c in report.checks if c.name == "diagram")
     MD = gram_diagram(q, tuple(genera[r] for r in DIAGRAM_ROLES),
                       tuple(s.counts for s in series.values()), 2)

@@ -4,27 +4,27 @@ Four families are supported, each with a finite counting rule on the smooth
 projective model:
 
 * projective line P^1: N_j = q^j + 1;
-* hyperelliptic y^2 = f(x), odd characteristic, f squarefree: affine points
-  by counting square roots of f(x), plus 1 point at infinity for odd deg f,
-  else 2 or 0 according to whether lc(f) is a square in F_{q^j};
+* hyperelliptic y^2 = f(x), odd characteristic, f squarefree;
 * smooth plane curve F(x,y,z) = 0 of degree d: projective solutions via the
   representatives (1:y:z), (0:1:z), (0:0:1); smoothness is validated at
   construction by one rank over F_p (see make_smooth_plane);
 * biquadratic total space X: the fiber product of y1^2 = f and y2^2 = g over
-  P^1 (deg f odd, deg g even, f, g squarefree and coprime), counted fiberwise
-  with 2 or 0 points over x = infinity according to whether lc(g) is a square.
+  P^1 (deg f odd, deg g even, f, g squarefree and coprime).
 
 Curve coefficients live in the prime field, so extending scalars is the
 constant embedding.  All counts are exact; the heavy lifting is done by the
 vectorized tables module.
 
-Hyperelliptic and biquadratic models are counted by a parity rule on
-K = kj, Q = p^K.  Where K is odd, the count runs on the table of F_Q, once
-per Frobenius orbit of x: f has coefficients in F_p, so f(x^p) = f(x)^p,
-which is a square exactly when f(x) is, and #{y : y^2 = f(x)} is the same
-on the orbit of x under x -> x^p.  f is evaluated at the least log of each
-orbit (FieldTable.frobenius_orbits, about Q / K of them), each term is
-weighted by its orbit's size, and x = 0 is added.  Where K is even,
+Hyperelliptic and biquadratic models, polys = (f,) or (f, g), are counted
+by one rule: over each x in F_Q (Q = q^j = p^K, K = kj) the product over h
+in polys of #{y : y^2 = h(x)}, plus at infinity 1 for odd deg polys[-1],
+else 2 or 0 as its leading coefficient is a square in F_Q or not.  Where K
+is odd, the count runs on the table of F_Q, once per Frobenius orbit of x:
+f has coefficients in F_p, so f(x^p) = f(x)^p, which is a square exactly
+when f(x) is, and #{y : y^2 = f(x)} is the same on the orbit of x under
+x -> x^p.  f is evaluated at the least log of each orbit
+(FieldTable.frobenius_orbits, about Q / K of them), each term is weighted
+by its orbit's size, and x = 0 is added.  Where K is even,
 Q = q'^2 with q' = p^(K/2), and the count runs on the table of F_q' alone,
 through the norm to F_q' (Lidl & Niederreiter, Finite Fields, ch. 2 and 6);
 F_Q is neither constructed nor tabled.  Write x = a + b theta with a, b
@@ -40,8 +40,7 @@ twice.  As the F_k have coefficients in F_p, the sum over a is the same at
 c and c^p, so only one non-square per orbit of c -> c^p is summed,
 weighted by twice the orbit's size: about Q / K pairs (c, a) instead of Q
 points, each two Horner sums in c.  A biquadratic model multiplies the
-rows of f and g.  At infinity every F_p scalar is a square in F_Q, so an
-even-degree model adds 2.
+rows of f and g, and the leading coefficient, in F_p, is a square in F_Q.
 
 Plane curves are counted by lines, never point by point.  On the line
 y = c of the chart (1:y:z) the points are the roots in F_Q (Q = q^j) of
@@ -719,6 +718,13 @@ def _roots_in_field(T: FieldTable, h: list) -> np.ndarray:
     return _gcd_degrees(T, np.array(h), np.array(r + [zero]))
 
 
+def _degrees(M: np.ndarray, n: int) -> np.ndarray:
+    """The degree in z per line of a (rows, lines) log array, row i the
+    coefficient of z^i (zero at a log >= n), and -1 where every row is zero."""
+    nonzero = M < n
+    return np.where(nonzero.any(axis=0), len(M) - 1 - np.argmax(nonzero[::-1], axis=0), -1)
+
+
 def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """deg gcd(A, B) per line for two polynomials in z stored as (rows, lines)
     log arrays, row i the coefficient of z^i; A must be nonzero on every
@@ -726,12 +732,7 @@ def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = T.q - 1
     rows, cols = np.arange(len(A))[:, None], np.arange(A.shape[1])
     minus_one = T.prime_logs[T.p - 1]
-
-    def degrees(M):
-        nonzero = M < n
-        return np.where(nonzero.any(axis=0), len(M) - 1 - np.argmax(nonzero[::-1], axis=0), -1)
-
-    dA, dB = degrees(A), degrees(B)
+    dA, dB = _degrees(A, n), _degrees(B, n)
     while True:
         swap = dA < dB
         A, B = np.where(swap, B, A), np.where(swap, A, B)
@@ -744,7 +745,7 @@ def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         src = rows - (dA - dB)  # the row of B that lands on each row of A
         shifted = np.where(src >= 0, B[np.maximum(src, 0), cols], 3 * n)
         A = T.add_logs(A, T.reduce_logs(shifted + factor))
-        dA = degrees(A)
+        dA = _degrees(A, n)
 
 
 def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
@@ -764,9 +765,7 @@ def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
     total = 0
     for lo in range(0, coeffs.shape[1], CHUNK):
         block = coeffs[:, lo:lo + CHUNK]
-        deg = np.full(block.shape[1], -1)
-        for c, a in enumerate(block):
-            deg[a < n] = c
+        deg = _degrees(block, n)
         points = np.where(deg < 0, Q, deg == 1)  # F1(c, .) = 0: all Q points
         for D in range(2, len(block)):
             lines = np.flatnonzero(deg == D)
@@ -790,7 +789,8 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     grinding.  The projective line is a closed form, enumerates nothing and
     is not charged; like every family it is refused from j >=
     budget.bit_length() on, where q^j > budget is known without computing
-    it.
+    it.  Hyperelliptic and biquadratic models share one count and one rule
+    at infinity (module docstring).
 
     Memory: a hyperelliptic or biquadratic count with kj even holds the
     table of F_{q'}, q' = sqrt(q^j), the values of the F_k there (at most
@@ -815,23 +815,17 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     if curve.q**j > budget:
         raise BudgetExceeded(curve.q**j, budget)
     p, K = curve.base.p, curve.base.k * j
-    if curve.kind in (HYPERELLIPTIC, BIQUADRATIC) and K % 2 == 0:
-        # every F_p scalar is a square in F_{p^K}: infinity adds 2 for even deg
+    if curve.kind in (HYPERELLIPTIC, BIQUADRATIC):
         polys = (curve.f,) if curve.kind == HYPERELLIPTIC else (curve.f, curve.g)
-        affine = _norm_count(get_table(construct_field(p, K // 2)), polys)
-        return affine + (1 if fppoly.degree(polys[-1]) % 2 else 2)
-    ext = extension_of(curve.base, j)
-    T = get_table(ext)
-    if curve.kind == HYPERELLIPTIC:
-        affine = _orbit_count(T, (curve.f,))
-        if fppoly.degree(curve.f) % 2 == 1:
-            return affine + 1
-        return affine + (2 if scalar_is_square_in(curve.f[-1], ext) else 0)
-    if curve.kind == BIQUADRATIC:
-        affine = _orbit_count(T, (curve.f, curve.g))
-        return affine + (2 if scalar_is_square_in(curve.g[-1], ext) else 0)
+        if K % 2 == 0:  # every F_p scalar is a square in F_{p^K}
+            affine, square = _norm_count(get_table(construct_field(p, K // 2)), polys), True
+        else:
+            ext = extension_of(curve.base, j)
+            affine = _orbit_count(get_table(ext), polys)
+            square = scalar_is_square_in(polys[-1][-1], ext)
+        return affine + (1 if fppoly.degree(polys[-1]) % 2 else 2 * square)
     if curve.kind == SMOOTH_PLANE:
-        return _count_plane(T, curve.monomials, curve.base.p)
+        return _count_plane(get_table(extension_of(curve.base, j)), curve.monomials, p)
     raise WrongKind(curve.kind)
 
 

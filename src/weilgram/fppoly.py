@@ -150,14 +150,6 @@ def is_squarefree(f, p):
     return degree(gcd(f, d, p)) == 0
 
 
-def eval_at(f, x, p):
-    """Evaluate at x in F_p (plain int), Horner."""
-    v = 0
-    for c in reversed(f):
-        v = (v * x + c) % p
-    return v
-
-
 def to_string(f, var="x"):
     """Human-readable form, highest degree first."""
     if not f:

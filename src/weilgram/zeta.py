@@ -33,9 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CountLengthMismatch, NonIntegerCoefficient
+from .errors import CountLengthMismatch, NonIntegerCoefficient, TooLarge
 from .finite_field import check_prime_power
 from .gram import gram_absolute, is_psd
+
+# the most counts `infer_genus` takes: N_j = 3^j + 1, the last raised by 1,
+# tries every genus and takes 0.6-0.7 s at 128 counts, 1.2 s at 150 (2 vCPU)
+MAX_COUNTS = 128
 
 
 @dataclass(frozen=True)
@@ -164,18 +168,20 @@ def check_riemann_hypothesis(L: LPolynomial) -> bool:
 
 def infer_genus(q: int, counts):
     """Smallest genus g <= floor(m/2) whose L-polynomial built from N_1..N_g
-    satisfies the Riemann hypothesis and extrapolates the remaining counts
-    exactly; None when no genus is consistent."""
+    extrapolates the remaining counts exactly and satisfies the Riemann
+    hypothesis, tested in that order, the cheap test first; None when no
+    genus is consistent.  More than MAX_COUNTS counts raise TooLarge."""
     counts = tuple(counts)
     if not counts:
         raise CountLengthMismatch("need at least one count")
+    if len(counts) > MAX_COUNTS:
+        raise TooLarge(f"{len(counts)} counts exceed the limit {MAX_COUNTS}")
     for g in range(len(counts) // 2 + 1):
         try:
             L = l_from_counts(q, g, counts[:g])
         except NonIntegerCoefficient:
             continue
-        if not check_riemann_hypothesis(L):
-            continue
-        if all(extrapolate(L, j) == counts[j - 1] for j in range(g + 1, len(counts) + 1)):
+        if all(extrapolate(L, j) == counts[j - 1] for j in range(g + 1, len(counts) + 1)) \
+                and check_riemann_hypothesis(L):
             return g
     return None

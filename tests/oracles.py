@@ -230,6 +230,14 @@ def count_plane_slow(curve, j: int) -> int:
     return total
 
 
+def eval_at(f, x: int, p: int) -> int:
+    """f(x) for f in F_p[x] and x in F_p (plain ints), by Horner's rule."""
+    v = 0
+    for c in reversed(f):
+        v = (v * x + c) % p
+    return v
+
+
 def legendre(v: int, p: int) -> int:
     """Legendre symbol (v/p) for an odd prime p, by Euler's criterion."""
     v %= p
@@ -243,10 +251,7 @@ def count_hyperelliptic_prime_field(f, p: int) -> int:
     integer arithmetic: 1 + (f(x)/p) affine points over each x."""
     affine = 0
     for x in range(p):
-        fx = 0
-        for c in reversed(f):
-            fx = (fx * x + c) % p
-        affine += 1 + legendre(fx, p)
+        affine += 1 + legendre(eval_at(f, x, p), p)
     if (len(f) - 1) % 2 == 1:
         return affine + 1
     return affine + 1 + legendre(f[-1], p)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from weilgram.cli import main
+from weilgram.zeta import MAX_COUNTS
 
 ELLIPTIC = {"kind": "hyperelliptic", "p": 3, "k": 1, "f": [0, 1, 0, 1]}
 LINE_F5 = {"kind": "line", "p": 5, "k": 1}
@@ -127,6 +128,19 @@ def test_zeta_direct_counts(capsys):
     code, lines = run_lines(capsys, ["zeta", "--q", "3", "--counts", "4,16"])
     assert code == 0
     assert lines[0] == "L=[1,0,3]"
+
+
+def test_zeta_refuses_more_counts_than_the_limit(capsys):
+    """MAX_COUNTS counts of the projective line answer genus 0; one more is
+    refused with exit 2 and prints nothing."""
+    counts = [str(3**j + 1) for j in range(1, MAX_COUNTS + 2)]
+    code, lines = run_lines(capsys, ["zeta", "--q", "3", "--counts", ",".join(counts[:-1])])
+    assert (code, lines) == (0, ["L=[1]", "genus=0", "rh_passed=true"])
+    assert main(["zeta", "--q", "3", "--counts", ",".join(counts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: TooLarge: {MAX_COUNTS + 1} counts exceed "
+                            f"the limit {MAX_COUNTS}\n")
 
 
 def test_zeta_input_validation(capsys):

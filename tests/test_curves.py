@@ -51,6 +51,7 @@ from oracles import (
     count_plane_prime_field,
     count_slow,
     element_from_index,
+    eval_at,
     first_singular_point_prime_field,
     generator,
     one,
@@ -213,7 +214,7 @@ def test_witness_on_a_later_candidate_line():
     F = _merged(_product(_product(Y, Y, p), Z, p) + tuple(
         (a, b, c, -co) for a, b, c, co in _product(X2, X, p) + _product(X2, Z, p)), p)
     cand = curves._chart_a_elimination(F, p)
-    assert [y for y in range(p) if fppoly.eval_at(cand, y, p) == 0] == [39999, 40000]
+    assert [y for y in range(p) if eval_at(cand, y, p) == 0] == [39999, 40000]
     with pytest.raises(SingularCurve) as info:
         make_smooth_plane(construct_field(p, 1), F, 3)
     assert (info.value.witness, info.value.extension_degree) == ((1, 40000, 123), 1)
@@ -310,10 +311,10 @@ def test_resultant_z_specializes_to_the_resultant_at_every_y():
         res = curves._resultant_z(A, B, p)
         seen.add("swap" if len(A) < len(B) else "deg B = 0" if len(B) == 1 else "plain")
         for y0 in range(p):
-            a, b = ([fppoly.eval_at(P, y0, p) for P in X] for X in (A, B))
+            a, b = ([eval_at(P, y0, p) for P in X] for X in (A, B))
             if a[-1] and b[-1]:
                 expected = fppoly.resultant(a, b, p)
-                got = 0 if res is None else fppoly.eval_at(res, y0, p)
+                got = 0 if res is None else eval_at(res, y0, p)
                 assert got == expected, (p, A, B, y0)
     assert seen == {"swap", "deg B = 0", "plain", "common factor"}
 

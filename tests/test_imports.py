@@ -250,3 +250,31 @@ def test_one_z_elimination_and_lazy_candidate_walks():
                     for alias in node.names]
         imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert "itertools" not in imported, module
+
+
+def test_one_double_cover_count_one_line_degree_rule_one_cover_check():
+    """`count_points` counts both double covers in one branch: it calls
+    `_orbit_count` and `scalar_is_square_in` once each.  `curves` defines
+    `_degrees` once, at module level, and `_count_plane` and `_gcd_degrees`
+    read it.  `corpus` defines no `_second_margin_combined_det_ok` (one
+    cover-check routine), and `fppoly` no `eval_at`, which only tests read
+    and `tests/oracles.py` now holds."""
+    package = Path(SRC) / "weilgram"
+    tree = ast.parse((package / "curves.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(function):
+        return [node.func.id for node in ast.walk(function)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+    calls = called(functions["count_points"])
+    assert (calls.count("_orbit_count"), calls.count("scalar_is_square_in")) == (1, 1)
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_degrees"] == ["_degrees"]
+    assert "_degrees" in functions
+    for name in ("_count_plane", "_gcd_degrees"):
+        assert "_degrees" in called(functions[name]), name
+    for module, gone in (("corpus", "_second_margin_combined_det_ok"), ("fppoly", "eval_at")):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        assert gone not in {node.name for node in ast.walk(tree)
+                            if isinstance(node, ast.FunctionDef)}, module

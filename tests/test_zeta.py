@@ -9,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weilgram.curves import count_points, count_series, make_hyperelliptic
-from weilgram.errors import CountLengthMismatch, NonIntegerCoefficient, NotPrimePower
+from weilgram.corpus import builtin_curves
+from weilgram.errors import CountLengthMismatch, NonIntegerCoefficient, NotPrimePower, TooLarge
 from weilgram.finite_field import construct_field
 from weilgram.gram import gram_absolute, psd_check
 from weilgram.zeta import (
+    MAX_COUNTS,
     LPolynomial,
     check_functional_equation,
     check_riemann_hypothesis,
@@ -218,6 +220,56 @@ def test_infer_genus_prefers_smallest_consistent():
     X = make_hyperelliptic(F3, (1, 2, 0, 0, 0, 1))
     series = count_series(X, 2 * X.genus + 2)
     assert infer_genus(3, series.counts) == 2
+
+
+def _infer_genus_rh_first(q, counts):
+    """`infer_genus` as it was when the RH check came before extrapolation."""
+    for g in range(len(counts) // 2 + 1):
+        try:
+            L = l_from_counts(q, g, counts[:g])
+        except NonIntegerCoefficient:
+            continue
+        if check_riemann_hypothesis(L) and all(
+                extrapolate(L, j) == counts[j - 1] for j in range(g + 1, len(counts) + 1)):
+            return g
+    return None
+
+
+@pytest.mark.parametrize("q,longest", [(2, 3), (3, 3), (4, 2), (5, 2), (9, 2)])
+def test_infer_genus_answers_as_with_the_rh_check_first(q, longest):
+    """Both tests must hold, so testing extrapolation first changes no
+    answer: every vector of at most `longest` counts with each N_j within 1
+    of the genus-1 Weil interval (genus 0, 1 and none among them)."""
+    seen = set()
+    for m in range(1, longest + 1):
+        ranges = [range(max(0, q**j - isqrt(4 * q**j)), q**j + 3 + isqrt(4 * q**j))
+                  for j in range(1, m + 1)]
+        for counts in product(*ranges):
+            g = infer_genus(q, counts)
+            assert g == _infer_genus_rh_first(q, counts), counts
+            seen.add(g)
+    assert {None, 0, 1} <= seen
+
+
+def test_infer_genus_answers_as_with_the_rh_check_first_on_curve_series():
+    """The 2g + 2 counts of every curated curve, and each with one count
+    moved by 1 or q."""
+    for curve in builtin_curves():
+        counts = count_series(curve, 2 * curve.genus + 2, budget=10**7).counts
+        assert infer_genus(curve.q, counts) == curve.genus
+        for i in range(len(counts)):
+            for step in (-curve.q, -1, 1, curve.q):
+                moved = counts[:i] + (counts[i] + step,) + counts[i + 1:]
+                assert infer_genus(curve.q, moved) == _infer_genus_rh_first(curve.q, moved)
+
+
+def test_infer_genus_refuses_more_than_max_counts():
+    """MAX_COUNTS counts are answered; one more raises TooLarge before any
+    genus is tried."""
+    line = tuple(3**j + 1 for j in range(1, MAX_COUNTS + 2))
+    assert infer_genus(3, line[:MAX_COUNTS]) == 0
+    with pytest.raises(TooLarge, match=f"^{MAX_COUNTS + 1} counts exceed the limit {MAX_COUNTS}$"):
+        infer_genus(3, line)
 
 
 def test_round_trip_through_counts():
