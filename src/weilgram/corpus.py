@@ -59,6 +59,7 @@ from .errors import (
     NotCoprime,
     NotSquarefree,
     SingularCurve,
+    TooLarge,
     ZeroPolynomial,
 )
 from .finite_field import construct_field
@@ -69,6 +70,8 @@ LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
 REJECTION_CAP = 10**4
+# the most instances, len(fields) * sum(mix), that a parsed spec may ask for
+MAX_INSTANCES = 1000
 # The "tol" field of every "rh" object.  The RH verdict is exact, so it has
 # no effect; it stays so that report bytes match the frozen benchmark outputs.
 LEGACY_RH_TOL = 1e-9
@@ -123,7 +126,8 @@ class CorpusSpec:
 
 
 def parse_corpus_spec(doc: dict) -> CorpusSpec:
-    """Validate a JSON corpus spec; ValueError on anything malformed."""
+    """Validate a JSON corpus spec; ValueError on anything malformed, and
+    TooLarge when it asks for more than MAX_INSTANCES instances."""
     if not isinstance(doc, dict):
         raise ValueError("corpus spec must be a JSON object")
     if "seed" not in doc:
@@ -132,7 +136,8 @@ def parse_corpus_spec(doc: dict) -> CorpusSpec:
         seed = int(doc["seed"])
         fields = tuple((int(p), int(k)) for p, k in doc["fields"])
         mix = tuple(int(v) for v in doc["mix"])
-    except (KeyError, TypeError, ValueError) as exc:
+        ranges = [(key, tuple(int(v) for v in rng)) for key, rng in doc.get("degrees", {}).items()]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed corpus spec: {exc}") from exc
     if seed < 0 or seed > LCG_MASK:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
@@ -140,14 +145,15 @@ def parse_corpus_spec(doc: dict) -> CorpusSpec:
         raise ValueError(f"mix must be three nonnegative counts, got {mix}")
     if not fields:
         raise ValueError("corpus spec needs at least one field")
+    if len(fields) * sum(mix) > MAX_INSTANCES:
+        raise TooLarge(f"{len(fields) * sum(mix)} instances exceed the limit {MAX_INSTANCES}")
     degrees = dict(DEFAULT_DEGREES)
-    for key, rng in doc.get("degrees", {}).items():
+    for key, rng in ranges:
         if key not in degrees:
             raise ValueError(f"unknown degree range {key!r}")
-        lo, hi = (int(v) for v in rng)
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad degree range {key}: [{lo}, {hi}]")
-        degrees[key] = (lo, hi)
+        if len(rng) != 2 or not 1 <= rng[0] <= rng[1]:
+            raise ValueError(f"bad degree range {key}: {list(rng)}")
+        degrees[key] = rng
     return CorpusSpec(seed=seed, fields=fields, mix=mix,
                       degrees=tuple(sorted(degrees.items())))
 
@@ -332,7 +338,8 @@ def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET) -> di
     report = full_report(curve, m, budget)
     counts = list(report.series[0].counts)
     L = l_from_counts(curve.q, curve.genus, counts[: curve.genus])
-    rh = check_riemann_hypothesis(L)
+    inferred = infer_genus(curve.q, counts)
+    rh = inferred == curve.genus or check_riemann_hypothesis(L)  # infer_genus checked this L
     record = {
         "label": curve.label,
         "kind": serialize_manifest(curve)["kind"],
@@ -342,13 +349,12 @@ def evaluate_curve_record(curve: CurveModel, budget: int = DEFAULT_BUDGET) -> di
         "counts": counts,
         "L": list(L.coefficients),
         "rh": _rh_dict(rh),
-        "genus_inferred": infer_genus(curve.q, counts),
+        "genus_inferred": inferred,
         "extrapolation_exact": all(extrapolate(L, j) == counts[j - 1]
                                    for j in range(1, m + 1)),
         "bounds": report_to_dict(report),
     }
-    flags = [rh, record["genus_inferred"] == curve.genus,
-             record["extrapolation_exact"]]
+    flags = [rh, inferred == curve.genus, record["extrapolation_exact"]]
     if curve.kind == "hyperelliptic" and curve.genus >= 1:
         cover = hyperelliptic_cover(curve)
         checks, schwarz, det_ok = _check_cover(cover, report.series[0],

@@ -227,11 +227,14 @@ def make_hyperelliptic(field: FieldSpec, f) -> CurveModel:
         raise TooLarge(f"deg f = {fppoly.degree(fc)} exceeds {MAX_F_DEGREE}")
     if not fppoly.is_squarefree(fc, field.p):
         raise NotSquarefree(fppoly.to_string(fc))
-    return CurveModel(
-        kind=HYPERELLIPTIC, base=field, f=fc,
-        genus=hyperelliptic_genus(fppoly.degree(fc)),
-        label=f"y^2={fppoly.to_string(fc)}/{_field_name(field)}",
-    )
+    return _hyperelliptic(field, fc)
+
+
+def _hyperelliptic(field: FieldSpec, fc: tuple) -> CurveModel:
+    """y^2 = fc, for fc already checked as `make_hyperelliptic` checks it."""
+    return CurveModel(kind=HYPERELLIPTIC, base=field, f=fc,
+                      genus=hyperelliptic_genus(fppoly.degree(fc)),
+                      label=f"y^2={fppoly.to_string(fc)}/{_field_name(field)}")
 
 
 # --- smooth plane curves ---------------------------------------------------
@@ -528,10 +531,9 @@ def make_biquadratic(field: FieldSpec, f, g) -> DiagramData:
     Validation order matters for error reporting: deg f + deg g, the degree
     of y3's f, against MAX_F_DEGREE first, then squarefreeness of each
     factor, then the degree parities (deg f odd, deg g even >= 2), then
-    coprimality.  The parity constraints make the two double covers ramify
-    over disjoint sets of places (roots of f plus infinity vs. roots of g),
-    so the fiber product is smooth and absolutely irreducible by
-    construction.
+    coprimality, so f g is squarefree too.  The parity constraints make the
+    covers ramify over disjoint sets of places (roots of f plus infinity vs.
+    roots of g), so the fiber product is smooth and absolutely irreducible.
     """
     if field.p == 2:
         raise EvenCharacteristic("biquadratic models need odd characteristic")
@@ -554,9 +556,7 @@ def make_biquadratic(field: FieldSpec, f, g) -> DiagramData:
         raise NotCoprime(f"gcd = {fppoly.to_string(fppoly.gcd(fc, gc, p))}")
 
     Z = make_projective_line(field)
-    Y1 = make_hyperelliptic(field, fc)
-    Y2 = make_hyperelliptic(field, gc)
-    Y3 = make_hyperelliptic(field, fppoly.mul(fc, gc, p))
+    Y1, Y2, Y3 = (_hyperelliptic(field, h) for h in (fc, gc, fppoly.mul(fc, gc, p)))
     X = CurveModel(
         kind=BIQUADRATIC, base=field, f=fc, g=gc,
         genus=Y1.genus + Y2.genus + Y3.genus,
@@ -668,8 +668,6 @@ def _norm_count(T: FieldTable, polys) -> int:
     c_logs = np.append(leaders, np.uint32(3 * n))[:, None]
     minus_c = np.append((leaders + n // 2) % n, np.uint32(3 * n))[:, None]  # log -c
     weights = np.append(2 * sizes.astype(np.int64), 1)
-    roots = np.zeros(n + 1, dtype=np.int8)  # by log: 2 at a square, 0 at a non-square
-    roots[0:n:2], roots[n] = 2, 1  # and 1 at the sentinel, zero
     total, rows = 0, max(1, CHUNK // T.q)
     for lo in range(0, len(c_logs), rows):
         c, block = c_logs[lo:lo + rows], 1
@@ -677,7 +675,7 @@ def _norm_count(T: FieldTable, polys) -> int:
             A2 = T.reduce_logs(2 * T.horner_logs(list(F[0::2]), c))
             B2 = T.reduce_logs(2 * T.horner_logs(list(F[1::2]), c))
             norm = T.horner_logs([A2, B2], minus_c[lo:lo + rows])  # A^2 - c B^2
-            block = block * roots.take(norm, mode="clip")
+            block = block * _sqrt_counts(norm, n)
         total += int(block.sum(axis=1) @ weights[lo:lo + rows])
     return total
 

@@ -97,7 +97,7 @@ DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(WeilgramError):
-    """`needed` is q^j, or the string "q^j" when too large to compute."""
+    """`needed` is q^j, the string "q^j" when too large, or vectors scanned."""
 
     def __init__(self, needed, budget):
         super().__init__(f"enumeration of {needed} points exceeds budget {budget}")

@@ -34,6 +34,9 @@ from .zeta import place_counts, place_floor
 
 MAX_ORDER = 3
 MAX_Q = 64
+# the vectors a scan may visit, at 18-28 us a visit (2 vCPU): 1.0-1.4 s; no
+# problem of q <= 64, g <= 8 and m <= 3 visits more than 27
+MAX_SCANNED = 50_000
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     skipped values are exactly those that `feasible_counts` would reject,
     and a prefix whose range for the next count is empty has no completion.
     The first complete vector reached is the witness; `scanned` counts the
-    vectors visited, prefixes and the witness.  Always terminates with a
-    result: (q+1, q^2+1, q^3+1) is feasible for every genus.
+    vectors visited, prefixes and the witness, and raises BudgetExceeded past
+    MAX_SCANNED.  A result exists: (q+1, q^2+1, q^3+1) is always feasible.
     """
     q, g, m, toggles = problem.q, problem.g, problem.m, problem.toggles
     scanned = 0
@@ -108,6 +111,8 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     def completions(prefix, exact):
         nonlocal scanned
         scanned += 1
+        if scanned > MAX_SCANNED:
+            raise BudgetExceeded(scanned, MAX_SCANNED)
         j = len(prefix) + 1
         if j > m:
             return prefix

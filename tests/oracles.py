@@ -12,7 +12,8 @@ of Miller-Rabin, irreducibility from trial division by every monic
 polynomial instead of Ben-Or's test, singular points come from a scan of
 every point or line instead of elimination or a rank, and the Riemann
 hypothesis in genus <= 2 comes from a closed form in integers instead of the
-positivity of a Gram matrix.  From the library this file takes only the
+positivity of a Gram matrix, and L-polynomials come from Newton's identities
+in rationals, run again for each genus tried, instead of one integer pass.  From the library this file takes only the
 field models: `FieldSpec`, `construct_field` and `extension_of`.
 Agreement between the two routes is the point.
 """
@@ -516,3 +517,41 @@ def rh_small_genus(q: int, coeffs) -> bool:
             and c1 * c1 <= 16 * q
             and 2 * q + c2 >= 0
             and (2 * q + c2) ** 2 >= 4 * q * c1 * c1)
+
+
+def l_from_counts_rational(q: int, g: int, counts):
+    """c_0..c_{2g} of L from N_1..N_g: Newton's identities in exact
+    rationals for c_1..c_g, the functional equation c_{2g-i} = q^{g-i} c_i
+    for the rest; None when any coefficient is not an integer."""
+    t = [q**j + 1 - counts[j - 1] for j in range(1, g + 1)]
+    c = [Fraction(1)]
+    for n in range(1, g + 1):
+        c.append(-sum(t[k - 1] * c[n - k] for k in range(1, n + 1)) / n)
+    coeffs = c + [q ** (g - i) * c[i] for i in range(g - 1, -1, -1)]
+    if any(v.denominator != 1 for v in coeffs):
+        return None
+    return tuple(int(v) for v in coeffs)
+
+
+def counts_from_l(q: int, coeffs, m: int) -> list:
+    """N_1..N_m of an L with c_0 = 1: the power sums t_n of its inverse
+    roots from n c_n + sum_{i=1..n-1} c_i t_{n-i} + t_n = 0 (c_n = 0 beyond
+    deg L), in exact rationals, and N_n = q^n + 1 - t_n."""
+    c = list(coeffs) + [0] * m
+    t = []
+    for n in range(1, m + 1):
+        t.append(-n * c[n] - sum(c[i] * t[n - i - 1] for i in range(1, n)))
+    return [q**n + 1 - Fraction(tn) for n, tn in enumerate(t, 1)]
+
+
+def infer_genus_by_trials(q: int, counts, rh):
+    """The smallest g <= m/2 whose L from N_1..N_g (`l_from_counts_rational`)
+    gives back all m counts and passes `rh(q, g, coeffs)`, trying one genus
+    at a time from scratch; None when no genus does."""
+    m = len(counts)
+    for g in range(m // 2 + 1):
+        coeffs = l_from_counts_rational(q, g, counts[:g])
+        if coeffs is not None and counts_from_l(q, coeffs, m) == list(counts) \
+                and rh(q, g, coeffs):
+            return g
+    return None

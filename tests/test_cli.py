@@ -1,10 +1,13 @@
 """End-to-end command-line behavior, exercised in process."""
 
 import json
+import time
 
 import pytest
 
+from weilgram import feasibility
 from weilgram.cli import main
+from weilgram.corpus import MAX_INSTANCES
 from weilgram.zeta import MAX_COUNTS
 
 ELLIPTIC = {"kind": "hyperelliptic", "p": 3, "k": 1, "f": [0, 1, 0, 1]}
@@ -141,6 +144,17 @@ def test_zeta_refuses_more_counts_than_the_limit(capsys):
     assert captured.out == ""
     assert captured.err == (f"error: TooLarge: {MAX_COUNTS + 1} counts exceed "
                             f"the limit {MAX_COUNTS}\n")
+
+
+def test_zeta_counts_past_the_int_str_limit_find_no_genus(capsys):
+    """Four counts of 4,001 digits fit no genus: genus=none and exit 1,
+    quickly, where formatting a coefficient of theirs into an error message
+    once passed Python's 4,300-digit int-to-str limit and ended in exit 2."""
+    counts = ",".join(str(10**4000 + i) for i in range(1, 5))
+    start = time.perf_counter()
+    code, lines = run_lines(capsys, ["zeta", "--q", "3", "--counts", counts])
+    assert time.perf_counter() - start < 1
+    assert (code, lines) == (1, ["genus=none"])
 
 
 def test_zeta_input_validation(capsys):
@@ -302,6 +316,24 @@ def test_feasibility_error_codes(capsys):
     capsys.readouterr()
 
 
+def test_feasibility_past_the_scan_budget_exits_3(monkeypatch, capsys):
+    """A scan that would visit more than MAX_SCANNED vectors ends in
+    BudgetExceeded and exit 3: (3, 8, 3) visits 27, so it answers at a
+    budget of 27 and is refused at 26; (64, 1000, 3), which visits about
+    4.6 million, is refused at the stated budget."""
+    monkeypatch.setattr(feasibility, "MAX_SCANNED", 27)
+    code, lines = run_lines(capsys, ["feasibility", "3", "8", "3"])
+    assert (code, lines[2]) == (0, "scanned=27")
+    monkeypatch.setattr(feasibility, "MAX_SCANNED", 26)
+    assert main(["feasibility", "3", "8", "3"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: enumeration of 27 points exceeds budget 26\n")
+    monkeypatch.undo()
+    assert main(["feasibility", "64", "1000", "3"]) == 3
+    assert capsys.readouterr().err == (f"error: enumeration of {feasibility.MAX_SCANNED + 1} "
+                                       f"points exceeds budget {feasibility.MAX_SCANNED}\n")
+
+
 def test_feasibility_rejects_invalid_field_and_genus(capsys):
     for q in ("6", "0", "1", "-3"):
         assert main(["feasibility", q, "1", "2"]) == 2
@@ -359,6 +391,24 @@ def test_corpus_error_codes(manifest, tmp_path, capsys):
     spec_path = manifest({"fields": [[3, 1]], "mix": [1, 0, 0]}, "noseed.json")
     assert main(["corpus", "run", spec_path, "--out", str(tmp_path / "y")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("doc", [
+    {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0], "degrees": [1, 2]},
+    {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0], "degrees": {"plane": 5}},
+    {"seed": 42, "fields": [[3, 1]], "mix": [10**8, 0, 0]},
+    {"seed": 42, "fields": [[3, 1]] * 2, "mix": [0, MAX_INSTANCES // 2, 1]},
+], ids=["degrees_a_list", "range_a_number", "mix_too_large", "fields_times_mix_too_large"])
+def test_corpus_malformed_or_too_large_spec_exits_2(manifest, tmp_path, capsys, doc):
+    """A malformed `degrees` and a spec above MAX_INSTANCES end in exit 2
+    with one error line, before any instance is generated."""
+    start = time.perf_counter()
+    assert main(["corpus", "run", manifest(doc, "spec.json"), "--out", str(tmp_path / "x")]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
 
 
 def test_corpus_over_budget_exit_code_same_in_parallel(manifest, tmp_path, capsys):

@@ -12,6 +12,7 @@ import weilgram.curves
 from weilgram.corpus import (
     DEFAULT_DEGREES,
     LCG,
+    MAX_INSTANCES,
     REJECTION_CAP,
     CorpusSpec,
     _rejection,
@@ -35,7 +36,7 @@ from weilgram.curves import (
     make_projective_line,
     parse_manifest,
 )
-from weilgram.errors import BudgetExceeded, EvenCharacteristic
+from weilgram.errors import BudgetExceeded, EvenCharacteristic, TooLarge
 from weilgram.finite_field import construct_field
 
 F3 = construct_field(3, 1)
@@ -94,10 +95,27 @@ def test_corpus_spec_round_trip():
     {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0],
      "degrees": {"hyperelliptic": [0, 3]}},
     {"seed": 42, "fields": "F3", "mix": [1, 0, 0]},
+    {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0], "degrees": [1, 2]},
+    {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0], "degrees": None},
+    {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0], "degrees": {"plane": 5}},
+    {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0], "degrees": {"plane": [None, 3]}},
+    {"seed": 42, "fields": [[3, 1]], "mix": [1, 0, 0], "degrees": {"plane": [2]}},
 ])
 def test_parse_corpus_spec_rejects_malformed(doc):
     with pytest.raises(ValueError):
         parse_corpus_spec(doc)
+
+
+def test_parse_corpus_spec_refuses_more_than_max_instances():
+    """len(fields) x sum(mix) up to MAX_INSTANCES is accepted; one more is
+    refused with TooLarge."""
+    fields = [[3, 1], [5, 1], [7, 1], [3, 2]]
+    per_field = MAX_INSTANCES // len(fields)
+    spec = parse_corpus_spec({"seed": 7, "fields": fields, "mix": [per_field, 0, 0]})
+    assert len(spec.fields) * sum(spec.mix) == MAX_INSTANCES
+    for fields, mix in ((fields, [per_field, 0, 1]), ([[3, 1]], [10**8, 0, 0])):
+        with pytest.raises(TooLarge, match=f"exceed the limit {MAX_INSTANCES}$"):
+            parse_corpus_spec({"seed": 7, "fields": fields, "mix": mix})
 
 
 # --- generation ------------------------------------------------------------

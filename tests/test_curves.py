@@ -584,6 +584,21 @@ def test_biquadratic_squarefree_checked_before_coprimality():
         make_biquadratic(F3, (0, 0, 0, 1), (0, 1, 1))
 
 
+def test_make_biquadratic_tests_each_polynomial_squarefree_once(monkeypatch):
+    """Two squarefree tests, f and then g; Y1, Y2 and Y3 are built from
+    them, and f g, squarefree as a product of coprime squarefree factors, is
+    not tested.  The quotients equal the ones make_hyperelliptic builds."""
+    calls = []
+    real = fppoly.is_squarefree
+    monkeypatch.setattr(fppoly, "is_squarefree", lambda f, p: calls.append(f) or real(f, p))
+    f, g = (0, 1, 0, 1), (2, 1, 1)
+    D = make_biquadratic(F3, f, g)
+    assert calls == [f, g]
+    monkeypatch.undo()
+    assert (D.Y1, D.Y2, D.y3) == tuple(make_hyperelliptic(F3, h)
+                                       for h in (f, g, fppoly.mul(f, g, 3)))
+
+
 def _squarefree_f(rng, n, p=3, coprime_to=None):
     """A monic squarefree f of degree n over F_p, coprime to `coprime_to`."""
     while True:

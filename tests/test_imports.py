@@ -278,3 +278,28 @@ def test_one_double_cover_count_one_line_degree_rule_one_cover_check():
         tree = ast.parse((package / f"{module}.py").read_text())
         assert gone not in {node.name for node in ast.walk(tree)
                             if isinstance(node, ast.FunctionDef)}, module
+
+
+def test_one_newton_pass_and_one_squarefree_test_per_polynomial():
+    """`l_from_counts` and `infer_genus` construct no `Fraction`: both read
+    the one integer Newton pass, `_newton`.  `make_biquadratic` does not
+    call `make_hyperelliptic`, so it tests f and g once each and f g never."""
+    package = Path(SRC) / "weilgram"
+
+    def functions(module):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def called(function):
+        return [node.func.id for node in ast.walk(function)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+    zeta = functions("zeta")
+    for name in ("l_from_counts", "infer_genus", "_newton", "_completed"):
+        assert "Fraction" not in {node.id for node in ast.walk(zeta[name])
+                                  if isinstance(node, ast.Name)}, name
+    for name in ("l_from_counts", "infer_genus"):
+        assert called(zeta[name]).count("_newton") == 1, name
+    curves = functions("curves")
+    assert "make_hyperelliptic" not in called(curves["make_biquadratic"])
+    assert "_hyperelliptic" in called(curves["make_biquadratic"])

@@ -26,7 +26,13 @@ from weilgram.zeta import (
     power_sums,
 )
 
-from oracles import power_sums_by_roots, rh_small_genus
+from oracles import (
+    counts_from_l,
+    infer_genus_by_trials,
+    l_from_counts_rational,
+    power_sums_by_roots,
+    rh_small_genus,
+)
 
 F3 = construct_field(3, 1)
 
@@ -235,6 +241,10 @@ def _infer_genus_rh_first(q, counts):
     return None
 
 
+def _rh(q, g, coeffs):
+    return check_riemann_hypothesis(LPolynomial(q, g, coeffs))
+
+
 @pytest.mark.parametrize("q,longest", [(2, 3), (3, 3), (4, 2), (5, 2), (9, 2)])
 def test_infer_genus_answers_as_with_the_rh_check_first(q, longest):
     """Both tests must hold, so testing extrapolation first changes no
@@ -253,14 +263,19 @@ def test_infer_genus_answers_as_with_the_rh_check_first(q, longest):
 
 def test_infer_genus_answers_as_with_the_rh_check_first_on_curve_series():
     """The 2g + 2 counts of every curated curve, and each with one count
-    moved by 1 or q."""
+    moved by 1 or q; the answers are also the genus-by-genus rational
+    reference's, and so is L."""
     for curve in builtin_curves():
         counts = count_series(curve, 2 * curve.genus + 2, budget=10**7).counts
         assert infer_genus(curve.q, counts) == curve.genus
+        assert l_from_counts(curve.q, curve.genus, counts[:curve.genus]).coefficients \
+            == l_from_counts_rational(curve.q, curve.genus, counts[:curve.genus])
         for i in range(len(counts)):
             for step in (-curve.q, -1, 1, curve.q):
                 moved = counts[:i] + (counts[i] + step,) + counts[i + 1:]
-                assert infer_genus(curve.q, moved) == _infer_genus_rh_first(curve.q, moved)
+                g = infer_genus(curve.q, moved)
+                assert g == _infer_genus_rh_first(curve.q, moved)
+                assert g == infer_genus_by_trials(curve.q, moved, _rh)
 
 
 def test_infer_genus_refuses_more_than_max_counts():
@@ -270,6 +285,47 @@ def test_infer_genus_refuses_more_than_max_counts():
     assert infer_genus(3, line[:MAX_COUNTS]) == 0
     with pytest.raises(TooLarge, match=f"^{MAX_COUNTS + 1} counts exceed the limit {MAX_COUNTS}$"):
         infer_genus(3, line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]),
+       m=st.integers(1, 12), from_l=st.booleans(), data=st.data())
+def test_integer_newton_pass_matches_the_rational_reference(q, m, from_l, data):
+    """Up to 12 counts near q^j + 1: either the counts of an integer L of
+    genus <= m/2, one of them perhaps moved by 1 or q, or q^j + 1 moved by
+    at most 3j.  L is a product of factors 1 + a T + q T^2 with
+    |a| <= 2 sqrt(q) + 1, so RH holds or fails by a little.  For every g the
+    coefficients from N_1..N_g are the rational reference's, or both find
+    one that is not an integer; and `infer_genus` answers as the
+    genus-by-genus loop does."""
+    if from_l:
+        coeffs, r = [1], isqrt(4 * q) + 1
+        for _ in range(data.draw(st.integers(0, m // 2))):
+            a = data.draw(st.integers(-r, r))
+            coeffs = [x + a * y + q * z for x, y, z in zip(coeffs + [0, 0], [0] + coeffs + [0],
+                                                          [0, 0] + coeffs)]
+        counts = [int(n) for n in counts_from_l(q, coeffs, m)]
+        if data.draw(st.booleans()):
+            counts[data.draw(st.integers(0, m - 1))] += data.draw(st.sampled_from([-q, -1, 1, q]))
+    else:
+        counts = [q**j + 1 + data.draw(st.integers(-3 * j, 3 * j)) for j in range(1, m + 1)]
+    for g in range(m + 1):
+        try:
+            coefficients = l_from_counts(q, g, counts[:g]).coefficients
+        except NonIntegerCoefficient:
+            coefficients = None
+        assert coefficients == l_from_counts_rational(q, g, counts[:g]), g
+    assert infer_genus(q, counts) == infer_genus_by_trials(q, counts, _rh)
+
+
+def test_non_integer_coefficient_names_its_index_and_genus():
+    """The message names n and g and formats no count, so counts past the
+    int-to-str limit still raise NonIntegerCoefficient."""
+    with pytest.raises(NonIntegerCoefficient, match="^c_2 is not an integer; no genus-2 curve fits$"):
+        l_from_counts(3, 2, (4, 15))
+    big = (10**4000 + 1, 10**4000 + 2)
+    with pytest.raises(NonIntegerCoefficient, match="^c_2 is not an integer; no genus-2 curve fits$"):
+        l_from_counts(3, 2, big)
 
 
 def test_round_trip_through_counts():
