@@ -778,6 +778,16 @@ def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
     return total + fppoly.degree(roots) + (fppoly.degree(f) < sum(monomials[0][:3]))
 
 
+def _refuse_over_budget(curve: CurveModel, j: int, budget: int) -> None:
+    """BudgetExceeded when counting over F_{q^j} is refused: from j >=
+    budget.bit_length() on for every family, and for q^j > budget for every
+    family but the projective line."""
+    if j >= budget.bit_length():  # q^j >= 2^j > budget: too large to compute
+        raise BudgetExceeded(f"{curve.q}^{j}", budget)
+    if curve.kind != PROJECTIVE_LINE and curve.q**j > budget:
+        raise BudgetExceeded(curve.q**j, budget)
+
+
 def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of points of the smooth projective model over F_{q^j}.
 
@@ -806,12 +816,9 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
     under tracemalloc, most of it one block's gcd."""
     if j < 1:
         raise InvalidDegree(j)
-    if j >= budget.bit_length():  # q^j >= 2^j > budget: too large to compute
-        raise BudgetExceeded(f"{curve.q}^{j}", budget)
+    _refuse_over_budget(curve, j, budget)
     if curve.kind == PROJECTIVE_LINE:
         return curve.q**j + 1
-    if curve.q**j > budget:
-        raise BudgetExceeded(curve.q**j, budget)
     p, K = curve.base.p, curve.base.k * j
     if curve.kind in (HYPERELLIPTIC, BIQUADRATIC):
         polys = (curve.f,) if curve.kind == HYPERELLIPTIC else (curve.f, curve.g)
@@ -828,7 +835,10 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
 
 
 def count_series(curve: CurveModel, m: int, budget: int = DEFAULT_BUDGET) -> PointCountSeries:
-    """N_1..N_m, validated against the series invariants before returning."""
+    """N_1..N_m, validated against the series invariants before returning.
+    Every j = 1..m is checked against the budget before the first count."""
+    for j in range(1, m + 1):
+        _refuse_over_budget(curve, j, budget)
     series = PointCountSeries(
         q=curve.q, counts=tuple(count_points(curve, j, budget) for j in range(1, m + 1))
     )

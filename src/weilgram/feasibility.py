@@ -3,7 +3,7 @@
 A count vector (N_1, .., N_m) is *feasible* when the absolute Gram matrix it
 induces is positive semidefinite and, optionally, when the place counts a_d
 it implies (N_j = sum_{d | j} d a_d) are nonnegative integers.  That rule is
-`zeta`'s (`place_counts`, `place_floor`); this module has no copy of it.
+`zeta`'s (`places_are_whole`, `place_floor`); this module has no copy of it.
 
 Each N_j also lies in its Weil interval, because the 2x2 principal minor
 indexed {0, j} is exactly the Weil inequality; no separate test is needed.
@@ -11,14 +11,16 @@ indexed {0, j} is exactly the Weil inequality; no separate test is needed.
 The search is an exact integer interval scan.  In the Gram matrix of a prefix
 (N_1, .., N_j), the count N_j enters only through t_j = q^j + 1 - N_j at the
 corner (0, j), so given a PSD prefix of length j - 1 the values of N_j that
-keep it PSD form an interval, computed exactly by `psd_corner_interval`.
-Every scan range is that interval, stepped when toggled by the place-count
-rule (see `max_n1`).  For N_1 the Gram matrix is the 2x2 one of order 1, so
-its corner interval is exactly N_1's Weil interval; for j >= 2 the corner
-interval already lies inside N_j's.  So every vector the scan reaches is
-feasible, the first complete one is the witness, and only the witness passes
-through `feasible_counts`, as a check.  No floating-point value enters the
-search.
+keep it PSD form an interval, computed exactly from the prefix's Toeplitz
+rows by `gram`'s corner routine (that of `psd_corner_interval`).  Every scan
+range is that interval, stepped when toggled by the place-count rule (see
+`max_n1`).  For N_1 the Gram matrix is the 2x2 one of order 1, so its corner
+interval is exactly N_1's Weil interval; for j >= 2 the corner interval
+already lies inside N_j's.  So every vector the scan reaches is feasible,
+the first complete one is the witness, and only the witness passes through
+`feasible_counts`, as a check.  When toggled at order m >= 2, the N_1 above
+the Ihara floor (`ihara_closed_form`) have no completion and are counted in
+`scanned` without being visited.  No floating-point value enters the search.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, NegativeGenus, TooLarge, ZeroGenus
 from .finite_field import check_prime_power
-from .gram import gram_absolute, is_psd, psd_corner_interval
-from .zeta import place_counts, place_floor
+from .gram import _corner_interval, _toeplitz, gram_absolute, is_psd
+from .zeta import place_floor, places_are_whole
 
 MAX_ORDER = 3
 MAX_Q = 64
-# the vectors a scan may visit, at 18-28 us a visit (2 vCPU): 1.0-1.4 s; no
-# problem of q <= 64, g <= 8 and m <= 3 visits more than 27
+# the budget on `scanned`, the vectors visited plus the N_1 skipped above the
+# Ihara floor, at 12-22 us a visit (2 vCPU): (64, 1000, 3) skips 4,999 and is
+# refused in 0.55-1.0 s; no problem of q <= 64, g <= 8 and m <= 3 scans more
+# than 27
 MAX_SCANNED = 50_000
 
 
@@ -69,15 +73,16 @@ class FeasibilityResult:
 
 def feasible_counts(q: int, g: int, counts, toggles: bool = True) -> bool:
     """True iff the induced absolute Gram is PSD (`gram.is_psd`, one
-    elimination) and, when toggled, every place count `zeta.place_counts`
-    implies is a nonnegative integer.  The Weil intervals need no test of
-    their own: the {0, j} principal minor is exactly the Weil inequality."""
+    elimination) and, when toggled, every place count the counts imply is a
+    nonnegative integer (`zeta.places_are_whole`, in integers).  The Weil
+    intervals need no test of their own: the {0, j} principal minor is
+    exactly the Weil inequality."""
     _check_genus(g)
     counts = tuple(counts)
     m = len(counts)
     if m > MAX_ORDER:
         raise TooLarge(f"count vector length {m} exceeds {MAX_ORDER}")
-    if toggles and not all(a.denominator == 1 and a.numerator >= 0 for a in place_counts(counts)):
+    if toggles and not places_are_whole(counts):
         return False
     return is_psd(gram_absolute(q, g, counts, m))
 
@@ -85,34 +90,46 @@ def feasible_counts(q: int, g: int, counts, toggles: bool = True) -> bool:
 def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
     """Largest N_1 admitting a feasible completion.
 
-    Scans N_1 descending from the Weil upper end; completions ascend
-    lexicographically, pruned on infeasible prefixes (sound because the
-    order-(m-1) Gram is a leading principal submatrix of the order-m one).
-    Each N_j ranges over the exact interval that keeps the Gram matrix PSD,
-    stepped when toggled by j from b_j (`zeta.place_floor` of the e a_e the
-    prefix carries), so a_j = (N_j - b_j)/j is a nonnegative integer.  So
-    skipped values are exactly those that `feasible_counts` would reject,
-    and a prefix whose range for the next count is empty has no completion.
-    The first complete vector reached is the witness; `scanned` counts the
-    vectors visited, prefixes and the witness, and raises BudgetExceeded past
-    MAX_SCANNED.  A result exists: (q+1, q^2+1, q^3+1) is always feasible.
+    Scans N_1 descending from the Weil upper end (or the Ihara floor, see
+    below); completions ascend lexicographically, pruned on infeasible
+    prefixes (sound because the order-(m-1) Gram is a leading principal
+    submatrix of the order-m one).  Each N_j ranges over the exact interval
+    that keeps the Gram matrix PSD, stepped when toggled by j from b_j
+    (`zeta.place_floor` of the e a_e the prefix carries), so a_j = (N_j -
+    b_j)/j is a nonnegative integer.  So skipped values are exactly those
+    that `feasible_counts` would reject, and a prefix whose range for the
+    next count is empty has no completion.  The first complete vector
+    reached is the witness.
+
+    When toggled at order m >= 2, N_2 >= b_2 = N_1, and every PSD order-2
+    Gram with N_2 >= N_1 satisfies the Schwarz inequality that
+    `ihara_closed_form` solves, so no N_1 above its floor has a completion:
+    each would be one visit whose stepped N_2 range is empty.  The descent
+    starts at the floor instead, and `scanned`, the vectors visited
+    (prefixes and the witness) plus those skipped N_1, is the count the full
+    descent would reach.  Past MAX_SCANNED it raises BudgetExceeded.  A
+    result exists: (q+1, q^2+1, q^3+1) is always feasible.
     """
     q, g, m, toggles = problem.q, problem.g, problem.m, problem.toggles
     scanned = 0
+
+    def charge(vectors):
+        nonlocal scanned
+        scanned += vectors
+        if scanned > MAX_SCANNED:
+            raise BudgetExceeded(MAX_SCANNED + 1, MAX_SCANNED)
 
     def scan_range(prefix):
         """[lo, hi] of N_j, j = len(prefix) + 1: the PSD corner interval."""
         j = len(prefix) + 1
         # the trailing 0 is a placeholder for t_j, which the interval replaces
-        t = psd_corner_interval(gram_absolute(q, g, prefix + (0,), j))
-        # N_j = q^j + 1 - t_j; an empty t leaves lo > hi
-        return q**j + 2 - t.stop, q**j + 1 - t.start
+        t = [q**i + 1 - n for i, n in enumerate(prefix, 1)] + [0]
+        x = _corner_interval(_toeplitz(q, g, t, j))
+        # N_j = q^j + 1 - t_j; an empty x leaves lo > hi
+        return q**j + 2 - x.stop, q**j + 1 - x.start
 
     def completions(prefix, exact):
-        nonlocal scanned
-        scanned += 1
-        if scanned > MAX_SCANNED:
-            raise BudgetExceeded(scanned, MAX_SCANNED)
+        charge(1)
         j = len(prefix) + 1
         if j > m:
             return prefix
@@ -128,7 +145,9 @@ def max_n1(problem: FeasibilityProblem) -> FeasibilityResult:
         return None
 
     lo1, hi1 = scan_range(())
-    for n1 in range(hi1, lo1 - 1, -1):
+    top = min(hi1, _ihara(q, g)[1]) if toggles and m >= 2 else hi1
+    charge(hi1 - top)
+    for n1 in range(top, lo1 - 1, -1):
         witness = completions((n1,), (n1,))
         if witness is not None:
             if not feasible_counts(q, g, witness, toggles):
@@ -149,6 +168,13 @@ class IharaClosedForm:
         return float(self.linear) + math.sqrt(self.radicand) / 2.0
 
 
+def _ihara(q: int, g: int) -> tuple:
+    """(radicand, floor) of the order-2 bound q + 1 + (sqrt(radicand) - g)/2,
+    for any g >= 0, in integers alone; at g = 0 the floor is q + 1."""
+    radicand = g * g * (8 * q + 1) + 4 * g * q * (q - 1)
+    return radicand, (2 * q + 2 - g + math.isqrt(radicand)) // 2
+
+
 def ihara_closed_form(q: int, g: int) -> IharaClosedForm:
     """Closed-form solution of the order-2 relaxation (Schwarz for the
     combined vector q*frob^0 + frob^2 against frob^1, with N_2 >= N_1)."""
@@ -156,7 +182,5 @@ def ihara_closed_form(q: int, g: int) -> IharaClosedForm:
         raise ZeroGenus("closed form needs g >= 1")
     _check_genus(g)
     check_prime_power(q)
-    radicand = g * g * (8 * q + 1) + 4 * g * q * (q - 1)
-    linear = Fraction(2 * q + 2 - g, 2)
-    floor = (2 * q + 2 - g + math.isqrt(radicand)) // 2
-    return IharaClosedForm(radicand=radicand, linear=linear, floor=floor)
+    radicand, floor = _ihara(q, g)
+    return IharaClosedForm(radicand=radicand, linear=Fraction(2 * q + 2 - g, 2), floor=floor)

@@ -263,8 +263,20 @@ def psd_check(M) -> PSDVerdict:
 def psd_corner_interval(M) -> range:
     """Integers x such that M is PSD with x at (0, n) and (n, 0), n = order - 1.
 
-    The given (0, n) entry is ignored.  Column n is split as v + x*u, with
-    u = e_0, and the leading n x n block A is bordered by v and u:
+    The given (0, n) entry is ignored.  M is checked to be a square symmetric
+    integer matrix of order >= 2; the interval is `_corner_interval`'s."""
+    entries = _entries_of(M, symmetric=True)
+    if len(entries) < 2:
+        raise DimensionMismatch(f"a corner entry needs order >= 2, got {len(entries)}")
+    return _corner_interval(entries)
+
+
+def _corner_interval(entries) -> range:
+    """`psd_corner_interval` of the integer rows `entries`, a symmetric
+    matrix of order n + 1 >= 2, taken as given.
+
+    Column n is split as v + x*u, with u = e_0, and the leading n x n block
+    A is bordered by v and u:
 
         [[A, v, u], [v^T, M[n][n], 0], [u^T, 0, 0]]
 
@@ -276,10 +288,7 @@ def psd_corner_interval(M) -> range:
     u == 0 needs v == 0.  Last, the corner must be >= 0, a concave quadratic
     whose integer roots come exactly from isqrt.
     """
-    entries = _entries_of(M, symmetric=True)
     n = len(entries) - 1
-    if n < 1:
-        raise DimensionMismatch(f"a corner entry needs order >= 2, got {n + 1}")
     B = [[*row, 0] for row in entries] + [[0] * (n + 2)]
     B[0][n] = B[n][0] = 0
     B[0][n + 1] = B[n + 1][0] = 1

@@ -117,14 +117,25 @@ def place_floor(exact, j: int) -> int:
     return sum(exact[e - 1] for e in range(1, j // 2 + 1) if j % e == 0)
 
 
-def place_counts(counts) -> list:
-    """a_1..a_m from N_1..N_m, as Fractions, one degree at a time:
-    a_j = (N_j - b_j)/j (`place_floor`).  For a curve a_d is its number of
-    places of degree d, a nonnegative integer."""
+def _exact_points(counts) -> list:
+    """j a_j = N_j - b_j (`place_floor`) for j = 1..m, one degree at a time."""
     exact = []
     for j, n in enumerate(counts, 1):
         exact.append(n - place_floor(exact, j))
-    return [Fraction(c, j) for j, c in enumerate(exact, 1)]
+    return exact
+
+
+def place_counts(counts) -> list:
+    """a_1..a_m from N_1..N_m, as Fractions: a_j = (N_j - b_j)/j
+    (`_exact_points`).  For a curve a_d is its number of places of degree d,
+    a nonnegative integer."""
+    return [Fraction(c, j) for j, c in enumerate(_exact_points(counts), 1)]
+
+
+def places_are_whole(counts) -> bool:
+    """True iff every a_j of `place_counts` is a nonnegative integer, decided
+    in integers: j a_j >= 0 and j | j a_j."""
+    return all(c >= 0 and c % j == 0 for j, c in enumerate(_exact_points(counts), 1))
 
 
 def extrapolate(L: LPolynomial, j: int) -> int:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from weilgram import feasibility
+from weilgram import curves, feasibility
 from weilgram.cli import main
 from weilgram.corpus import MAX_INSTANCES
 from weilgram.zeta import MAX_COUNTS
@@ -409,6 +409,26 @@ def test_corpus_malformed_or_too_large_spec_exits_2(manifest, tmp_path, capsys, 
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not (tmp_path / "x").exists()
+
+
+def test_corpus_refuses_an_over_budget_record_before_its_first_count(manifest, tmp_path,
+                                                                     capsys, monkeypatch):
+    """A plane cubic over F_97 needs N_1..N_4, and 97^4 exceeds the default
+    budget: its record is refused before N_1 is counted, where counting
+    N_1..N_3 first took seconds."""
+    counted, count = [], curves.count_points
+
+    def count_points(curve, j, budget):
+        counted.append(j)
+        return count(curve, j, budget)
+
+    monkeypatch.setattr(curves, "count_points", count_points)
+    spec_path = manifest({"seed": 42, "fields": [[97, 1]], "mix": [0, 5, 0]}, "spec.json")
+    start = time.perf_counter()
+    assert main(["corpus", "run", spec_path, "--out", str(tmp_path / "x")]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: enumeration of 88529281 points exceeds budget 1000000\n"
+    assert counted == []
 
 
 def test_corpus_over_budget_exit_code_same_in_parallel(manifest, tmp_path, capsys):

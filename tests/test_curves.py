@@ -991,6 +991,33 @@ def test_count_points_budget_before_computing_q_to_the_j():
     assert time.perf_counter() - start < 1
 
 
+def test_count_series_refuses_before_its_first_count(monkeypatch):
+    """`count_series` checks every j = 1..m against the budget before it
+    counts N_1, and refuses at the first failing j with the same error as
+    counting N_1, N_2, .. in turn: q^j for a family, "q^j" from j >=
+    budget.bit_length() on, the projective line included."""
+    E = make_hyperelliptic(F3, (0, 1, 0, 1))
+    cases = [(E, 3, 8), (E, 40, 10**6), (E, 10**4, 10**6),
+             (make_smooth_plane(F4, FERMAT_CUBIC, 3), 3, 15),
+             (make_projective_line(F3), 6, 8)]
+    refusals = []
+    for curve, m, budget in cases:
+        with pytest.raises(BudgetExceeded) as info:
+            for j in range(1, m + 1):
+                count_points(curve, j, budget)
+        refusals.append((info.value.args, info.value.needed))
+
+    def no_count(*args):
+        raise AssertionError("counted before the budget was checked")
+
+    monkeypatch.setattr(curves, "count_points", no_count)
+    for (curve, m, budget), refusal in zip(cases, refusals):
+        with pytest.raises(BudgetExceeded) as info:
+            count_series(curve, m, budget)
+        assert (info.value.args, info.value.needed) == refusal
+    assert [needed for _, needed in refusals] == [9, 3**13, 3**13, 16, "3^4"]
+
+
 # --- series invariants -----------------------------------------------------
 
 def test_point_count_series_validation():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from weilgram import gram
+from weilgram import feasibility, gram
 from weilgram.bounds import weil_interval
 from weilgram.curves import count_points
 from weilgram.errors import (
@@ -21,6 +21,7 @@ from weilgram.errors import (
 )
 from weilgram.feasibility import (
     FeasibilityProblem,
+    _ihara,
     feasible_counts,
     ihara_closed_form,
     max_n1,
@@ -155,12 +156,8 @@ def test_max_n1_result_invariants():
         assert res.scanned > 0
 
 
-def test_max_n1_eliminates_each_prefix_gram_once(monkeypatch):
-    """The corner interval of each visited prefix's next count eliminates
-    the prefix's Gram (bordered by two columns), and nothing eliminates it
-    again.  Every complete vector the scan reaches is feasible, so the
-    witness is the only one visited, and `feasible_counts` checks it with
-    one elimination of its Gram.  With N_1's range that is scanned + 1."""
+def _count_eliminations(monkeypatch):
+    """The border width, len(B) - n, of every `gram._eliminate` call."""
     borders = []
 
     def counted(B, n, eliminate=gram._eliminate):
@@ -168,11 +165,56 @@ def test_max_n1_eliminates_each_prefix_gram_once(monkeypatch):
         return eliminate(B, n)
 
     monkeypatch.setattr(gram, "_eliminate", counted)
+    return borders
+
+
+def test_max_n1_eliminates_each_prefix_gram_once(monkeypatch):
+    """The corner interval of each visited prefix's next count eliminates
+    the prefix's Toeplitz rows (bordered by two columns), and nothing
+    eliminates them again.  N_1 = 22..31 lie above the Ihara floor 21, so
+    they are counted in `scanned` without a visit.  Every complete vector
+    the scan reaches is feasible, so the witness is the only one visited,
+    and `feasible_counts` checks it with one elimination of its Gram.  So
+    scanned = 27 is 10 skipped N_1, 16 prefixes and the witness, and N_1's
+    range and the 16 prefixes make 17 bordered eliminations."""
+    borders = _count_eliminations(monkeypatch)
     res = max_n1(FeasibilityProblem(q=3, g=8, m=3))
+    assert (ihara_closed_form(3, 8).floor, weil_interval(3, 8, 1)[1]) == (21, 31)
     assert res.scanned == 27
     assert borders.count(0) == 1  # the witness
-    assert borders.count(2) == res.scanned  # N_1's range and the scanned - 1 prefixes
-    assert len(borders) == res.scanned + 1
+    assert borders.count(2) == 17  # N_1's range and the 16 visited prefixes
+    assert len(borders) == 18
+
+
+def test_feasibility_grid_work_is_pinned(monkeypatch):
+    """The scan's work over the 216 problems of the benchmark's
+    `feasibility_grid` (q <= 64, g = 1..8, m = 3), counted without timing:
+    760 bordered eliminations and 216 witness checks, 976 calls of
+    `gram._eliminate`; a descent that visits every N_1 above the Ihara floor
+    makes 1,299.  `scanned`, which counts the skipped N_1 too, sums to 1,083
+    either way."""
+    borders = _count_eliminations(monkeypatch)
+    scanned = sum(max_n1(FeasibilityProblem(q=q, g=g, m=3)).scanned
+                  for q in range(2, 65) if _is_prime_power(q) for g in range(1, 9))
+    assert (borders.count(2), borders.count(0), len(borders)) == (760, 216, 976)
+    assert scanned == 1083
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if _is_prime_power(q)])
+def test_n1_above_the_ihara_floor_has_no_order_two_completion(q):
+    """The skip of `max_n1` is exact: for g <= 100, every N_1 in (floor,
+    hi_1] has an order-2 corner interval whose top N_2 is below N_1, so no
+    N_2 >= b_2 = N_1 keeps the Gram PSD.  The floor is `_ihara`'s, which is
+    `ihara_closed_form`'s for g >= 1 and q + 1 at g = 0."""
+    assert _ihara(q, 0) == (0, q + 1)
+    for g in range(101):
+        radicand, floor = _ihara(q, g)
+        if g:
+            cf = ihara_closed_form(q, g)
+            assert (cf.radicand, cf.floor) == (radicand, floor)
+        for n1 in range(floor + 1, weil_interval(q, g, 1)[1] + 1):
+            t2 = gram.psd_corner_interval(gram.gram_absolute(q, g, (n1, 0), 2))
+            assert not t2 or q**2 + 1 - t2.start < n1, (g, n1)
 
 
 def test_max_n1_scan_budget():
@@ -180,6 +222,17 @@ def test_max_n1_scan_budget():
         max_n1(FeasibilityProblem(q=67, g=1, m=2))
     with pytest.raises(BudgetExceeded):
         max_n1(FeasibilityProblem(q=65, g=1, m=1))
+
+
+@pytest.mark.parametrize("budget", [0, 5, 9, 10, 11, 26])
+def test_a_budget_inside_the_skipped_n1_is_refused_as_by_visits(monkeypatch, budget):
+    """(3, 8, 3) counts its 10 values N_1 = 22..31 in `scanned` at once.  A
+    budget below 27 is refused with the error of the visit past it,
+    BudgetExceeded(budget + 1, budget), wherever the skip leaves `scanned`."""
+    monkeypatch.setattr(feasibility, "MAX_SCANNED", budget)
+    with pytest.raises(BudgetExceeded) as info:
+        max_n1(FeasibilityProblem(q=3, g=8, m=3))
+    assert (info.value.needed, info.value.budget) == (budget + 1, budget)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_16)

@@ -208,10 +208,11 @@ def test_curves_use_only_log_space_table_arithmetic():
 
 def test_feasibility_reads_the_place_rule_from_zeta():
     """One place-count rule: `feasibility` takes no residue (no `%`, no
-    `divmod`) and imports `place_counts` and `place_floor` from `zeta`;
-    `feasible_counts` reads the first and `max_n1` the second.  `zeta`
-    inverts N_j = sum_{d | j} d a_d by that recursion, so it defines no
-    Moebius function and imports no factorization."""
+    `divmod`) and imports `places_are_whole`, the rule's integer form, and
+    `place_floor` from `zeta`; `feasible_counts` reads the first and
+    `max_n1` the second.  `zeta` inverts N_j = sum_{d | j} d a_d by that
+    recursion, so it defines no Moebius function and imports no
+    factorization."""
     package = Path(SRC) / "weilgram"
     tree = ast.parse((package / "feasibility.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
@@ -219,9 +220,9 @@ def test_feasibility_reads_the_place_rule_from_zeta():
     assert "divmod" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     imported = {(node.module, alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert {("zeta", "place_counts"), ("zeta", "place_floor")} <= imported
+    assert {("zeta", "places_are_whole"), ("zeta", "place_floor")} <= imported
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    for name, reads in (("feasible_counts", "place_counts"), ("max_n1", "place_floor")):
+    for name, reads in (("feasible_counts", "places_are_whole"), ("max_n1", "place_floor")):
         assert reads in {node.id for node in ast.walk(functions[name])
                          if isinstance(node, ast.Name)}, name
     zeta_tree = ast.parse((package / "zeta.py").read_text())
@@ -229,6 +230,29 @@ def test_feasibility_reads_the_place_rule_from_zeta():
     assert not {name for name in defined if name.lower().lstrip("_") in {"mu", "mobius", "moebius"}}
     assert "_prime_factors" not in {alias.name for node in ast.walk(zeta_tree)
                                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_max_n1_reads_the_toeplitz_rows_and_one_ihara_floor():
+    """`max_n1` takes each corner interval from `gram._toeplitz` rows by
+    `gram._corner_interval`, the routine `psd_corner_interval` wraps, and
+    builds no GramMatrix.  The Ihara floor has one formula, `_ihara`, which
+    both `max_n1` and `ihara_closed_form` call; nothing else takes an isqrt."""
+    package = Path(SRC) / "weilgram"
+    tree = ast.parse((package / "feasibility.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    assert {"_toeplitz", "_corner_interval", "_ihara"} <= names(functions["max_n1"])
+    assert not {"gram_absolute", "psd_corner_interval"} & names(functions["max_n1"])
+    assert "_ihara" in names(functions["ihara_closed_form"])
+    assert [name for name, node in functions.items()
+            if any(isinstance(n, ast.Attribute) and n.attr == "isqrt" for n in ast.walk(node))] == ["_ihara"]
+    gram_tree = ast.parse((package / "gram.py").read_text())
+    corner = next(node for node in gram_tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "psd_corner_interval")
+    assert "_corner_interval" in names(corner) and "_eliminate" not in names(corner)
 
 
 def test_one_z_elimination_and_lazy_candidate_walks():
