@@ -58,10 +58,11 @@ gives the gcd.  The chart (0:1:z) is the same gcd for F(0, 1, z), in
 F_p[z], and (0:0:1) is one coefficient.  So a count builds no exp or log,
 walks about Q / K lines, and is charged Q like every other family.
 
-A plane is smooth exactly when the Macaulay matrix of F and its three
-partials in degree 3d - 4 has full column rank over F_p (`_is_smooth`), so
-a smooth curve builds no table, and a matrix above MACAULAY_MAX_ENTRIES is
-refused with TooLarge.  Only a curve the rank proves singular is searched
+A plane is smooth exactly when the Macaulay matrix of its partials in
+degree 3d - 5 (of F and its partials in degree 3d - 4 when p | d) has full
+column rank over F_p (`_is_smooth`), so a smooth curve builds no table, and
+a plane whose four-form matrix is above MACAULAY_MAX_ENTRIES is refused
+with TooLarge.  Only a curve the rank proves singular is searched
 for its witness, over F_{q^j} for j = 1, 2, ..., with the line algebra of a
 count.  z is eliminated once per curve: a singular chart point (1:y0:z0)
 forces y0 to be a root of Res_z(F1, dF1) * lc * lc, computed exactly in
@@ -103,8 +104,8 @@ from .errors import (
 from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_square_in
 from .tables import CHUNK, FieldTable, get_table
 
-# the Macaulay matrix of `_is_smooth`, 8 MB of int64: the plane degree limit,
-# d <= 13 when all three partials are nonzero
+# charged on F and its partials in degree 3d - 4, the most `_is_smooth` builds,
+# 8 MB of int64: the plane degree limit, d <= 13 when all partials are nonzero
 MACAULAY_MAX_ENTRIES = 1 << 20
 # the degree limit of f in y^2 = f, and of f g in a biquadratic (its y3), checked
 # before fppoly.is_squarefree, a Euclid in O(n^2): 0.07-0.1 s at n = 1024 over
@@ -350,33 +351,29 @@ def _chart_a_elimination(monomials: tuple, p: int):
     return None if res is None else fppoly.mul(res, fppoly.mul(zpolys[-1], D[-1], p), p)
 
 
-def _monomials_of_degree(n: int) -> list:
-    """(a, b) for each x^a y^b z^(n-a-b) of degree n, a-major; none for n < 0."""
-    return [(a, b) for a in range(n + 1) for b in range(n + 1 - a)]
-
-
 def _is_smooth(monomials: tuple, p: int, d: int) -> bool:
     """Whether F and its three partials have no common zero in P^2 over the
-    algebraic closure of F_p: whether their Macaulay matrix in degree
-    D = 3d - 4 has full column rank over F_p.
+    algebraic closure of F_p: whether the Macaulay matrix of the forms below
+    in degree D has full column rank over F_p.  Each row holds m G, G a form
+    and m a monomial of degree D - deg G; each column is a monomial of degree D.
 
-    Each row holds m G for G one of the four forms and m a monomial of degree
-    D - deg G; each column is a monomial of degree D.  Full rank puts every
-    monomial of degree D in the ideal I = (F, F_x, F_y, F_z), so no point is
-    a common zero.  Conversely, with no common zero I holds every form of
-    degree sum (d_i - 1) + 1 over the three largest degrees d, d-1, d-1
-    (Lazard, EUROCAL 1983), which is D.  F's own rows matter when p | d:
-    Euler's identity x F_x + y F_y + z F_z = d F then no longer puts F in
-    the ideal of the partials.  d = 1 gives D = -1 and an empty matrix: a
-    line is smooth.
+    Full rank puts every monomial of degree D in the ideal of the forms, so
+    they have no common zero.  When p does not divide d, Euler's identity
+    x F_x + y F_y + z F_z = d F puts F in the ideal of the partials, and a
+    common zero of the partials is a zero of d F, so of F: the forms are the
+    nonzero partials, and three forms of degree d - 1 with no common zero
+    generate every form of degree D = 3d - 5 (Lazard, EUROCAL 1983; fewer
+    than three always have one).  When p | d the forms are F and its nonzero
+    partials, and D = 3d - 4 = sum (d_i - 1) + 1 over the degrees d, d-1,
+    d-1.  A line gives an empty matrix: it is smooth.
 
     Gaussian elimination mod p, column by column, updating only the rows
-    with a nonzero entry in the pivot column.  Entries are reduced lazily:
-    k updates after a reduction |entry| <= p - 1 + k (p-1)^2, and the rows
-    left are reduced before that bound could pass 2^63 - 1.  So int64 is
-    exact while p(p-1) < 2^63, and the same code runs on Python ints beyond.
-    Raises TooLarge above MACAULAY_MAX_ENTRIES entries, counted before
-    allocating: (n + 1)(n + 2)/2 shifts of degree n, none for n = -1, -2."""
+    below the pivot with a nonzero entry in its column.  Entries are reduced
+    lazily: k updates after a reduction |entry| <= p - 1 + k (p-1)^2, and
+    the rows left are reduced before that bound could pass 2^63 - 1.  So
+    int64 is exact while p(p-1) < 2^63, and the same code runs on Python
+    ints beyond.  Raises TooLarge before allocating when F and its partials
+    in degree 3d - 4 have more than MACAULAY_MAX_ENTRIES entries."""
     D = 3 * d - 4
     forms = [f for f in (monomials, *(_partial(monomials, axis, p) for axis in range(3))) if f]
     ns = [D - sum(f[0][:3]) for f in forms]
@@ -384,32 +381,33 @@ def _is_smooth(monomials: tuple, p: int, d: int) -> bool:
     if rows * cols > MACAULAY_MAX_ENTRIES:
         raise TooLarge(f"Macaulay matrix of {rows} x {cols} entries for degree {d}; "
                        f"the limit is {MACAULAY_MAX_ENTRIES}")
-    shifts = [np.array(_monomials_of_degree(n), dtype=np.int64).reshape(-1, 2) for n in ns]
-    M = np.zeros((rows, cols), dtype=np.int64 if p * (p - 1) < 2**63 else object)
-    top = 0
-    for f, m in zip(forms, shifts):
-        r = np.arange(top, top + len(m))
-        for a, b, _, co in f:  # x^a y^b z^c sits in column a(2D + 3 - a)/2 + b
-            A, B = m[:, 0] + a, m[:, 1] + b
-            M[r, A * (2 * D + 3 - A) // 2 + B] = co
-        top += len(m)
+    if d % p:
+        forms, ns, D = forms[1:], [n - 1 for n in ns[1:]], D - 1
+    shifts = [np.array([(a, b) for a in range(n + 1) for b in range(n + 1 - a)],
+                       dtype=np.int64).reshape(-1, 1, 2) for n in ns]
+    cols, dtype = (D + 2) * (D + 1) // 2, np.int64 if p * (p - 1) < 2**63 else object
+    tops = np.cumsum([0, *map(len, shifts)])
+    M = np.zeros((tops[-1], cols), dtype=dtype)
+    for f, m, top in zip(forms, shifts, tops):  # x^a y^b z^c: column a(2D + 3 - a)/2 + b
+        A, B = (m + np.array([t[:2] for t in f], dtype=np.int64)).transpose(2, 0, 1)
+        M[np.arange(top, top + len(m))[:, None], A * (2 * D + 3 - A) // 2 + B] = \
+            np.array([t[3] for t in f], dtype=dtype)
     bound, step = p - 1, (p - 1) ** 2
     for c in range(cols):
-        col = M[c:, c] % p
-        nonzero = np.flatnonzero(col)
-        if not len(nonzero):
+        R = M[c:, c:]  # the rows and columns left, a view
+        col = R[:, 0] % p
+        nz = col.nonzero()[0]
+        if not len(nz):
             return False
-        k = nonzero[0]
-        if k:
-            M[[c, c + k]] = M[[c + k, c]]
-            col[[0, k]] = col[[k, 0]]
-        pivot = M[c, c + 1:] % p * pow(int(col[0]), -1, p) % p
-        below = np.flatnonzero(col[1:]) + 1
-        if bound + step > 2**63 - 1:
-            M[c + 1:, c + 1:] %= p
-            bound = p - 1
-        M[c + below, c + 1:] -= np.multiply.outer(col[below], pivot)
-        bound += step
+        k, below = nz[0], nz[1:]
+        if k:  # the row swapped down holds a zero in column c
+            R[[0, k]] = R[[k, 0]]
+        if len(below):
+            if bound + step > 2**63 - 1:
+                R[1:, 1:] %= p
+                bound = p - 1
+            R[below, 1:] -= col[below, None] * (R[0, 1:] % p * pow(int(col[k]), -1, p) % p)
+            bound += step
     return True
 
 
@@ -481,15 +479,17 @@ def make_smooth_plane(field: FieldSpec, monomials, d: int) -> CurveModel:
 
     `monomials` is a sequence of (a, b, c, coeff) with x^a y^b z^c; duplicate
     exponent triples are merged mod p.  Smoothness is decided by one rank over
-    F_p (`_is_smooth`), which builds no table and raises TooLarge above
-    MACAULAY_MAX_ENTRIES.  A curve that rank proves singular raises
-    SingularCurve with its first singular point: construction eliminates z
-    once, by one subresultant sequence over F_p[y], then searches every
-    extension j = 1, 2, .. (see
-    `_chart_a_elimination` and `_plane_singular_witness`): it builds the
-    table of F_{q^j} (TooLarge above 2^26 elements) and evaluates F only on
-    the candidate y-lines of chart (1:y:z) there, CHUNK points at a time,
-    so time and memory grow with q^j, not q^{2j}.
+    F_p (`_is_smooth`): of the partials when p does not divide d, as Euler's
+    identity d F = x F_x + y F_y + z F_z makes their common zeros singular
+    points, else of F and its partials.  It builds no table and raises
+    TooLarge above MACAULAY_MAX_ENTRIES.  A curve that rank proves singular
+    raises SingularCurve with its first singular point: construction
+    eliminates z once, by one subresultant sequence over F_p[y], then
+    searches every extension j = 1, 2, .. (see `_chart_a_elimination` and
+    `_plane_singular_witness`): it builds the table of F_{q^j} (TooLarge
+    above 2^26 elements) and evaluates F only on the candidate y-lines of
+    chart (1:y:z) there, CHUNK points at a time, so time and memory grow
+    with q^j, not q^{2j}.
 
     The search finds a witness by j = d(d-1)/2, in every characteristic.  If F
     is squarefree, its singular set is finite with at most

@@ -10,7 +10,9 @@ instead of the exact PSD intervals, power sums come from numpy root finding
 instead of integer recurrences, primality comes from trial division instead
 of Miller-Rabin, irreducibility from trial division by every monic
 polynomial instead of Ben-Or's test, singular points come from a scan of
-every point or line instead of elimination or a rank, and the Riemann
+every point or line instead of elimination or a rank, plane smoothness also
+from the Macaulay rank of F and its partials in degree 3d - 4 in plain
+integers instead of the partials' system on numpy arrays, and the Riemann
 hypothesis in genus <= 2 comes from a closed form in integers instead of the
 positivity of a Gram matrix, and L-polynomials come from Newton's identities
 in rationals, run again for each genus tried, instead of one integer pass.  From the library this file takes only the
@@ -293,6 +295,38 @@ def first_singular_point_prime_field(monomials, p: int):
     return next((pt for pt in points
                  if all(sum(co * pt[0]**a * pt[1]**b * pt[2]**c for a, b, c, co in f) % p == 0
                         for f in polys)), None)
+
+
+def macaulay_smooth(monomials, p: int, d: int) -> bool:
+    """Whether F, F_x, F_y and F_z have no common zero over the algebraic
+    closure of F_p: whether their Macaulay matrix in degree D = 3d - 4 (rows
+    m G for each nonzero form G and each monomial m of degree D - deg G,
+    columns the monomials of degree D) has full column rank.  Gaussian
+    elimination mod p on lists of plain integers."""
+    D = 3 * d - 4
+    columns = {(a, b): i for i, (a, b) in
+               enumerate((a, b) for a in range(D + 1) for b in range(D + 1 - a))}
+    rows = []
+    for form in _with_gradient(monomials):
+        if not any(co % p for *_, co in form):
+            continue
+        n = D - sum(form[0][:3])
+        for s, t in ((s, t) for s in range(n + 1) for t in range(n + 1 - s)):
+            row = [0] * len(columns)
+            for a, b, _, co in form:
+                row[columns[(a + s, b + t)]] = (row[columns[(a + s, b + t)]] + co) % p
+            rows.append(row)
+    for c in range(len(columns)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inverse = pow(rows[c][c], -1, p)
+        for r in range(c + 1, len(rows)):
+            factor = rows[r][c] * inverse % p
+            if factor:
+                rows[r] = [(u - factor * v) % p for u, v in zip(rows[r], rows[c])]
+    return True
 
 
 def _pseudo_gcd(a: list, b: list) -> list:

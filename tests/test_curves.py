@@ -54,6 +54,7 @@ from oracles import (
     eval_at,
     first_singular_point_prime_field,
     generator,
+    macaulay_smooth,
     one,
     scalar,
     singular_point_exists,
@@ -369,8 +370,8 @@ def test_smoothness_rank_agrees_with_a_scan_for_singular_points():
     """make_smooth_plane accepts a plane exactly when the oracle's scan
     finds no common zero of F and its gradient over the algebraic closure,
     and every singular one keeps a witness.  Both verdicts occur when p | d,
-    where the rank needs F's own rows, and in degree 2, where the partials
-    alone generate nothing in degree 3d - 5 = 1."""
+    where the rank needs F's own rows, and when p does not divide d, where
+    the partials alone decide it."""
     outcomes = set()
     for field, d, F in _smoothness_sweep():
         try:
@@ -540,6 +541,82 @@ def test_macaulay_matrix_cap_is_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _rank_sweep():
+    """Seeded planes of degree 1..6 over prime fields small and large: dense
+    and sparse random forms, which are mostly smooth, and G H with G and H
+    through one rational point, which is singular there."""
+    rng = random.Random(30)
+    for p in (2, 3, 5, 7, 13, 2**31 - 1, 2**61 - 1):
+        for d in range(1, 7):
+            forms = [_random_form(rng, p, d, density=density)
+                     for density in (0.9, 0.3) for _ in range(3 if d < 5 else 1)]
+            if d > 1:
+                a, b = rng.randrange(p), rng.randrange(p)
+                forms.append(_product(_through_point(rng, p, 1, a, b),
+                                      _through_point(rng, p, d - 1, a, b), p))
+            for F in forms:
+                yield p, d, F
+
+
+def test_smoothness_rank_agrees_with_the_four_form_rank():
+    """_is_smooth eliminates the partials alone in degree 3d - 5 when p does
+    not divide d; the oracle keeps F's rows in degree 3d - 4 for every p.
+    Both verdicts occur on both sides of p | d."""
+    outcomes = set()
+    for p, d, F in _rank_sweep():
+        smooth = curves._is_smooth(F, p, d)
+        assert smooth == macaulay_smooth(F, p, d), (p, d, F)
+        outcomes.add((d % p == 0, smooth))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("p,monos", [
+    (3, [(3, 0, 0, 1), (0, 3, 0, 1), (0, 0, 3, 1), (1, 1, 1, 1)]),
+    (2, [(2, 0, 0, 1), (0, 1, 1, 1)]),
+])
+def test_smooth_plane_with_p_dividing_d_keeps_its_own_rows(p, monos):
+    """x^3 + y^3 + z^3 + xyz over F_3 has partials yz, xz, xy, which meet at
+    (1:0:0), off the curve; x^2 + yz over F_2 has partials 0, z, y, which
+    meet at (1:0:0), off the curve too.  Both are smooth, and the partials'
+    system alone would call them singular."""
+    d = sum(monos[0][:3])
+    F = curves._canonical_monomials(monos, p, d)
+    assert curves._is_smooth(F, p, d) and macaulay_smooth(F, p, d)
+    assert make_smooth_plane(construct_field(p, 1), monos, d).genus == (d - 1) * (d - 2) // 2
+
+
+class _ZerosRecorder:
+    """Stands in for numpy inside `curves`, recording the shape of every
+    np.zeros."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype):
+        self.shapes.append(shape)
+        return np.zeros(shape, dtype)
+
+
+@pytest.mark.parametrize("p,d,monos,shape", [
+    (13, 3, FERMAT_CUBIC + [(1, 1, 1, 1)], (18, 15)),
+    (3, 4, FERMAT_QUARTIC, (45, 36)),
+    (3, 3, [(3, 0, 0, 1), (1, 0, 2, 2), (0, 2, 1, -1), (0, 0, 3, 1)], (36, 21)),
+    (3, 2, [(2, 0, 0, 1), (0, 1, 1, 1)], (3, 3)),
+])
+def test_smoothness_matrix_shape_is_pinned(monkeypatch, p, d, monos, shape):
+    """The matrix _is_smooth eliminates: three partials in degree 3d - 5
+    when p does not divide d (cubic over F_13, quartic over F_3, conic over
+    F_3); F and its three nonzero partials in degree 3d - 4 when p | d
+    (x^3 + 2xz^2 - y^2 z + z^3 over F_3)."""
+    recorder = _ZerosRecorder()
+    monkeypatch.setattr(curves, "np", recorder)
+    assert curves._is_smooth(curves._canonical_monomials(monos, p, d), p, d)
+    assert recorder.shapes == [shape]
 
 
 def test_make_smooth_plane_errors():
