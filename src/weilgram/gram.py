@@ -9,14 +9,17 @@ Three constructions share one shape.  With t_j = (q^j + 1) - N_j:
   diagonal 2 G q^i, off-diagonal q^i (N_j(Y1) + N_j(Y2) - N_j(X) - N_j(Z)).
 
 Only inner products are ever represented; the vectors themselves have no
-finite description.  Positive semidefiniteness is decided exactly, in O(n^3)
-integer operations, by one symmetric fraction-free elimination on positive
-diagonal pivots (`is_psd`), so boundary cases with determinant exactly zero
-are classified correctly.  The same elimination, carrying one extra column,
-gives the exact integer range of one corner entry that keeps a matrix PSD
-(`psd_corner_interval`).  Principal minors are enumerated only where their
-values are the answer: the witness of `psd_check` and the margins of
-`bounds`.
+finite description.  All three are `_toeplitz(q, c, t, m)`: G = D T D with
+D = diag(q^{i/2}) and T Toeplitz, so G is PSD exactly when T is.  Levinson's
+recursion decides that exactly, fraction-free, in O(m^2) integer steps
+(`_levinson_step`), so boundary cases with determinant exactly zero are
+classified correctly.  Its state, the leading determinant and an integer
+predictor, gives the verdict (`is_psd`, and the RH check of `zeta`) and, by
+one isqrt, the exact integer range of the next t_n that keeps G PSD
+(`_levinson_interval`, the scan of `feasibility`).  Principal minors are
+enumerated only where their values are the answer: `psd_check`, which
+decides any symmetric matrix up to order 8 and names the first negative
+minor, and the margins of `bounds`.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .errors import (
     TooLarge,
 )
 
-# bounds the witness search of `psd_check`, which enumerates 2^n - 1 minors;
-# `is_psd` has no order limit
+# bounds `psd_check`, which enumerates 2^n - 1 minors; `is_psd` has no order
+# limit
 PSD_MAX_ORDER = 8
 
 
@@ -197,125 +200,95 @@ def principal_minors(M):
             yield subset, int_det([[entries[r][c] for c in subset] for r in subset])
 
 
-def _eliminate(B, n: int) -> Optional[list]:
-    """Eliminate the symmetric integer matrix B in place, fraction-free,
-    pivoting only on positive diagonal entries among indices 0..n-1; the
-    rows and columns from n on are updated but never pivoted on.  A row from
-    n on is updated only in the columns from n on: by symmetry its other
-    entries are those of its column, which is kept current, and the update
-    reads the pivot row B[k], never the pivot column.
-
-    After the pivots K taken so far, each entry (i, j) left equals
-    det(B[K]) times the Schur complement entry, with det(B[K]) > 0 the last
-    pivot: the same signs, and B is PSD iff that complement is.  Once no
-    positive pivot is left, every remaining diagonal entry below n is <= 0,
-    so the leading n x n block is PSD exactly when what is left of it is all
-    zero.  Returns the indices below n left without a pivot, or None when
-    the leading block is not PSD."""
-    rest = list(range(n))
-    tail = list(range(n, len(B)))
-    prev = 1
-    while True:
-        for k in rest:  # the first positive pivot, without a generator: this is hot
-            if B[k][k] > 0:
-                break
-        else:
-            return None if rest and any(B[i][j] for i in rest for j in rest) else rest
-        rest.remove(k)
-        row_k = B[k]
-        p = row_k[k]
-        cols = rest + tail
-        for i in rest:
-            row_i, bik = B[i], row_k[i]
-            for j in cols:
-                row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
-        for i in tail:
-            row_i, bik = B[i], row_k[i]
-            for j in tail:
-                row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
-        prev = p
+def _levinson_state(q: int, c: int, t):
+    """The state (P, d) of the Gram `_toeplitz(q, c, t, len(t))`, or None
+    when that Gram is not PSD; q >= 1 is taken as given.  d is the Gram's
+    determinant and P the integer predictor of `_levinson_step`.  The state
+    of t = () is ((1,), 2c): d_{-1} = 1 and d_0 = 2c."""
+    if c < 0:
+        return None
+    state = ((1,), 2 * c)
+    for n in range(1, len(t) + 1):
+        state = _levinson_step(q, state, t[:n])
+        if state is None:
+            return None
+    return state
 
 
-def is_psd(M) -> bool:
-    """Exact PSD test of a symmetric integer matrix of any order, in O(n^3)
-    integer operations (see `_eliminate`)."""
-    B = [list(row) for row in _entries_of(M, symmetric=True)]
-    return _eliminate(B, len(B)) is not None
+def _levinson_step(q: int, state, t):
+    """The state of t from the state (P, d_{n-1}) of t[:-1], n = len(t), or
+    None when the Gram of t is not PSD.
+
+    G = D T D with D = diag(q^{i/2}) and T the Toeplitz matrix of 2c and
+    t_j q^{-j/2}, so G is PSD exactly when T is.  This is one step of
+    Levinson's recursion on T, fraction-free: with d_n = det G_{0..n}, the
+    predictor scaled as alpha_i = a_i q^{i/2} and P = d_{n-2} alpha, which
+    Cramer's rule makes integral,
+
+        R    = sum_i P_i t_{n-i},
+        d_n  = (q d_{n-1}^2 - q^{n-1} R^2) / d_{n-2},
+        P'_i = (d_{n-1} P_i - q^{i-1} R P_{n-i}) / d_{n-2}   (P'_0 = d_{n-1}),
+
+    both divisions exact, with d_{n-2} = P_0 > 0.  G is PSD while every
+    d_n >= 0.  Once some d_n = 0, T_{0..n} has the predictor as a kernel
+    vector and its PSD extension is unique: G stays PSD exactly when that
+    frozen P annihilates every later t (R = 0), so the state is kept."""
+    P, d = state
+    R = sum(p * x for p, x in zip(P, reversed(t)))
+    if d == 0:
+        return state if R == 0 else None
+    d_n = (q * d * d - q ** (len(t) - 1) * R * R) // P[0]
+    if d_n < 0:
+        return None
+    nxt, qi = [d], R  # qi = q^{i-1} R
+    for a, b in zip(P[1:] + (0,), reversed(P)):
+        nxt.append((d * a - qi * b) // P[0])
+        qi *= q
+    return tuple(nxt), d_n
+
+
+def _levinson_interval(q: int, state, t) -> range:
+    """The integers t_n, n = len(t) + 1, that keep the Gram of t + (t_n,)
+    PSD, from the state (P, d_{n-1}) of t, whose Gram is PSD.
+
+    R = P_0 t_n + B, with B the rest of `_levinson_step`'s sum, and
+    d_n >= 0 reads R^2 <= q d_{n-1}^2 / q^{n-1}, so for an integer R
+    |R| <= isqrt(q d_{n-1}^2 // q^{n-1}): one isqrt, exact.  A frozen state
+    (d_{n-1} = 0) leaves R = 0 alone, which pins t_n to -B / P_0, or leaves
+    nothing when that is not an integer."""
+    P, d = state
+    B = sum(p * x for p, x in zip(P[1:], reversed(t)))
+    r = math.isqrt(q * d * d // q ** len(t))
+    return range(-((r + B) // P[0]), (r - B) // P[0] + 1)
+
+
+def is_psd(M: GramMatrix) -> bool:
+    """Exact PSD test of a GramMatrix of the shape all three constructions
+    share, `_toeplitz(q, c, t, m)` with q >= 1, in O(m^2) integer steps
+    (`_levinson_state`).  Anything else, plain rows included, raises
+    DimensionMismatch; `psd_check` decides any symmetric matrix up to
+    order PSD_MAX_ORDER."""
+    if not isinstance(M, GramMatrix) or M.q < 1 or not M.entries:
+        raise DimensionMismatch("is_psd needs a GramMatrix of Frobenius iterates with q >= 1")
+    c, t = M[0][0] // 2, M[0][1:]
+    if M.entries != _toeplitz(M.q, c, t, len(t)):
+        raise DimensionMismatch("is_psd needs a GramMatrix of Frobenius iterates: "
+                                "2 c q^i on the diagonal, q^i t_j at (i, i + j)")
+    return _levinson_state(M.q, c, t) is not None
 
 
 def psd_check(M) -> PSDVerdict:
-    """Exact PSD test with a witness: the verdict is `is_psd`'s, and a
-    matrix that is not PSD has a negative principal minor.
-
-    The witness, if any, is the lexicographically first index subset (as a
-    sorted tuple) whose principal minor is negative; only it enumerates
-    minors, so the order is capped at PSD_MAX_ORDER."""
+    """Exact PSD test with a witness, for a symmetric integer matrix of order
+    at most PSD_MAX_ORDER: it is PSD exactly when no principal minor is
+    negative, and the witness, if any, is the lexicographically first index
+    subset (as a sorted tuple) whose minor is, in one `principal_minors`
+    pass."""
     entries = _entries_of(M, symmetric=True)
     n = len(entries)
     if n > PSD_MAX_ORDER:
         raise TooLarge(f"order {n} exceeds the exact-minor limit {PSD_MAX_ORDER}")
-    if is_psd(M):
-        return PSDVerdict(psd=True, witness=None)
-    witness = next(subset for subset, det in principal_minors(entries) if det < 0)
-    return PSDVerdict(psd=False, witness=witness)
-
-
-def psd_corner_interval(M) -> range:
-    """Integers x such that M is PSD with x at (0, n) and (n, 0), n = order - 1.
-
-    The given (0, n) entry is ignored.  M is checked to be a square symmetric
-    integer matrix of order >= 2; the interval is `_corner_interval`'s."""
-    entries = _entries_of(M, symmetric=True)
-    if len(entries) < 2:
-        raise DimensionMismatch(f"a corner entry needs order >= 2, got {len(entries)}")
-    return _corner_interval(entries)
-
-
-def _corner_interval(entries) -> range:
-    """`psd_corner_interval` of the integer rows `entries`, a symmetric
-    matrix of order n + 1 >= 2, taken as given.
-
-    Column n is split as v + x*u, with u = e_0, and the leading n x n block
-    A is bordered by v and u:
-
-        [[A, v, u], [v^T, M[n][n], 0], [u^T, 0, 0]]
-
-    `_eliminate` pivots on A alone.  Each remaining column entry is then the
-    affine function u*x + v, and the corner the quadratic a*x^2 + b*x + c
-    with (c, b/2, a) the bottom 2 x 2 block.  Once no positive pivot is left,
-    the rest of A must be zero (else A is not PSD and the range is empty),
-    and so must each column entry left beside it: u != 0 pins x to -v/u,
-    u == 0 needs v == 0.  Last, the corner must be >= 0, a concave quadratic
-    whose integer roots come exactly from isqrt.
-    """
-    n = len(entries) - 1
-    B = [[*row, 0] for row in entries] + [[0] * (n + 2)]
-    B[0][n] = B[n][0] = 0
-    B[0][n + 1] = B[n + 1][0] = 1
-    rest = _eliminate(B, n)
-    empty = range(0)
-    if rest is None:
-        return empty
-    c, b, a = B[n][n], 2 * B[n][n + 1], B[n + 1][n + 1]
-    pin = None
-    for i in rest:
-        v, u = B[i][n:]
-        if (u, v) == (0, 0):
-            continue
-        if u == 0 or v % u or pin not in (None, -v // u):
-            return empty
-        pin = -v // u
-    if pin is not None:
-        return range(pin, pin + 1) if (a * pin + b) * pin + c >= 0 else empty
-    # x is unpinned only if some pivot had u != 0, and then a < 0
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return empty
-    # the roots are (b -+ sqrt(disc)) / den; for integers b and den > 0,
-    # floor((b + sqrt(d)) / den) == floor((b + isqrt(d)) / den), and the
-    # same holds for the ceiling of (b - sqrt(d)) / den
-    root, den = math.isqrt(disc), -2 * a
-    return range(-((root - b) // den), (b + root) // den + 1)
+    witness = next((subset for subset, det in principal_minors(entries) if det < 0), None)
+    return PSDVerdict(psd=witness is None, witness=witness)
 
 
 def schwarz_margin(M, i: int, j: int) -> int:

@@ -25,7 +25,8 @@ q^i t_j at (i, i + j), see `gram.gram_absolute`) is positive semidefinite.
 
 Order g is not enough: L = 1 - 4T + 4T^2 - 8T^3 + 4T^4 over F_2 has a PSD
 Gram of order g = 2 and a real inverse root off the circle.  The verdict is
-all-integer: one exact elimination, `gram.is_psd`.
+all-integer: `gram`'s Levinson recursion on (q, g, t_1..t_2g), which builds
+no matrix.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from fractions import Fraction
 
 from .errors import CountLengthMismatch, NonIntegerCoefficient, TooLarge
 from .finite_field import check_prime_power
-from .gram import gram_absolute, is_psd
+from .gram import _levinson_state
 
-# the most counts `infer_genus` takes: 128 counts of a genus-64 L take 0.15 s
-# over F_3 and 16-18 s over F_64 (2 vCPU), nearly all in its one RH check
+# the most counts `infer_genus` takes: 128 counts of a genus-64 L take 3 ms
+# over F_3 and 0.17-0.20 s over F_64 (2 vCPU), nearly all in its one RH check
 MAX_COUNTS = 128
 
 
@@ -162,18 +163,16 @@ def check_riemann_hypothesis(L: LPolynomial) -> bool:
     True for g = 0.  False when the functional equation fails, or when
     c_0 = 0 (then P(U) has the root 0).  Otherwise RH holds exactly when the
     order-2g absolute Gram matrix of the counts L implies is PSD (see the
-    module docstring), decided exactly by `gram.is_psd`.  For c_0 != 1 the
-    power sums t_n are rational; the Gram is built from
+    module docstring), decided exactly by `gram._levinson_state`.  For
+    c_0 != 1 the power sums t_n are rational; the Gram is taken of
     c_0^{2g} t_n = c_0^{2g-n} u_n instead, a positive multiple."""
     if L.g == 0:
         return True
     if L.coefficients[0] == 0 or not check_functional_equation(L):
         return False
     q, m, c0 = L.q, 2 * L.g, L.coefficients[0]
-    u = power_sums(L, m)
-    counts = [q**n + 1 - c0 ** (m - n) * u[n - 1] for n in range(1, m + 1)]
-    M = gram_absolute(q, c0**m * L.g, counts, m)
-    return is_psd(M)
+    t = [c0 ** (m - n) * u for n, u in enumerate(power_sums(L, m), 1)]
+    return _levinson_state(q, c0**m * L.g, t) is not None
 
 
 def infer_genus(q: int, counts):

@@ -14,8 +14,11 @@ every point or line instead of elimination or a rank, plane smoothness also
 from the Macaulay rank of F and its partials in degree 3d - 4 in plain
 integers instead of the partials' system on numpy arrays, and the Riemann
 hypothesis in genus <= 2 comes from a closed form in integers instead of the
-positivity of a Gram matrix, and L-polynomials come from Newton's identities
-in rationals, run again for each genus tried, instead of one integer pass.  From the library this file takes only the
+positivity of a Gram matrix, L-polynomials come from Newton's identities
+in rationals, run again for each genus tried, instead of one integer pass,
+and PSD verdicts and corner intervals of symmetric matrices of any order
+come from a general fraction-free elimination in O(n^3) instead of the
+Levinson recursion over (q, c, t).  From the library this file takes only the
 field models: `FieldSpec`, `construct_field` and `extension_of`.
 Agreement between the two routes is the point.
 """
@@ -26,6 +29,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 
 import numpy as np
 
@@ -589,3 +593,109 @@ def infer_genus_by_trials(q: int, counts, rh):
                 and rh(q, g, coeffs):
             return g
     return None
+
+
+# --- the general symmetric elimination ------------------------------------
+# `gram` decided every PSD question by this elimination before its Levinson
+# recursion over (q, c, t); it is kept here unchanged as the reference for
+# Grams past the minors' reach and for symmetric matrices of no Toeplitz
+# shape.
+
+def _eliminate(B, n: int) -> Optional[list]:
+    """Eliminate the symmetric integer matrix B in place, fraction-free,
+    pivoting only on positive diagonal entries among indices 0..n-1; the
+    rows and columns from n on are updated but never pivoted on.  A row from
+    n on is updated only in the columns from n on: by symmetry its other
+    entries are those of its column, which is kept current, and the update
+    reads the pivot row B[k], never the pivot column.
+
+    After the pivots K taken so far, each entry (i, j) left equals
+    det(B[K]) times the Schur complement entry, with det(B[K]) > 0 the last
+    pivot: the same signs, and B is PSD iff that complement is.  Once no
+    positive pivot is left, every remaining diagonal entry below n is <= 0,
+    so the leading n x n block is PSD exactly when what is left of it is all
+    zero.  Returns the indices below n left without a pivot, or None when
+    the leading block is not PSD."""
+    rest = list(range(n))
+    tail = list(range(n, len(B)))
+    prev = 1
+    while True:
+        for k in rest:  # the first positive pivot, without a generator: this is hot
+            if B[k][k] > 0:
+                break
+        else:
+            return None if rest and any(B[i][j] for i in rest for j in rest) else rest
+        rest.remove(k)
+        row_k = B[k]
+        p = row_k[k]
+        cols = rest + tail
+        for i in rest:
+            row_i, bik = B[i], row_k[i]
+            for j in cols:
+                row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
+        for i in tail:
+            row_i, bik = B[i], row_k[i]
+            for j in tail:
+                row_i[j] = (p * row_i[j] - bik * row_k[j]) // prev
+        prev = p
+
+
+def _corner_interval(entries) -> range:
+    """`corner_interval_by_elimination` of the integer rows `entries`, a symmetric
+    matrix of order n + 1 >= 2, taken as given.
+
+    Column n is split as v + x*u, with u = e_0, and the leading n x n block
+    A is bordered by v and u:
+
+        [[A, v, u], [v^T, M[n][n], 0], [u^T, 0, 0]]
+
+    `_eliminate` pivots on A alone.  Each remaining column entry is then the
+    affine function u*x + v, and the corner the quadratic a*x^2 + b*x + c
+    with (c, b/2, a) the bottom 2 x 2 block.  Once no positive pivot is left,
+    the rest of A must be zero (else A is not PSD and the range is empty),
+    and so must each column entry left beside it: u != 0 pins x to -v/u,
+    u == 0 needs v == 0.  Last, the corner must be >= 0, a concave quadratic
+    whose integer roots come exactly from isqrt.
+    """
+    n = len(entries) - 1
+    B = [[*row, 0] for row in entries] + [[0] * (n + 2)]
+    B[0][n] = B[n][0] = 0
+    B[0][n + 1] = B[n + 1][0] = 1
+    rest = _eliminate(B, n)
+    empty = range(0)
+    if rest is None:
+        return empty
+    c, b, a = B[n][n], 2 * B[n][n + 1], B[n + 1][n + 1]
+    pin = None
+    for i in rest:
+        v, u = B[i][n:]
+        if (u, v) == (0, 0):
+            continue
+        if u == 0 or v % u or pin not in (None, -v // u):
+            return empty
+        pin = -v // u
+    if pin is not None:
+        return range(pin, pin + 1) if (a * pin + b) * pin + c >= 0 else empty
+    # x is unpinned only if some pivot had u != 0, and then a < 0
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return empty
+    # the roots are (b -+ sqrt(disc)) / den; for integers b and den > 0,
+    # floor((b + sqrt(d)) / den) == floor((b + isqrt(d)) / den), and the
+    # same holds for the ceiling of (b - sqrt(d)) / den
+    root, den = math.isqrt(disc), -2 * a
+    return range(-((root - b) // den), (b + root) // den + 1)
+
+
+def psd_by_elimination(rows) -> bool:
+    """Exact PSD test of a symmetric integer matrix of any order, by one
+    fraction-free elimination on positive diagonal pivots (`_eliminate`)."""
+    B = [list(row) for row in rows]
+    return _eliminate(B, len(B)) is not None
+
+
+def corner_interval_by_elimination(rows) -> range:
+    """Integers x such that the symmetric integer matrix `rows`, of order
+    n + 1 >= 2, is PSD with x at (0, n) and (n, 0); the given (0, n) entry
+    is ignored (`_corner_interval`)."""
+    return _corner_interval(tuple(tuple(row) for row in rows))

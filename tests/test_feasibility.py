@@ -27,7 +27,7 @@ from weilgram.feasibility import (
     max_n1,
 )
 
-from oracles import max_n1_exhaustive
+from oracles import corner_interval_by_elimination, max_n1_exhaustive
 
 PRIME_POWERS_16 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
@@ -156,47 +156,51 @@ def test_max_n1_result_invariants():
         assert res.scanned > 0
 
 
-def _count_eliminations(monkeypatch):
-    """The border width, len(B) - n, of every `gram._eliminate` call."""
-    borders = []
+def _count_scan_work(monkeypatch):
+    """Counts of the next-count intervals `max_n1` reads from the Levinson
+    state (`gram._levinson_interval`) and of its witness checks
+    (`feasible_counts`), as `max_n1` calls them."""
+    calls = {"interval": 0, "witness": 0}
 
-    def counted(B, n, eliminate=gram._eliminate):
-        borders.append(len(B) - n)
-        return eliminate(B, n)
+    def counted(key, function):
+        def wrapper(*args):
+            calls[key] += 1
+            return function(*args)
+        return wrapper
 
-    monkeypatch.setattr(gram, "_eliminate", counted)
-    return borders
+    monkeypatch.setattr(feasibility, "_levinson_interval",
+                        counted("interval", feasibility._levinson_interval))
+    monkeypatch.setattr(feasibility, "feasible_counts",
+                        counted("witness", feasibility.feasible_counts))
+    return calls
 
 
 def test_max_n1_eliminates_each_prefix_gram_once(monkeypatch):
-    """The corner interval of each visited prefix's next count eliminates
-    the prefix's Toeplitz rows (bordered by two columns), and nothing
-    eliminates them again.  N_1 = 22..31 lie above the Ihara floor 21, so
-    they are counted in `scanned` without a visit.  Every complete vector
-    the scan reaches is feasible, so the witness is the only one visited,
-    and `feasible_counts` checks it with one elimination of its Gram.  So
-    scanned = 27 is 10 skipped N_1, 16 prefixes and the witness, and N_1's
-    range and the 16 prefixes make 17 bordered eliminations."""
-    borders = _count_eliminations(monkeypatch)
+    """Each visited prefix takes one Levinson step from its parent's state
+    and reads its next count's interval from it once.  N_1 = 22..31 lie
+    above the Ihara floor 21, so they are counted in `scanned` without a
+    visit.  Every complete vector the scan reaches is feasible, so the
+    witness is the only one visited, and `feasible_counts` checks it once.
+    So scanned = 27 is 10 skipped N_1, 16 prefixes and the witness, and
+    N_1's range and the 16 prefixes make 17 intervals."""
+    calls = _count_scan_work(monkeypatch)
     res = max_n1(FeasibilityProblem(q=3, g=8, m=3))
     assert (ihara_closed_form(3, 8).floor, weil_interval(3, 8, 1)[1]) == (21, 31)
     assert res.scanned == 27
-    assert borders.count(0) == 1  # the witness
-    assert borders.count(2) == 17  # N_1's range and the 16 visited prefixes
-    assert len(borders) == 18
+    assert calls == {"interval": 17, "witness": 1}
 
 
 def test_feasibility_grid_work_is_pinned(monkeypatch):
     """The scan's work over the 216 problems of the benchmark's
     `feasibility_grid` (q <= 64, g = 1..8, m = 3), counted without timing:
-    760 bordered eliminations and 216 witness checks, 976 calls of
-    `gram._eliminate`; a descent that visits every N_1 above the Ihara floor
-    makes 1,299.  `scanned`, which counts the skipped N_1 too, sums to 1,083
-    either way."""
-    borders = _count_eliminations(monkeypatch)
+    760 intervals, one per visited prefix and one per N_1 range, as many as
+    the bordered eliminations that gave them before the Levinson state did,
+    and 216 witness checks.  `scanned`, which counts the skipped N_1 too,
+    sums to 1,083."""
+    calls = _count_scan_work(monkeypatch)
     scanned = sum(max_n1(FeasibilityProblem(q=q, g=g, m=3)).scanned
                   for q in range(2, 65) if _is_prime_power(q) for g in range(1, 9))
-    assert (borders.count(2), borders.count(0), len(borders)) == (760, 216, 976)
+    assert calls == {"interval": 760, "witness": 216}
     assert scanned == 1083
 
 
@@ -213,7 +217,7 @@ def test_n1_above_the_ihara_floor_has_no_order_two_completion(q):
             cf = ihara_closed_form(q, g)
             assert (cf.radicand, cf.floor) == (radicand, floor)
         for n1 in range(floor + 1, weil_interval(q, g, 1)[1] + 1):
-            t2 = gram.psd_corner_interval(gram.gram_absolute(q, g, (n1, 0), 2))
+            t2 = corner_interval_by_elimination(gram.gram_absolute(q, g, (n1, 0), 2).entries)
             assert not t2 or q**2 + 1 - t2.start < n1, (g, n1)
 
 

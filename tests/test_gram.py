@@ -1,6 +1,7 @@
 """Exact Gram matrices, PSD verdicts, and congruence transforms."""
 
 import dataclasses
+import math
 from itertools import combinations
 
 import pytest
@@ -20,6 +21,9 @@ from weilgram.errors import (
 from weilgram.feasibility import FeasibilityProblem, max_n1
 from weilgram.finite_field import construct_field
 from weilgram.gram import (
+    _levinson_interval,
+    _levinson_state,
+    _toeplitz,
     combined_vector_gram,
     gram_absolute,
     gram_diagram,
@@ -28,11 +32,17 @@ from weilgram.gram import (
     is_psd,
     principal_minors,
     psd_check,
-    psd_corner_interval,
     schwarz_margin,
 )
 
-from oracles import gauss_det, psd_by_eigenvalues, psd_by_minors
+from oracles import (
+    corner_interval_by_elimination,
+    counts_from_l,
+    gauss_det,
+    psd_by_eigenvalues,
+    psd_by_elimination,
+    psd_by_minors,
+)
 
 F3 = construct_field(3, 1)
 
@@ -156,17 +166,29 @@ def test_psd_order_limit():
 @pytest.mark.parametrize("order", [9, 12])
 def test_is_psd_decides_past_the_witness_limit(order):
     # V V^T with rows 2 and 5 of V zero; a 1 at (2, 5) and (5, 2) then makes
-    # the {2, 5} minor 0 * 0 - 1 = -1
+    # the {2, 5} minor 0 * 0 - 1 = -1.  No Gram of Frobenius iterates has
+    # this shape, so the elimination oracle decides it.
     V = [[0] * 4 if i in (2, 5) else [(i * k) % 5 - 2 for k in range(1, 5)]
          for i in range(order)]
     M = [[sum(a * b for a, b in zip(u, v)) for v in V] for u in V]
     with pytest.raises(TooLarge):
         psd_check(M)
-    assert is_psd(M)
+    assert psd_by_elimination(M)
     M[2][5] = M[5][2] = 1
     with pytest.raises(TooLarge):
         psd_check(M)
-    assert not is_psd(M)
+    assert not psd_by_elimination(M)
+    # the Gram of a genus-3 L over F_4 with a repeated inverse-root pair:
+    # PSD of rank 4, so singular from order 5 on, and not PSD once its last
+    # count moves by 1
+    counts = [int(n) for n in counts_from_l(4, _l_of(4, (2, 2, -3)), order - 1)]
+    G = gram_absolute(4, 3, counts, order - 1)
+    with pytest.raises(TooLarge):
+        psd_check(G)
+    assert is_psd(G) and psd_by_elimination(G.entries)
+    counts[-1] += 1
+    G = gram_absolute(4, 3, counts, order - 1)
+    assert not is_psd(G) and not psd_by_elimination(G.entries)
 
 
 # V V^T with some rows of V zeroed, so zero diagonals and zero pivots are
@@ -177,13 +199,15 @@ def test_is_psd_decides_past_the_witness_limit(order):
     st.lists(st.booleans(), min_size=n, max_size=n),
     st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))))
 def test_is_psd_matches_minors_oracle_with_zero_diagonals(case):
+    """The elimination oracle, the reference for `is_psd` past order 8,
+    agrees with the minors on general symmetric matrices."""
     V, zero, i, j, delta = case
     V = [[0] * len(row) if z else row for row, z in zip(V, zero)]
     M = [[sum(a * b for a, b in zip(u, v)) for v in V] for u in V]
     M[i][j] += delta
     if i != j:
         M[j][i] += delta
-    assert is_psd(M) == psd_by_minors(M), M
+    assert psd_by_elimination(M) == psd_by_minors(M), M
 
 
 def test_non_square_matrix_is_rejected():
@@ -194,13 +218,13 @@ def test_non_square_matrix_is_rejected():
 
 
 def test_ragged_rows_are_rejected():
-    for check in (psd_check, psd_corner_interval, int_det, is_psd):
+    for check in (psd_check, int_det, is_psd):
         with pytest.raises(DimensionMismatch):
             check([[1], [2]])
 
 
 def test_asymmetric_matrix_is_rejected():
-    for check in (psd_corner_interval, psd_check, is_psd):
+    for check in (psd_check, is_psd):
         with pytest.raises(DimensionMismatch):
             check([[1, 2], [3, 4]])
     assert int_det([[1, 2], [3, 4]]) == -2
@@ -256,12 +280,12 @@ def _with_corner(rows, x):
 
 
 def _assert_interval_matches_psd_check(rows, window):
-    assert is_psd(rows) == psd_check(rows).psd, rows
-    interval = psd_corner_interval(rows)
+    assert psd_by_elimination(rows) == psd_check(rows).psd, rows
+    interval = corner_interval_by_elimination(rows)
     for x in window:
         with_x = _with_corner(rows, x)
         verdict = psd_check(with_x).psd
-        assert is_psd(with_x) == verdict, (rows, x)
+        assert psd_by_elimination(with_x) == verdict, (rows, x)
         assert (x in interval) == verdict, (rows, x)
     return interval
 
@@ -303,6 +327,9 @@ def test_corner_interval_singular_leading_block():
     rows = gram_absolute(4, 1, (9, 0), 2)
     assert [row[:2] for row in rows.entries[:2]] == [(2, -4), (-4, 8)]
     assert _assert_interval_matches_psd_check(rows, range(-40, 41)) == range(8, 9)
+    # the Levinson state of t_1 = -4 is frozen (d_1 = 0) and pins t_2 alike
+    state = _levinson_state(4, 1, (-4,))
+    assert state[1] == 0 and _levinson_interval(4, state, (-4,)) == range(8, 9)
     res = max_n1(FeasibilityProblem(4, 1, 3))
     assert res.witness == (9, 9, 81)
 
@@ -312,19 +339,117 @@ def test_corner_interval_pins_and_empty_cases():
     rows = [[1, 2, 0], [2, 4, 3], [0, 3, 5]]
     assert _assert_interval_matches_psd_check(rows, range(-20, 21)) == range(0)
     # a zero leading block pins x to 0, then the corner decides
-    assert psd_corner_interval([[0, 0], [0, 1]]) == range(0, 1)
-    assert psd_corner_interval([[0, 0], [0, -1]]) == range(0)
+    assert corner_interval_by_elimination([[0, 0], [0, 1]]) == range(0, 1)
+    assert corner_interval_by_elimination([[0, 0], [0, -1]]) == range(0)
     # after pivoting on row 0, rows 1 and 2 pin x to -1 and to 0
     rows = [[1, 1, -1, 0], [1, 1, -1, -1], [-1, -1, 1, 0], [0, -1, 0, 1]]
     assert _assert_interval_matches_psd_check(rows, range(-20, 21)) == range(0)
     # a zero diagonal needs a zero column entry, whatever x is
-    assert psd_corner_interval([[1, 0, 0], [0, 0, 3], [0, 3, 5]]) == range(0)
+    assert corner_interval_by_elimination([[1, 0, 0], [0, 0, 3], [0, 3, 5]]) == range(0)
     # a leading block that is not PSD leaves nothing
-    assert psd_corner_interval([[-1, 0], [0, 5]]) == range(0)
-    assert psd_corner_interval([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == range(0)
-    # order 1 has no off-diagonal corner
-    with pytest.raises(DimensionMismatch):
-        psd_corner_interval([[1]])
+    assert corner_interval_by_elimination([[-1, 0], [0, 5]]) == range(0)
+    assert corner_interval_by_elimination([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == range(0)
+
+
+# --- the Levinson recursion -----------------------------------------------
+
+def _l_of(q, a_values):
+    """Coefficients of prod (1 + a T + q T^2), ascending: an L of genus
+    len(a_values) whose inverse roots have modulus sqrt(q) when every
+    |a| <= 2 sqrt(q)."""
+    c = [1]
+    for a in a_values:
+        c = [x + a * y + q * z for x, y, z in zip(c + [0, 0], [0] + c + [0], [0, 0] + c)]
+    return c
+
+
+@st.composite
+def _toeplitz_data(draw):
+    """(q, c, t) for q = 1..64 and len(t) <= 9: either c factors
+    1 + a T + q T^2 with |a| <= 2 sqrt(q), the boundary (when q is a square)
+    and repeats common, and t their power sums, often with one moved by +-1
+    or +-q; or c = -1..3 and random t.  The Grams have every rank."""
+    q = draw(st.integers(1, 64))
+    m = draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        r = math.isqrt(4 * q)
+        a_values = draw(st.lists(st.sampled_from([-r, 0, r]) | st.integers(-r, r), max_size=4))
+        c = len(a_values)
+        t = [int(q**n + 1 - N) for n, N in enumerate(counts_from_l(q, _l_of(q, a_values), m), 1)]
+        if t and draw(st.booleans()):
+            t[draw(st.integers(0, m - 1))] += draw(st.sampled_from([1, -1, q, -q]))
+    else:
+        c = draw(st.integers(-1, 3))
+        t = draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    return q, c, tuple(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_toeplitz_data())
+def test_levinson_verdict_matches_the_oracles(data):
+    q, c, t = data
+    rows = _toeplitz(q, c, t, len(t))
+    verdict = _levinson_state(q, c, t) is not None
+    assert verdict == psd_by_elimination(rows), data
+    if len(t) <= 5:
+        assert verdict == psd_by_minors(rows), data
+
+
+@settings(max_examples=80, deadline=None)
+@given(_toeplitz_data())
+def test_levinson_interval_matches_psd_check(data):
+    """The next t_n of a PSD prefix that `_levinson_interval` allows are
+    those psd_check accepts, near both ends and near 0, and its ends are the
+    elimination oracle's corner interval."""
+    q, c, t = data
+    t = t[:4]
+    state = _levinson_state(q, c, t)
+    if state is None:
+        return
+    n = len(t) + 1
+    interval = _levinson_interval(q, state, t)
+    oracle = corner_interval_by_elimination(_toeplitz(q, c, t + (0,), n))
+    def ends(r):
+        return (r[0], r[-1]) if r else None
+
+    assert ends(interval) == ends(oracle), data
+    window = set(range(-10, 11))
+    if interval:
+        window |= {x + d for x in (interval[0], interval[-1]) for d in range(-3, 4)}
+    for x in window:
+        assert (x in interval) == psd_check(_toeplitz(q, c, t + (x,), n)).psd, (data, x)
+
+
+def test_levinson_state_edge_cases():
+    # c < 0 is refused; c = 0 freezes at once and needs every t = 0
+    assert _levinson_state(3, -1, ()) is None
+    assert _levinson_state(3, 0, (0, 0, 0)) == ((1,), 0)
+    assert _levinson_state(3, 0, (0, 1)) is None
+    assert _levinson_interval(3, ((1,), 0), (0, 0)) == range(0, 1)
+    # t_1 = +-2 c sqrt(q) sits on the boundary: d_1 = 0 freezes the state
+    assert _levinson_state(4, 1, (4,)) == ((2, -4), 0)
+    assert _levinson_state(4, 1, (4, 8, 16)) is not None
+    assert _levinson_state(4, 1, (4, 8, 15)) is None
+    # a frozen state whose pin is no integer leaves nothing: t_4 = 5/2
+    state = _levinson_state(1, 2, (0, -2, -3))
+    assert state == ((48, 24, 24, 48), 0)
+    assert _levinson_interval(1, state, (0, -2, -3)) == range(0)
+    assert corner_interval_by_elimination(_toeplitz(1, 2, (0, -2, -3, 0), 4)) == range(0)
+
+
+def test_is_psd_takes_only_grams_of_frobenius_iterates():
+    assert is_psd(SUPERSINGULAR) and not is_psd(gram_absolute(3, 1, (8, 8), 2))
+    for M in (gram_relative(3, 1, 0, (7, 7), (4, 10), 2),
+              gram_diagram(3, (3, 1, 0, 0), ((2, 4), (4, 10), (4, 10), (4, 10)), 2)):
+        assert is_psd(M) == psd_check(M).psd
+    for M in (SUPERSINGULAR.entries,
+              [[2, 0], [0, 6]],
+              combined_vector_gram(SUPERSINGULAR, [(1, 1, 0), (0, 1, 0)]),
+              combined_vector_gram(SUPERSINGULAR, []),
+              dataclasses.replace(SUPERSINGULAR, q=0),
+              dataclasses.replace(SUPERSINGULAR, q=-3)):
+        with pytest.raises(DimensionMismatch):
+            is_psd(M)
 
 
 # --- Schwarz margins and combinations --------------------------------------

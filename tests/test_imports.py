@@ -233,10 +233,14 @@ def test_feasibility_reads_the_place_rule_from_zeta():
 
 
 def test_max_n1_reads_the_toeplitz_rows_and_one_ihara_floor():
-    """`max_n1` takes each corner interval from `gram._toeplitz` rows by
-    `gram._corner_interval`, the routine `psd_corner_interval` wraps, and
-    builds no GramMatrix.  The Ihara floor has one formula, `_ihara`, which
-    both `max_n1` and `ihara_closed_form` call; nothing else takes an isqrt."""
+    """One PSD routine: `gram` decides the Toeplitz data (q, c, t) of its
+    Grams by the Levinson recursion and defines no general elimination
+    (`_eliminate`) and no bordered corner routine (`_corner_interval`,
+    `psd_corner_interval`).  `max_n1` carries the recursion's state down its
+    scan (`_levinson_step`, `_levinson_interval`) and builds no Toeplitz
+    rows and no GramMatrix.  The Ihara floor has one formula, `_ihara`,
+    which both `max_n1` and `ihara_closed_form` call; nothing else in
+    `feasibility` takes an isqrt."""
     package = Path(SRC) / "weilgram"
     tree = ast.parse((package / "feasibility.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -244,15 +248,15 @@ def test_max_n1_reads_the_toeplitz_rows_and_one_ihara_floor():
     def names(node):
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
-    assert {"_toeplitz", "_corner_interval", "_ihara"} <= names(functions["max_n1"])
-    assert not {"gram_absolute", "psd_corner_interval"} & names(functions["max_n1"])
+    assert {"_levinson_step", "_levinson_interval", "_ihara"} <= names(functions["max_n1"])
+    assert not {"_toeplitz", "gram_absolute", "is_psd"} & names(functions["max_n1"])
     assert "_ihara" in names(functions["ihara_closed_form"])
     assert [name for name, node in functions.items()
             if any(isinstance(n, ast.Attribute) and n.attr == "isqrt" for n in ast.walk(node))] == ["_ihara"]
     gram_tree = ast.parse((package / "gram.py").read_text())
-    corner = next(node for node in gram_tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "psd_corner_interval")
-    assert "_corner_interval" in names(corner) and "_eliminate" not in names(corner)
+    defined = {node.name for node in ast.walk(gram_tree) if isinstance(node, ast.FunctionDef)}
+    assert {"_levinson_state", "_levinson_step", "_levinson_interval"} <= defined
+    assert not {"_eliminate", "_corner_interval", "psd_corner_interval"} & defined
 
 
 def test_one_z_elimination_and_lazy_candidate_walks():

@@ -1,5 +1,6 @@
 """L-polynomial reconstruction, extrapolation, and the RH check."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -12,7 +13,7 @@ from weilgram.curves import count_points, count_series, make_hyperelliptic
 from weilgram.corpus import builtin_curves
 from weilgram.errors import CountLengthMismatch, NonIntegerCoefficient, NotPrimePower, TooLarge
 from weilgram.finite_field import construct_field
-from weilgram.gram import gram_absolute, psd_check
+from weilgram.gram import gram_absolute, is_psd, psd_check
 from weilgram.zeta import (
     MAX_COUNTS,
     LPolynomial,
@@ -285,6 +286,25 @@ def test_infer_genus_refuses_more_than_max_counts():
     assert infer_genus(3, line[:MAX_COUNTS]) == 0
     with pytest.raises(TooLarge, match=f"^{MAX_COUNTS + 1} counts exceed the limit {MAX_COUNTS}$"):
         infer_genus(3, line)
+
+
+def test_riemann_hypothesis_at_the_count_limit_over_f64():
+    """MAX_COUNTS = 128 counts of a seeded product of 64 factors
+    1 + a T + 64 T^2 with |a| <= 16: their order-129 Gram is PSD (and
+    singular, of rank at most 128), so `infer_genus` finds genus 64.  With
+    the last count moved by 1 the Gram is not PSD.  The Levinson recursion
+    decides each in O(m^2) integer steps; the general elimination it
+    replaced took 15-22 s on the first."""
+    rnd = random.Random(64)
+    L = [1]
+    for _ in range(64):
+        a = rnd.randint(-16, 16)
+        L = [x + a * y + 64 * z for x, y, z in zip(L + [0, 0], [0] + L + [0], [0, 0] + L)]
+    counts = [int(n) for n in counts_from_l(64, L, MAX_COUNTS)]
+    assert is_psd(gram_absolute(64, 64, counts, 128))
+    assert infer_genus(64, counts) == 64
+    counts[-1] += 1
+    assert not is_psd(gram_absolute(64, 64, counts, 128))
 
 
 @settings(max_examples=300, deadline=None)
