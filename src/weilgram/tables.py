@@ -35,13 +35,11 @@ next step.
 frobenius_orbits lists every orbit of c -> c^p on F_q^*, i -> p i mod
 (q-1) in logs, by its least log and its size, which divides K (MacWilliams
 & Sloane, ch. 7, cyclotomic cosets).  As q - 1 = p^K - 1, times p rotates
-the K base-p digits of i, so a leader's top digit is its least digit: the
-candidates are made with that property alone, a block of the a low digits
-(p^a <= CHUNK, as many as fit) added to each prefix of high digits none
-below its top digit, and each is dropped at its first rotation that is
-smaller, all in uint32 (a rotation x p^d - (q-1) floor(x / p^(K-d)) is
-exact modulo 2^32).  With p odd an orbit keeps the parity of i, so the odd
-leaders stand for the non-squares.
+the K base-p digits of i, so i leads its orbit when none of its K - 1
+rotations is smaller: every log is tested, in CHUNK slices, and dropped at
+its first smaller rotation, all in uint32 (a rotation
+x p^d - (q-1) floor(x / p^(K-d)) is exact modulo 2^32).  With p odd an
+orbit keeps the parity of i, so the odd leaders stand for the non-squares.
 
 Tables are built once per field from one linear recurring sequence, in
 O(qK) work (Lidl & Niederreiter, Finite Fields, ch. 6 and 8).  g is the
@@ -397,31 +395,16 @@ class FieldTable:
         c -> c^p on the logs of F_q^*: the least log of each orbit, in
         increasing order (uint32), and the orbit's size (uint8, a divisor of
         K).  As q - 1 = p^K - 1, times p rotates the K base-p digits of i,
-        so a leader's top digit is its least: only such candidates are made,
-        and each is dropped at its first smaller rotation (module
-        docstring)."""
+        so each log i < q-1 is kept when no rotation of it is smaller
+        (module docstring)."""
         n, p, K, u = self.q - 1, self.p, self.K, np.uint32
 
         def rotate(x, d):  # x p^d mod (q-1), exact through uint32 wrap-around
             return x * u(p**d) - x // u(p**(K - d)) * u(n)
 
-        def least_digit(x, digits):  # of the low `digits` digits of x; p if none
-            least = np.full(len(x), p, dtype=np.uint32)
-            for _ in range(digits):
-                np.minimum(least, x % u(p), out=least)
-                x = x // u(p)
-            return least
-
-        a = next(a for a in range(K - 1, -1, -1) if p**a <= CHUNK)
-        low = np.arange(p**a, dtype=np.uint32)  # the a low digits of a candidate
-        low_least, rows, leaders = least_digit(low, a), max(1, CHUNK // p**a), []
-        for lo in range(0, p**(K - a), rows):  # prefix = the K - a high digits
-            prefix = np.arange(lo, min(lo + rows, p**(K - a)), dtype=np.uint32)
-            top = prefix // u(p**(K - a - 1))
-            # top = p - 1 leaves only i = q - 1, the log 0 again
-            keep = (top <= least_digit(prefix, K - a - 1)) & (top < p - 1)
-            i = (prefix[keep] * u(p**a))[:, None] + low
-            i = i[low_least >= top[keep, None]]
+        leaders = []
+        for lo in range(0, n, CHUNK):
+            i = np.arange(lo, min(lo + CHUNK, n), dtype=np.uint32)
             for k in range(1, K):
                 i = i[rotate(i, k) >= i]
             leaders.append(i)

@@ -18,8 +18,10 @@ positivity of a Gram matrix, L-polynomials come from Newton's identities
 in rationals, run again for each genus tried, instead of one integer pass,
 and PSD verdicts and corner intervals of symmetric matrices of any order
 come from a general fraction-free elimination in O(n^3) instead of the
-Levinson recursion over (q, c, t).  From the library this file takes only the
-field models: `FieldSpec`, `construct_field` and `extension_of`.
+Levinson recursion over (q, c, t), and Frobenius orbits come from products
+i p^r mod (q - 1) in int64 instead of rotations of base-p digits in uint32.
+From the library this file takes only the field models: `FieldSpec`,
+`construct_field` and `extension_of`.
 Agreement between the two routes is the point.
 """
 
@@ -424,6 +426,25 @@ def is_irreducible_trial(f, p: int) -> bool:
             if all(v % p == 0 for v in rem[:d]):
                 return False
     return True
+
+
+def frobenius_orbits_by_cosets(p: int, k: int):
+    """(leaders, sizes) of the cyclotomic cosets of p modulo n = p^k - 1,
+    in numpy int64: each leader the minimum over r < k of i p^r mod n, kept
+    where it is i itself, and each size the least d | k with
+    leader p^d = leader mod n.  Modular products, not digit rotations; every
+    product is below n^2, exact in int64 for q < 2^31."""
+    n = p**k - 1
+    logs = np.arange(n, dtype=np.int64)
+    least, x = logs.copy(), logs.copy()
+    for _ in range(1, k):
+        x = x * p % n
+        np.minimum(least, x, out=least)
+    leaders = logs[least == logs]
+    sizes = np.full(len(leaders), k, dtype=np.int64)
+    for d in sorted((d for d in range(1, k) if k % d == 0), reverse=True):
+        sizes[leaders * pow(p, d, n) % n == leaders] = d
+    return leaders, sizes
 
 
 def count_line_slow(curve, j: int) -> int:

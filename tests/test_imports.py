@@ -183,7 +183,8 @@ def test_curves_use_only_log_space_table_arithmetic():
     `eval_logs`, at every x or at the orbit leaders), `FieldTable` defines
     no `_progression` (one Horner path) and no `add_scalar`,
     `frobenius_orbits` is the one `FieldTable` member about orbits, and
-    `_count_plane` reads it."""
+    `_count_plane` reads it.  It is one rotation filter: its only nested
+    function is `rotate`, and `tables` names no `least_digit`."""
     package = Path(SRC) / "weilgram"
     index_space = {"mul", "div", "add", "eval_poly"}
     curves_tree = ast.parse((package / "curves.py").read_text())
@@ -204,6 +205,11 @@ def test_curves_use_only_log_space_table_arithmetic():
     assert "eval_logs" in methods
     assert not methods & {"div", "add", "eval_poly", "_progression", "add_scalar"}
     assert {name for name in methods if "orbit" in name} == {"frobenius_orbits"}
+    orbits = next(node for node in table_class.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "frobenius_orbits")
+    assert [node.name for node in ast.walk(orbits) if isinstance(node, ast.FunctionDef)
+            and node is not orbits] == ["rotate"]
+    assert "least_digit" not in (package / "tables.py").read_text()
 
 
 def test_feasibility_reads_the_place_rule_from_zeta():

@@ -10,11 +10,12 @@ from weilgram import curves
 from weilgram.curves import count_points, make_biquadratic, make_hyperelliptic, make_smooth_plane
 from weilgram.errors import TooLarge
 from weilgram.finite_field import _prime_factors, construct_field
-from weilgram.tables import MAX_Q, FieldTable, get_table
+from weilgram.tables import CHUNK, MAX_Q, FieldTable, get_table
 
 from oracles import (
     element_from_index,
     enumerate_elements,
+    frobenius_orbits_by_cosets,
     is_irreducible_trial,
     is_square,
     one,
@@ -396,3 +397,17 @@ def test_frobenius_orbits_partition_the_non_squares(p, k):
         if leader % 2:
             seen |= {leader * p**r % n for r in range(size)}
     assert seen == set(range(1, n, 2))
+
+
+@pytest.mark.parametrize("p,k", [(3, 11), (2, 17), (17, 4), (131071, 1)])
+def test_frobenius_orbits_match_the_cosets_across_slices(p, k):
+    """On fields whose logs span two or three CHUNK slices, the leaders and
+    sizes equal the cyclotomic cosets computed by modular products (the
+    oracle), so no orbit is lost or split at a slice boundary."""
+    T = get_table(construct_field(p, k))
+    assert CHUNK < T.q - 1 <= 3 * CHUNK
+    leaders, sizes = T.frobenius_orbits
+    assert leaders.dtype == np.uint32 and sizes.dtype == np.uint8
+    want_leaders, want_sizes = frobenius_orbits_by_cosets(p, k)
+    assert np.array_equal(leaders, want_leaders)
+    assert np.array_equal(sizes, want_sizes)
