@@ -18,13 +18,15 @@ vectorized tables module.
 Hyperelliptic and biquadratic models, polys = (f,) or (f, g), are counted
 by one rule: over each x in F_Q (Q = q^j = p^K, K = kj) the product over h
 in polys of #{y : y^2 = h(x)}, plus at infinity 1 for odd deg polys[-1],
-else 2 or 0 as its leading coefficient is a square in F_Q or not.  Where K
-is odd, the count runs on the table of F_Q, once per Frobenius orbit of x:
-f has coefficients in F_p, so f(x^p) = f(x)^p, which is a square exactly
-when f(x) is, and #{y : y^2 = f(x)} is the same on the orbit of x under
-x -> x^p.  f is evaluated at the least log of each orbit
-(FieldTable.frobenius_orbits, about Q / K of them), each term is weighted
-by its orbit's size, and x = 0 is added.  Where K is even,
+else 2 or 0 as its leading coefficient is a square in F_Q or not: always
+where K is even, else exactly when its log in the table of F_Q is even, the
+rule that counts #{y : y^2 = v} too.  Where K is odd, the count runs on the
+table of F_Q, once per Frobenius orbit of x: f has coefficients in F_p, so
+f(x^p) = f(x)^p, which is a square exactly when f(x) is, and
+#{y : y^2 = f(x)} is the same on the orbit of x under x -> x^p.  f is
+evaluated at the least log of each orbit (FieldTable.frobenius_orbits,
+about Q / K of them), each term is weighted by its orbit's size, and x = 0
+is added.  Where K is even,
 Q = q'^2 with q' = p^(K/2), and the count runs on the table of F_q' alone,
 through the norm to F_q' (Lidl & Niederreiter, Finite Fields, ch. 2 and 6);
 F_Q is neither constructed nor tabled.  Write x = a + b theta with a, b
@@ -40,7 +42,7 @@ twice.  As the F_k have coefficients in F_p, the sum over a is the same at
 c and c^p, so only one non-square per orbit of c -> c^p is summed,
 weighted by twice the orbit's size: about Q / K pairs (c, a) instead of Q
 points, each two Horner sums in c.  A biquadratic model multiplies the
-rows of f and g, and the leading coefficient, in F_p, is a square in F_Q.
+rows of f and g.
 
 Plane curves are counted by lines, never point by point.  On the line
 y = c of the chart (1:y:z) the points are the roots in F_Q (Q = q^j) of
@@ -54,15 +56,16 @@ one eval_logs pass per power of z at the leaders, and all that follows
 runs on logs too; z^Q mod F1(c, .) takes about log2 Q squarings vectorized
 over blocks of at most CHUNK lines of one degree in z (the degree drops
 where the leading coefficient vanishes at c), and a Euclid masked per line
-gives the gcd.  The chart (0:1:z) is the same gcd for F(0, 1, z), in
-F_p[z], and (0:0:1) is one coefficient.  So a count builds no exp or log,
-walks about Q / K lines, and is charged Q like every other family.
+gives the gcd.  The line x = 0, chart (0:1:z), is one more line of the same
+kind: the roots of F(0, 1, z), whose z-degree never exceeds F1's, as F is
+homogeneous; and (0:0:1) is one coefficient.  So a count builds no exp or
+log, walks about Q / K lines, and is charged Q like every other family.
 
 A plane is smooth exactly when the Macaulay matrix of its partials in
 degree 3d - 5 (of F and its partials in degree 3d - 4 when p | d) has full
 column rank over F_p (`_is_smooth`), so a smooth curve builds no table, and
-a plane whose four-form matrix is above MACAULAY_MAX_ENTRIES is refused
-with TooLarge.  Only a curve the rank proves singular is searched
+a plane whose matrix costs more than MACAULAY_MAX_ENTRIES is refused with
+TooLarge.  Only a curve the rank proves singular is searched
 for its witness, over F_{q^j} for j = 1, 2, ..., with the line algebra of a
 count.  z is eliminated once per curve: a singular chart point (1:y0:z0)
 forces y0 to be a root of Res_z(F1, dF1) * lc * lc, computed exactly in
@@ -74,7 +77,8 @@ allow).  Horner's rule in y gives each line's polynomials in z, Horner's
 rule in z finds the zeros of F on blocks of about CHUNK points, and the
 partials are evaluated only there, all by horner_logs on the logs of table
 indices, as witnesses go in index order.
-The chart (0:1:z) is a gcd in F_p[z] and (0:0:1) three coefficients.
+In the search, the chart (0:1:z) is the roots of the gcd in F_p[z] of the
+four forms at x = 0, and (0:0:1) three coefficients.
 """
 
 from __future__ import annotations
@@ -101,11 +105,13 @@ from .errors import (
     WrongKind,
     ZeroPolynomial,
 )
-from .finite_field import FieldSpec, construct_field, extension_of, scalar_is_square_in
+from .finite_field import FieldSpec, construct_field, extension_of
 from .tables import CHUNK, FieldTable, get_table
 
-# charged on F and its partials in degree 3d - 4, the most `_is_smooth` builds,
-# 8 MB of int64: the plane degree limit, d <= 13 when all partials are nonzero
+# charged on rows x cols of the matrix `_is_smooth` builds, times the int64 words
+# one product needs, 8 MB of int64: the plane degree limit when all partials are
+# nonzero, d <= 15 when p does not divide d, else d <= 13; d <= 13 for
+# p > 3.04e9 (2 words) and d <= 11 for p > 2^63 (3 words)
 MACAULAY_MAX_ENTRIES = 1 << 20
 # the degree limit of f in y^2 = f, and of f g in a biquadratic (its y3), checked
 # before fppoly.is_squarefree, a Euclid in O(n^2): 0.07-0.1 s at n = 1024 over
@@ -372,20 +378,20 @@ def _is_smooth(monomials: tuple, p: int, d: int) -> bool:
     lazily: k updates after a reduction |entry| <= p - 1 + k (p-1)^2, and
     the rows left are reduced before that bound could pass 2^63 - 1.  So
     int64 is exact while p(p-1) < 2^63, and the same code runs on Python
-    ints beyond.  Raises TooLarge before allocating when F and its partials
-    in degree 3d - 4 have more than MACAULAY_MAX_ENTRIES entries."""
-    D = 3 * d - 4
-    forms = [f for f in (monomials, *(_partial(monomials, axis, p) for axis in range(3))) if f]
+    ints beyond, of about bit_length(p(p-1)) / 63 words each.  Raises
+    TooLarge before allocating when rows x cols of the matrix, times those
+    words, is above MACAULAY_MAX_ENTRIES."""
+    partials = [f for f in (_partial(monomials, axis, p) for axis in range(3)) if f]
+    forms, D = (partials, 3 * d - 5) if d % p else ([monomials, *partials], 3 * d - 4)
     ns = [D - sum(f[0][:3]) for f in forms]
     rows, cols = sum((n + 1) * (n + 2) // 2 for n in ns), (D + 2) * (D + 1) // 2
-    if rows * cols > MACAULAY_MAX_ENTRIES:
-        raise TooLarge(f"Macaulay matrix of {rows} x {cols} entries for degree {d}; "
-                       f"the limit is {MACAULAY_MAX_ENTRIES}")
-    if d % p:
-        forms, ns, D = forms[1:], [n - 1 for n in ns[1:]], D - 1
+    words = 1 if p * (p - 1) < 2**63 else -(-(p * (p - 1)).bit_length() // 63)
+    if rows * cols * words > MACAULAY_MAX_ENTRIES:
+        raise TooLarge(f"Macaulay matrix of {rows} x {cols} entries x {words} words for "
+                       f"degree {d}; the limit is {MACAULAY_MAX_ENTRIES}")
     shifts = [np.array([(a, b) for a in range(n + 1) for b in range(n + 1 - a)],
                        dtype=np.int64).reshape(-1, 1, 2) for n in ns]
-    cols, dtype = (D + 2) * (D + 1) // 2, np.int64 if p * (p - 1) < 2**63 else object
+    dtype = np.int64 if words == 1 else object
     tops = np.cumsum([0, *map(len, shifts)])
     M = np.zeros((tops[-1], cols), dtype=dtype)
     for f, m, top in zip(forms, shifts, tops):  # x^a y^b z^c: column a(2D + 3 - a)/2 + b
@@ -748,17 +754,19 @@ def _gcd_degrees(T: FieldTable, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
     """Points of F = 0 in P^2(F_Q), Q = T.q, by lines (module docstring):
-    one line y = c per Frobenius orbit, c = 0 last, weighted by the orbit's
-    size; lines of degree 0 and 1 in z are read off, the others go to
-    _roots_in_field in blocks of CHUNK lines, grouped by degree."""
+    one line y = c per Frobenius orbit, weighted by the orbit's size, then
+    c = 0 and x = 0, weighted 1; lines of degree 0 and 1 in z are read off,
+    the others go to _roots_in_field in blocks of CHUNK lines, grouped by
+    degree.  (0:0:1) is read off the z^d coefficient of F(0, 1, z)."""
     Q, n = T.q, T.q - 1
     leaders, sizes = T.frobenius_orbits
     zpolys = _chart_a_zpolys(monomials, p)
+    at_x0 = _at_x0(monomials, p)
     # row i: the log of the z^i coefficient of F1(c, .) on each line, 0 -> sentinel
-    coeffs = np.empty((len(zpolys), len(leaders) + 1), dtype=np.uint32)
-    for row, P in zip(coeffs, zpolys):
-        row[:-1] = T.eval_logs(P, leaders)
-        row[-1] = T.prime_logs[P[0] if P else 0]  # at c = 0
+    coeffs = np.empty((len(zpolys), len(leaders) + 2), dtype=np.uint32)
+    for row, P, a in zip(coeffs, zpolys, at_x0 + (0,) * len(zpolys)):
+        row[:-2] = T.eval_logs(P, leaders)
+        row[-2:] = T.prime_logs[[P[0] if P else 0, a]]  # at c = 0, and F(0, 1, z)
         np.putmask(row, row >= n, 3 * n)
     total = 0
     for lo in range(0, coeffs.shape[1], CHUNK):
@@ -769,13 +777,9 @@ def _count_plane(T: FieldTable, monomials: tuple, p: int) -> int:
             lines = np.flatnonzero(deg == D)
             if len(lines):
                 points[lines] = _roots_in_field(T, list(block[:D + 1, lines]))
-        weights = sizes[lo:lo + CHUNK]  # and 1 for the line c = 0, the last
+        weights = sizes[lo:lo + CHUNK]  # and 1 for the last two lines
         total += int(points[:len(weights)] @ weights) + int(points[len(weights):].sum())
-    f = _at_x0(monomials, p)  # its z^d coefficient is F(0, 0, 1)
-    if not f:
-        return total + Q + 1
-    roots = fppoly.gcd(f, fppoly.sub(fppoly.powmod((0, 1), Q, f, p), (0, 1), p), p)
-    return total + fppoly.degree(roots) + (fppoly.degree(f) < sum(monomials[0][:3]))
+    return total + (fppoly.degree(at_x0) < sum(monomials[0][:3]))
 
 
 def _refuse_over_budget(curve: CurveModel, j: int, budget: int) -> None:
@@ -824,10 +828,10 @@ def count_points(curve: CurveModel, j: int, budget: int = DEFAULT_BUDGET) -> int
         polys = (curve.f,) if curve.kind == HYPERELLIPTIC else (curve.f, curve.g)
         if K % 2 == 0:  # every F_p scalar is a square in F_{p^K}
             affine, square = _norm_count(get_table(construct_field(p, K // 2)), polys), True
-        else:
-            ext = extension_of(curve.base, j)
-            affine = _orbit_count(get_table(ext), polys)
-            square = scalar_is_square_in(polys[-1][-1], ext)
+        else:  # a square exactly when its log is even (module docstring)
+            T = get_table(extension_of(curve.base, j))
+            affine = _orbit_count(T, polys)
+            square = int(T.prime_logs[polys[-1][-1] % p]) % 2 == 0
         return affine + (1 if fppoly.degree(polys[-1]) % 2 else 2 * square)
     if curve.kind == SMOOTH_PLANE:
         return _count_plane(get_table(extension_of(curve.base, j)), curve.monomials, p)

@@ -46,10 +46,6 @@ class EvenCharacteristic(WeilgramError):
     """Operation requires odd characteristic."""
 
 
-class ZeroInput(WeilgramError):
-    """Operation is undefined at zero."""
-
-
 # --- curves ----------------------------------------------------------------
 
 class NotSquarefree(WeilgramError):

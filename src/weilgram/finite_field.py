@@ -25,12 +25,10 @@ from functools import lru_cache
 
 from . import fppoly
 from .errors import (
-    EvenCharacteristic,
     InvalidDegree,
     NotPrime,
     NotPrimePower,
     TooLarge,
-    ZeroInput,
 )
 
 
@@ -171,18 +169,3 @@ def extension_of(field: FieldSpec, j: int) -> FieldSpec:
     if j == 1:
         return field
     return construct_field(field.p, field.k * j)
-
-
-def scalar_is_square_in(c: int, field: FieldSpec) -> bool:
-    """Whether a prime-field constant c is a square in `field`: Euler's
-    criterion c^((q-1)/2) = 1, computed in F_p.
-
-    Since c^(p-1) = 1, the exponent (q-1)/2 reduces mod p-1.
-    """
-    if field.p == 2:
-        raise EvenCharacteristic("square test needs odd characteristic")
-    c %= field.p
-    if c == 0:
-        raise ZeroInput("square test is undefined at zero")
-    e = ((field.q - 1) // 2) % (field.p - 1)
-    return pow(c, e, field.p) == 1

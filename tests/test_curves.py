@@ -507,24 +507,47 @@ def test_sextic_singular_over_f3_keeps_its_witness():
 
 
 def test_macaulay_matrix_cap(monkeypatch):
-    """_is_smooth raises TooLarge above MACAULAY_MAX_ENTRIES, and so does
-    make_smooth_plane, singular curve or smooth, before any table is
-    requested: the rank is the only verdict.  A cubic's matrix is 36 x 21;
-    at d = 14 it is 1378 x 780."""
+    """_is_smooth raises TooLarge when the matrix it builds is above
+    MACAULAY_MAX_ENTRIES, and so does make_smooth_plane, singular curve or
+    smooth, before any table is requested: the rank is the only verdict.  A
+    cubic's matrix over F_5 is the partials' 18 x 15.  With p not dividing d
+    the partials' matrix is 975 x 741 at d = 14 and 1305 x 990 at d = 16,
+    and over F_{2^61 - 1} each entry is charged two int64 words."""
     cubic = curves._canonical_monomials(FERMAT_CUBIC, 5, 3)
-    monkeypatch.setattr(curves, "MACAULAY_MAX_ENTRIES", 36 * 21)
+    monkeypatch.setattr(curves, "MACAULAY_MAX_ENTRIES", 18 * 15)
     assert curves._is_smooth(cubic, 5, 3)
-    monkeypatch.setattr(curves, "MACAULAY_MAX_ENTRIES", 36 * 21 - 1)
+    monkeypatch.setattr(curves, "MACAULAY_MAX_ENTRIES", 18 * 15 - 1)
     with pytest.raises(TooLarge):
         curves._is_smooth(cubic, 5, 3)
     monkeypatch.undo()
-    asked = _tables_up_to(monkeypatch, 0)
-    singular = [(0, 14, 0, 1), (0, 0, 14, 1), (12, 1, 1, 1)]  # at (1 : 0 : 0)
-    fermat = [(14, 0, 0, 1), (0, 14, 0, 1), (0, 0, 14, 1)]
-    for field, curve in [(F5, singular), (F3, fermat)]:
-        with pytest.raises(TooLarge):
-            make_smooth_plane(field, curve, 14)
-    assert asked == []
+    asked = _tables_up_to(monkeypatch, 5)
+    with pytest.raises(SingularCurve) as info:  # the partials' rank decides d = 14
+        make_smooth_plane(F5, [(0, 14, 0, 1), (0, 0, 14, 1), (12, 1, 1, 1)], 14)
+    assert (info.value.witness, info.value.extension_degree) == ((1, 0, 0), 1)
+    assert make_smooth_plane(F3, [(14, 0, 0, 1), (0, 14, 0, 1), (0, 0, 14, 1)], 14).genus == 78
+    assert asked == [5]
+    for p, d in ((11, 16), (2**61 - 1, 14)):
+        fermat = [(d, 0, 0, 1), (0, d, 0, 1), (0, 0, d, 1)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                make_smooth_plane(construct_field(p, 1), fermat, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (p, d)
+    assert asked == [5]
+
+
+def test_dense_planes_of_degree_14_and_15_decide():
+    """Dense seeded planes of degree 14 and 15 over F_11, where 11 does not
+    divide d, fit under the cap: the partials' matrices are 975 x 741 and
+    1134 x 861, and the rank decides them."""
+    rng = random.Random(14)
+    for d in (14, 15):
+        F = _random_form(rng, 11, d, density=1.0)
+        assert len(F) == (d + 1) * (d + 2) // 2
+        assert make_smooth_plane(construct_field(11, 1), F, d).genus == (d - 1) * (d - 2) // 2
 
 
 def test_macaulay_matrix_cap_is_checked_before_allocating():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilgram.errors import EvenCharacteristic, NotPrime, TooLarge, ZeroInput
+from weilgram.errors import NotPrime, TooLarge
 from weilgram.curves import count_points, parse_manifest
-from weilgram.tables import MAX_Q
+from weilgram.tables import MAX_Q, get_table
 from weilgram.finite_field import (
     MAX_DEGREE,
     MR_LIMIT,
@@ -19,7 +19,6 @@ from weilgram.finite_field import (
     extension_of,
     is_prime,
     prime_power_decomposition,
-    scalar_is_square_in,
 )
 
 from oracles import (
@@ -258,27 +257,25 @@ def test_extension_of_sizes():
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
 def test_is_square_matches_exhaustive_squares(p, k):
+    """The oracle's Euler criterion, and the table rule a count reads (a
+    nonzero F_p scalar c is a square exactly when its log is even), both
+    agree with the set of squares y^2."""
     field = construct_field(p, k)
     squares = {(y * y).index() for y in enumerate_elements(field) if not y.is_zero()}
     for a in enumerate_elements(field):
-        if a.is_zero():
-            with pytest.raises(ZeroInput):
-                scalar_is_square_in(0, field)
-        else:
+        if not a.is_zero():
             assert is_square(a) == (a.index() in squares)
-
-
-def test_is_square_rejects_characteristic_two():
-    field = construct_field(2, 2)
-    with pytest.raises(EvenCharacteristic):
-        scalar_is_square_in(1, field)
+    prime_logs = get_table(field).prime_logs
+    for c in range(1, p):
+        assert (int(prime_logs[c]) % 2 == 0) == (scalar(field, c).index() in squares)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (7, 1), (3, 3)])
 def test_scalar_square_agrees_with_element_route(p, k):
     field = construct_field(p, k)
+    prime_logs = get_table(field).prime_logs
     for c in range(1, p):
-        assert scalar_is_square_in(c, field) == is_square(scalar(field, c))
+        assert (int(prime_logs[c]) % 2 == 0) == is_square(scalar(field, c))
 
 
 def test_half_of_units_are_squares():
